@@ -6,8 +6,9 @@ observational/interventional dataset pair, ``solve`` scores every ordered
 pair from fact files, ``simulate`` writes synthetic models and datasets,
 and ``bench`` runs the timing and accuracy harness.
 
-Exit codes: 0 success, 2 parse or configuration error, 3 per-feature
-solver timeout (partial results written), 4 contradictory hard knowledge.
+Exit codes: 0 success, 2 parse or configuration error, 3 the time limit
+of the whole call ran out (partial results written), 4 contradictory hard
+knowledge.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def cmd_solve(args) -> int:
     n = len(names)
     if args.n is not None and args.n != n:
         raise ValueError(f"--n {args.n} does not match the {n} declared variables")
-    options = SolveOptions(time_limit=args.time_limit, thread_count=args.threads)
+    options = SolveOptions(time_limit=args.time_limit)
     scorer = PairScorer(inputs, n, options)
     share = True
     try:
@@ -204,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="write synthetic models and datasets")

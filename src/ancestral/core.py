@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_VARS = 31
@@ -69,6 +70,15 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def condset_size(bits: int) -> int:
     return bits.bit_count()
+
+
+def condsets_up_to(items: Sequence[int], max_order: int) -> list[int]:
+    """Bitmasks of every subset of ``items`` with at most ``max_order``
+    members: by size, then ascending within a size."""
+    masks = [0]
+    for k in range(1, max_order + 1):
+        masks.extend(sorted(condset(c) for c in combinations(items, k)))
+    return masks
 
 
 # ---------------------------------------------------------------------------

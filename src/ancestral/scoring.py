@@ -24,6 +24,7 @@ from ancestral.core import (
 from ancestral.rules import clause_holds, ground
 from ancestral.solver import (
     SolveOptions,
+    SolveTimeoutError,
     _Compiled,
     _feature_pins,
     _Search,
@@ -64,36 +65,40 @@ class PairScorer:
     reused: a forced solve whose constraint the unconstrained witness
     already satisfies must have the same minimum, so it is skipped. The
     scores are identical to the uncached path.
+
+    The time limit of the options is one budget for the scorer's whole
+    life, compile included: every search shares the deadline fixed here,
+    and a search that would start after it raises at once.
     """
 
     def __init__(self, inputs: Sequence, n: int, options: Optional[SolveOptions] = None):
         self.options = options or SolveOptions()
         _validate_n(n, self.options)
         self.n = n
+        self._deadline = None
+        if self.options.time_limit is not None:
+            self._deadline = time.monotonic() + self.options.time_limit
         self._pins = _feature_pins(n, self.options.forced_features)
         self._comp = _Compiled(list(inputs), n)
         self._base = None
 
-    def _deadline(self):
-        if self.options.time_limit is None:
-            return None
-        return time.monotonic() + self.options.time_limit
+    def _search(self, pins, phase=None, act0=None) -> _Search:
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise SolveTimeoutError("scoring exceeded the time limit", None)
+        return _Search(self._comp, pins, self._deadline, phase, act0)
 
     def _forced_min(self, var: int, value: bool, phase=None, act0=None) -> Optional[int]:
-        search = _Search(
-            self._comp, self._pins + ((1, var, value),), self._deadline(), phase, act0
-        )
-        best, _ = search.run_min()
+        best, _ = self._search(self._pins + ((1, var, value),), phase, act0).run_min()
         return best
 
     def _base_solve(self):
         if self._base is None:
-            search = _Search(self._comp, self._pins, self._deadline())
+            search = self._search(self._pins)
             best, snap = search.run_min()
             self._base = (best, snap, tuple(search.act))
         return self._base
 
-    def confidence(self, feature: AncStatement, share_bounds: bool = False) -> Union[int, float]:
+    def confidence(self, feature: AncStatement, share_bounds: bool = True) -> Union[int, float]:
         if feature.cause >= self.n or feature.effect >= self.n:
             raise ValueError("feature references variables >= n")
         var = feature.cause * self.n + feature.effect
@@ -122,7 +127,7 @@ class PairScorer:
             return -math.inf
         return loss_false - loss_true
 
-    def all_pairs(self, share_bounds: bool = False) -> list[Prediction]:
+    def all_pairs(self, share_bounds: bool = True) -> list[Prediction]:
         preds = []
         for x in range(self.n):
             for y in range(self.n):
@@ -149,7 +154,7 @@ def score_all_pairs(
     inputs: Sequence,
     n: int,
     options: Optional[SolveOptions] = None,
-    share_bounds: bool = False,
+    share_bounds: bool = True,
 ) -> list[Prediction]:
     """One prediction per ordered pair, sorted by score descending with
     ties broken by (cause, effect)."""

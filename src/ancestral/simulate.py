@@ -20,6 +20,7 @@ from ancestral.core import (
     WeightedInput,
     canonicalize,
     condset_members,
+    condsets_up_to,
     Polarity,
 )
 from ancestral.stats import Dataset
@@ -174,10 +175,7 @@ def oracle_inputs(scm: Scm, max_order: int) -> list[WeightedInput]:
     for x in range(n):
         for y in range(x + 1, n):
             others = [v for v in range(n) if v != x and v != y]
-            masks = [0]
-            for k in range(1, max_order + 1):
-                masks.extend(_k_subsets(others, k))
-            for cond in masks:
+            for cond in condsets_up_to(others, max_order):
                 polarity = (
                     Polarity.INDEPENDENT
                     if d_separated(scm.adj, x, y, cond)
@@ -187,20 +185,6 @@ def oracle_inputs(scm: Scm, max_order: int) -> list[WeightedInput]:
                     WeightedInput(canonicalize(x, y, cond, polarity), Weight.hard())
                 )
     return out
-
-
-def _k_subsets(items: Sequence[int], k: int) -> list[int]:
-    masks = []
-
-    def rec(start: int, left: int, acc: int) -> None:
-        if left == 0:
-            masks.append(acc)
-            return
-        for i in range(start, len(items)):
-            rec(i + 1, left - 1, acc | (1 << items[i]))
-
-    rec(0, k, 0)
-    return sorted(masks)
 
 
 def dump_scm(scm: Scm) -> str:

@@ -3,24 +3,20 @@
 The search is conflict-driven: every propagated assignment carries a
 reason, logical conflicts are analyzed to a first-unique-implication-point
 clause, and bound prunes and accepted solutions are turned into cost-core
-nogoods (the cost-bearing assignments and column-bound supports that
-already force the total to the threshold), so every dead end backjumps
-with a recorded clause and is never re-refuted. Learned clauses range over
-structure and polarity assignment tokens only; derived facts are resolved
-away through the rule instances that fired them. Nogoods learned under one
-incumbent stay valid as the incumbent tightens, so the minimum is exact.
+nogoods (the cost-bearing assignments that already force the total to the
+threshold), so every dead end backjumps with a recorded clause and is never
+re-refuted. Learned clauses range over structure and polarity assignment
+tokens only; derived facts are resolved away through the rule instances
+that fired them. Nogoods learned under one incumbent stay valid as the
+incumbent tightens, so the minimum is exact.
 
 Propagation interleaves four mechanisms: rule instances fire as soon as
 all premises are present; gated structural constraints unit-propagate over
 reachability variables; transitivity and antisymmetry are kept closed
 after every structure assignment; and learned clauses propagate through
-two watched tokens. The lower bound adds, to the cost already paid, an
-exact per-pair "column" minimum (the cheapest completion of that pair's
-statements under the polarity-combination flags the decided structure
-already forbids, memoized per flag state) plus the unavoidable minima of
-undecided ancestral-cost variables; undecided literals are treated
-optimistically and cross-column couplings are ignored, so the bound is
-admissible.
+two watched tokens. The lower bound is the cost already paid plus the
+unavoidable minima of undecided ancestral-cost variables; undecided
+polarities are treated optimistically, so the bound is admissible.
 
 Determinism: decision activities, value preferences and all tie-breaks are
 deterministic, so identical inputs produce identical results. The reported
@@ -47,7 +43,6 @@ from ancestral.core import (
     CiStatement,
     Weight,
     enumerate_ancestral_structures,
-    iter_bits,
 )
 from ancestral.rules import (
     DEP,
@@ -76,14 +71,11 @@ class SolveTimeoutError(TimeoutError):
 class SolveOptions:
     forced_features: tuple[tuple[AncStatement, bool], ...] = ()
     time_limit: Optional[float] = None
-    thread_count: int = 1
     allow_large_n: bool = False
 
     def __post_init__(self) -> None:
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be positive")
 
 
 @dataclass(frozen=True)
@@ -143,13 +135,9 @@ def _pair_min(a, b):
     return min(a, b)
 
 
-_COL_ENUM_LIMIT = 12  # columns larger than this fall back to a zero bound
-
-
 class _Compiled:
     """Grounded tables for one input list: fact universe, rule instances,
-    gated clauses, costs, and per-column bound machinery, shared by every
-    solve over these inputs."""
+    gated clauses and costs, shared by every solve over these inputs."""
 
     def __init__(self, inputs, n: int):
         self.n = n
@@ -205,8 +193,6 @@ class _Compiled:
         self.fact_clauses = [tuple(v) for v in fact_clauses]
         self.var_clauses = [tuple(v) for v in var_clauses]
 
-        self._build_columns()
-
         dec_vars = sorted(
             v
             for v in range(n * n)
@@ -222,138 +208,6 @@ class _Compiled:
         )
         self.lex_vars = [x * n + y for x in range(n) for y in range(n) if x != y]
 
-    def _build_columns(self) -> None:
-        """Per-pair constraint tables for the column lower bound.
-
-        Each column holds the input triples of one unordered pair. A combo
-        entry lists the structure literals whose decided values can forbid
-        a polarity combination outright; undecided literals never forbid.
-        Flag bits are maintained incrementally through per-variable hooks.
-        """
-        n = self.n
-        col_of_pair: dict[tuple[int, int], int] = {}
-        self.col_triples: list[list[int]] = []
-        col_pos: dict[int, int] = {}
-        self.tri_col = []
-        self.tri_colpos = []
-        for ti, (x, y, cond) in enumerate(self.triples):
-            ci = col_of_pair.setdefault((x, y), len(col_of_pair))
-            if ci == len(self.col_triples):
-                self.col_triples.append([])
-            pos = len(self.col_triples[ci])
-            col_pos[ti] = pos
-            self.col_triples[ci].append(ti)
-            self.tri_col.append(ci)
-            self.tri_colpos.append(pos)
-        ncols = len(self.col_triples)
-        # r1[c] entries: (lo_pos, hi_pos, vars) forbid (dep@lo, indep@hi)
-        #   when every var is decided false.
-        # r2[c] entries: (lo_pos, hi_pos, vars) forbid (indep@lo, dep@hi)
-        #   when some var is decided true.
-        # r3[c] entries: (pos, neg_var, pos_vars) forbid indep@pos when
-        #   neg_var is decided true and every pos_var is decided false.
-        self.col_r1: list[list] = [[] for _ in range(ncols)]
-        self.col_r2: list[list] = [[] for _ in range(ncols)]
-        self.col_r3: list[list] = [[] for _ in range(ncols)]
-        tri_index = {t: i for i, t in enumerate(self.triples)}
-        hooks: list[list[tuple[int, int, int]]] = [[] for _ in range(n * n)]
-        for ti, (x, y, cond) in enumerate(self.triples):
-            ci = self.tri_col[ti]
-            pos = col_pos[ti]
-            for a, b in ((x, y), (y, x)):
-                k = len(self.col_r3[ci])
-                entry = (pos, a * n + b, tuple(a * n + u for u in iter_bits(cond)))
-                self.col_r3[ci].append(entry)
-                hooks[entry[1]].append((ci, 2, k))
-                for v in entry[2]:
-                    hooks[v].append((ci, 2, k))
-            rest = ((1 << n) - 1) & ~cond & ~(1 << x) & ~(1 << y)
-            for z in iter_bits(rest):
-                hi = tri_index.get((x, y, cond | (1 << z)))
-                if hi is None:
-                    continue
-                lits = (z * n + x, z * n + y) + tuple(z * n + w for w in iter_bits(cond))
-                k = len(self.col_r1[ci])
-                self.col_r1[ci].append((pos, col_pos[hi], lits))
-                self.col_r2[ci].append((pos, col_pos[hi], lits))
-                for v in lits:
-                    hooks[v].append((ci, 0, k))
-                    hooks[v].append((ci, 1, k))
-        self.var_hooks = [tuple(h) for h in hooks]
-        self.col_memo: list[dict] = [{} for _ in range(ncols)]
-
-    def col_min(self, ci: int, key: tuple, pol_state) -> Optional[int]:
-        """Minimum remaining flip cost of the column's unassigned triples
-        over completions honoring the assigned polarities and the combos
-        forbidden by the decided structure (optimistic elsewhere)."""
-        memo = self.col_memo[ci]
-        cached = memo.get(key, -1)
-        if cached != -1:
-            return cached
-        ts = self.col_triples[ci]
-        m = len(ts)
-        if m > _COL_ENUM_LIMIT:
-            memo[key] = 0
-            return 0
-        r1f, r2f, r3f = key[0], key[1], key[2]
-        pols = [pol_state[t] for t in ts]
-        tri_cost = self.tri_cost
-        r1 = self.col_r1[ci]
-        r2 = self.col_r2[ci]
-        r3 = self.col_r3[ci]
-        best: Optional[int] = None
-        for bits in range(1 << m):
-            cost = 0
-            ok = True
-            for i in range(m):
-                pol = (bits >> i) & 1
-                st = pols[i]
-                if st:
-                    if st - 1 != pol:
-                        ok = False
-                        break
-                else:
-                    c = tri_cost[ts[i]][pol]
-                    if c is None:
-                        ok = False
-                        break
-                    cost += c
-            if not ok or (best is not None and cost >= best):
-                continue
-            violated = False
-            f = r1f
-            while f:
-                low = f & -f
-                lo, hi, _ = r1[low.bit_length() - 1]
-                if (bits >> lo) & 1 and not (bits >> hi) & 1:
-                    violated = True
-                    break
-                f ^= low
-            if not violated:
-                f = r2f
-                while f:
-                    low = f & -f
-                    lo, hi, _ = r2[low.bit_length() - 1]
-                    if not (bits >> lo) & 1 and (bits >> hi) & 1:
-                        violated = True
-                        break
-                    f ^= low
-            if not violated:
-                f = r3f
-                while f:
-                    low = f & -f
-                    if not (bits >> r3[low.bit_length() - 1][0]) & 1:
-                        violated = True
-                        break
-                    f ^= low
-            if not violated:
-                best = cost
-                if best == 0:
-                    break
-        memo[key] = best
-        return best
-
-
 # ---------------------------------------------------------------------------
 # Search engine
 
@@ -363,9 +217,7 @@ class _Compiled:
     _KIND_REACH,
     _KIND_INST,
     _KIND_CLAUSE,
-    _KIND_COL,
-    _KIND_FLAG,
-) = range(7)
+) = range(5)
 _TIMEOUT_CHECK_INTERVAL = 64
 _ACT_DECAY = 1.0 / 0.95
 _ACT_RESCALE = 1e100
@@ -400,10 +252,6 @@ class _Search:
         self.reach_reason = [()] * n2
         self.inst_missing = list(comp.inst_npremises)
         self.cl_missing = list(comp.cl_npremises)
-        ncols = len(comp.col_triples)
-        self.col_flags = [[0, 0, 0] for _ in range(ncols)]
-        self.col_val = [0] * ncols
-        self.col_total = 0
         self.trail: list[tuple] = []
         self.assign_trail: list[int] = []
         self.frames: list[tuple] = []
@@ -411,7 +259,6 @@ class _Search:
         self.qf: list[int] = []
         self.qr: list[int] = []
         self.qw: list[int] = []
-        self.dirty: list[int] = []
         self.cost_items: list[tuple[int, int]] = []
         self.cost = 0
         self.residual = comp.var_min_total
@@ -477,7 +324,6 @@ class _Search:
         if c:
             self.cost += c
             self.cost_items.append((c, tok))
-        self.dirty.append(self.comp.tri_col[t])
         self.qw.append(tok ^ 1)
         return self._set_fact(self.comp.tri_fact[t][pol], (tok,))
 
@@ -505,37 +351,9 @@ class _Search:
         m = self.comp.var_min[var]
         if m:
             self.residual -= m
-        self._update_hooks(var)
         self.qr.append(var)
         self.qw.append(tok ^ 1)
         return True
-
-    def _update_hooks(self, var: int) -> None:
-        """Re-evaluate the column combo flags that mention this variable;
-        flags are monotone along a branch and trailed for undo."""
-        comp = self.comp
-        rs = self.reach_state
-        col_flags = self.col_flags
-        for ci, kind, k in comp.var_hooks[var]:
-            flags = col_flags[ci]
-            word = flags[kind]
-            bit = 1 << k
-            if word & bit:
-                continue
-            if kind == 0:
-                lits = comp.col_r1[ci][k][2]
-                if any(rs[v] != 2 for v in lits):
-                    continue
-            elif kind == 1:
-                if rs[var] != 1:
-                    continue
-            else:
-                _, neg, pos = comp.col_r3[ci][k]
-                if rs[neg] != 1 or any(rs[v] != 2 for v in pos):
-                    continue
-            self.trail.append((_KIND_FLAG, ci, kind, word))
-            flags[kind] = word | bit
-            self.dirty.append(ci)
 
     def _assert_token(self, tok: int, reason) -> bool:
         if tok >= self.pol_base:
@@ -713,88 +531,20 @@ class _Search:
                 return False
         return True
 
-    def _refresh_columns(self) -> bool:
-        """Recompute dirtied column bounds; an infeasible column conflicts
-        with its supporting assignments."""
-        dirty = self.dirty
-        if not dirty:
-            return True
-        comp = self.comp
-        col_val = self.col_val
-        seen = set()
-        for ci in dirty:
-            if ci in seen:
-                continue
-            seen.add(ci)
-            flags = self.col_flags[ci]
-            key = (
-                flags[0],
-                flags[1],
-                flags[2],
-                tuple(self.pol_state[t] for t in comp.col_triples[ci]),
-            )
-            val = comp.col_min(ci, key, self.pol_state)
-            if val is None:
-                dirty.clear()
-                self.conflict = list(self._col_support(ci))
-                return False
-            old = col_val[ci]
-            if val != old:
-                col_val[ci] = val
-                self.col_total += val - old
-                self.trail.append((_KIND_COL, ci, old))
-        dirty.clear()
-        return True
-
-    def _finish_propagation(self) -> bool:
-        return self._flush() and self._refresh_columns()
-
-    def _col_support(self, ci: int) -> tuple[int, ...]:
-        """Assigned tokens under which this column's bound is at least its
-        cached value: the literals behind every fired combo flag plus the
-        assigned polarities inside the column."""
-        comp = self.comp
-        rs = self.reach_state
-        r1f, r2f, r3f = self.col_flags[ci]
-        toks: list[int] = []
-        for k in iter_bits(r1f):
-            toks.extend(v * 2 + 1 for v in comp.col_r1[ci][k][2])
-        for k in iter_bits(r2f):
-            for v in comp.col_r2[ci][k][2]:
-                if rs[v] == 1:
-                    toks.append(v * 2)
-                    break
-        for k in iter_bits(r3f):
-            _, neg, pos = comp.col_r3[ci][k]
-            toks.append(neg * 2)
-            toks.extend(v * 2 + 1 for v in pos)
-        pol_base = self.pol_base
-        for t in comp.col_triples[ci]:
-            st = self.pol_state[t]
-            if st:
-                toks.append(pol_base + t * 2 + (st - 1))
-        return tuple(toks)
-
     def _bound_conflict(self, threshold: int) -> list[int]:
         """Assigned tokens whose conjunction forces every completion to
-        cost at least ``threshold``: a greedy cover from the cost-bearing
-        assignments and the active column bounds. The per-variable minima
-        of unassigned variables hold unconditionally and need no tokens."""
-        items = [(c, 0, tok) for c, tok in self.cost_items]
-        items.extend((val, 1, ci) for ci, val in enumerate(self.col_val) if val)
-        items.sort(key=lambda it: (-it[0], it[1], it[2]))
+        cost at least ``threshold``: a greedy cover by the costliest
+        cost-bearing assignments. The per-variable minima of unassigned
+        variables hold unconditionally and need no tokens."""
         need = threshold - self.residual
         total = 0
         out: list[int] = []
-        for c, kind, ref in items:
+        for c, tok in sorted(self.cost_items, key=lambda it: (-it[0], it[1])):
             total += c
-            if kind == 0:
-                out.append(ref)
-            else:
-                out.extend(self._col_support(ref))
+            out.append(tok)
             if total >= need:
                 break
-        return sorted(set(out))
+        return sorted(out)
 
     # -- frames / backjumping -------------------------------------------------
 
@@ -806,23 +556,19 @@ class _Search:
                 len(self.cost_items),
                 self.cost,
                 self.residual,
-                self.col_total,
             )
         )
 
     def _pop_frame(self) -> None:
-        tlen, alen, clen, cost, residual, col_total = self.frames.pop()
+        tlen, alen, clen, cost, residual = self.frames.pop()
         trail = self.trail
         fact_present = self.fact_present
         pol_state = self.pol_state
         reach_state = self.reach_state
         inst_missing = self.inst_missing
         cl_missing = self.cl_missing
-        col_val = self.col_val
-        col_flags = self.col_flags
         while len(trail) > tlen:
-            entry = trail.pop()
-            kind, idx = entry[0], entry[1]
+            kind, idx = trail.pop()
             if kind == _KIND_FACT:
                 fact_present[idx] = 0
             elif kind == _KIND_POL:
@@ -831,21 +577,15 @@ class _Search:
                 reach_state[idx] = 0
             elif kind == _KIND_INST:
                 inst_missing[idx] += 1
-            elif kind == _KIND_CLAUSE:
-                cl_missing[idx] += 1
-            elif kind == _KIND_COL:
-                col_val[idx] = entry[2]
             else:
-                col_flags[idx][entry[2]] = entry[3]
+                cl_missing[idx] += 1
         del self.assign_trail[alen:]
         del self.cost_items[clen:]
         self.cost = cost
         self.residual = residual
-        self.col_total = col_total
         self.qf.clear()
         self.qr.clear()
         self.qw.clear()
-        self.dirty.clear()
 
     def _backjump(self, target_level: int) -> None:
         while len(self.decisions) > target_level:
@@ -987,7 +727,7 @@ class _Search:
             reason = tuple(tok ^ 1 for tok in clause[1:])
         else:
             reason = ()
-        return self._assert_token(clause[0], reason) and self._finish_propagation()
+        return self._assert_token(clause[0], reason) and self._flush()
 
     # -- top level ----------------------------------------------------------------
 
@@ -995,7 +735,6 @@ class _Search:
         comp = self.comp
         if comp.infeasible:
             return False
-        self.dirty.extend(range(len(comp.col_triples)))
         for t, cc in enumerate(comp.tri_cost):
             if cc[0] is None and not self._set_pol(t, 1, ()):
                 return False
@@ -1019,7 +758,7 @@ class _Search:
             )
             if not ok:
                 return False
-        return self._finish_propagation()
+        return self._flush()
 
     def _check_time(self) -> None:
         self.nodes += 1
@@ -1082,7 +821,7 @@ class _Search:
         restart_budget = 4000.0
         while True:
             self._check_time()
-            projected = self.cost + self.residual + self.col_total
+            projected = self.cost + self.residual
             if decision_bound is not None:
                 over = projected > decision_bound
             else:
@@ -1106,7 +845,7 @@ class _Search:
                     tok = self._preferred(*nxt)
                     self._push_frame()
                     self.decisions.append(tok)
-                    if self._assert_token(tok, None) and self._finish_propagation():
+                    if self._assert_token(tok, None) and self._flush():
                         continue
             while self.conflict is not None:
                 conflicts += 1
@@ -1188,25 +927,15 @@ def _lex_witness(comp: _Compiled, pins, best: int, deadline) -> JointAssignment:
     return _joint_from_snap(comp, final)
 
 
-def _min_with_snap(comp: _Compiled, options: SolveOptions, extra_pins=(), phase=None):
-    """Minimum cost and one optimal snapshot (not necessarily lex-smallest)."""
-    deadline = None
-    if options.time_limit is not None:
-        deadline = time.monotonic() + options.time_limit
-    pins = _feature_pins(comp.n, options.forced_features) + tuple(extra_pins)
-    return _Search(comp, pins, deadline, phase).run_min()
-
-
 def _solve_compiled(
     comp: _Compiled,
     options: SolveOptions,
     build_witness: bool = True,
-    extra_pins=(),
 ) -> SolveResult:
     deadline = None
     if options.time_limit is not None:
         deadline = time.monotonic() + options.time_limit
-    pins = _feature_pins(comp.n, options.forced_features) + tuple(extra_pins)
+    pins = _feature_pins(comp.n, options.forced_features)
     best, _snap = _Search(comp, pins, deadline).run_min()
     if best is None:
         return SolveResult(Weight.hard(), None)

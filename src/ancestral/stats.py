@@ -26,6 +26,7 @@ from ancestral.core import (
     canonicalize,
     causes,
     condset_members,
+    condsets_up_to,
     not_causes,
 )
 
@@ -246,10 +247,7 @@ def ci_inputs_from_data(
     for x in range(n):
         for y in range(x + 1, n):
             others = [v for v in range(n) if v != x and v != y]
-            masks = [0]
-            for k in range(1, config.max_order + 1):
-                masks.extend(_k_subsets(others, k))
-            for cond in masks:
+            for cond in condsets_up_to(others, config.max_order):
                 try:
                     r = clamp_correlation(partial_correlation(data, x, y, cond))
                     p = fisher_z_pvalue(r, data.n_samples, cond.bit_count())
@@ -263,21 +261,6 @@ def ci_inputs_from_data(
                 polarity, weight = frequentist_weight(p, config.alpha, config.log_p_floor)
                 out.append(WeightedInput(canonicalize(x, y, cond, polarity), weight))
     return out
-
-
-def _k_subsets(items: Sequence[int], k: int) -> list[int]:
-    # bitmasks of all k-subsets, ascending
-    masks = []
-
-    def rec(start: int, left: int, acc: int) -> None:
-        if left == 0:
-            masks.append(acc)
-            return
-        for i in range(start, len(items)):
-            rec(i + 1, left - 1, acc | (1 << items[i]))
-
-    rec(0, k, 0)
-    return sorted(masks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ancestral.cli import main
@@ -7,6 +9,7 @@ from ancestral.factfile import (
     format_fact_lines,
     parse_fact_files,
     parse_fact_text,
+    write_fact_file,
 )
 from ancestral.simulate import random_linear_model, sample_data
 from ancestral.stats import CiTestConfig, ci_inputs_from_data, write_dataset
@@ -295,3 +298,21 @@ def test_cmd_bench_writes_reports(tmp_path):
     assert (out / "pr_ancestral.csv").exists()
     assert (out / "pr_nonancestral.csv").exists()
     assert "reference_mean_s" in (out / "reference_comparison.txt").read_text()
+
+
+def test_cmd_solve_time_limit_bounds_the_whole_call(tmp_path):
+    # order-1 facts of `ancestral simulate --seed 0` model 3 at n = 7: the
+    # full solve runs for tens of seconds, far past the budget
+    scm = random_linear_model(7, 1, 0.3, seed=[0, 3, 0])
+    data = sample_data(scm, 500, seed=[0, 3, 1])
+    facts = tmp_path / "f.facts"
+    write_fact_file(data.names, ci_inputs_from_data(data, CiTestConfig(max_order=1)), facts)
+    out = tmp_path / "s.csv"
+    start = time.monotonic()
+    rc = main(["solve", "--facts", str(facts), "--out", str(out), "--time-limit", "0.5"])
+    elapsed = time.monotonic() - start
+    assert rc == 3
+    assert elapsed < 5.0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 1 + 42
+    assert any(row.endswith(",na") for row in rows[1:])

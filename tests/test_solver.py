@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ancestral.core import (
     AncestralStructure,
     Ancestry,
     AncStatement,
     Weight,
+    WeightedInput,
     causes,
     dep,
     indep,
@@ -108,6 +111,53 @@ def test_matches_brute_force_with_hard_inputs():
             assert fast.witness.structure == slow.witness.structure
 
 
+@st.composite
+def forced_instances(draw):
+    """At most 4 variables, CI statements up to order 2 (so a pair's
+    statements span up to 4 triples), ancestral statements and forced
+    features, hard or soft, 16 inputs at most once forced features count."""
+    n = draw(st.integers(2, 4))
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    weights = st.one_of(st.just(Weight.hard()), st.integers(0, 5000).map(W))
+    inputs = []
+    for _ in range(draw(st.integers(0, 8))):
+        x, y = draw(st.sampled_from(pairs))
+        others = [v for v in range(n) if v not in (x, y)]
+        cond = draw(st.lists(st.sampled_from(others), unique=True, max_size=2)) if others else []
+        make = draw(st.sampled_from((indep, dep)))
+        inputs.append(make(x, y, cond, draw(weights)))
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(st.sampled_from(pairs))
+        make = draw(st.sampled_from((causes, not_causes)))
+        inputs.append(make(x, y, draw(weights)))
+    forced = []
+    for _ in range(draw(st.integers(0, 2))):
+        x, y = draw(st.sampled_from(pairs))
+        polarity = draw(st.sampled_from(tuple(Ancestry)))
+        forced.append((AncStatement(x, y, polarity), draw(st.booleans())))
+    return n, inputs, tuple(forced)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(forced_instances())
+def test_matches_brute_force_with_forced_features(case):
+    n, inputs, forced = case
+    # a forced feature is the hard statement of the feature or of its negation
+    hard = [
+        WeightedInput(
+            stmt if hold else AncStatement(stmt.cause, stmt.effect, stmt.polarity.flipped()),
+            Weight.hard(),
+        )
+        for stmt, hold in forced
+    ]
+    fast = solve_min_loss(inputs, n, SolveOptions(forced_features=forced))
+    slow = brute_force_min_loss(inputs + hard, n)
+    assert fast.min_loss == slow.min_loss
+    if not fast.min_loss.is_hard:
+        assert fast.witness.structure == slow.witness.structure
+        assert fast.witness.ci.truth == slow.witness.ci.truth
+
+
 # -- invariants -------------------------------------------------------------------
 
 def test_uniform_scaling_scales_min_and_keeps_witness():
@@ -148,15 +198,6 @@ def test_determinism_across_runs():
         assert again.min_loss == first.min_loss
         assert again.witness.structure == first.witness.structure
         assert again.witness.ci.truth == first.witness.ci.truth
-
-
-def test_thread_count_does_not_change_result():
-    rng = random.Random(13)
-    inputs = random_instance(rng)
-    a = solve_min_loss(inputs, 4, SolveOptions(thread_count=1))
-    b = solve_min_loss(inputs, 4, SolveOptions(thread_count=4))
-    assert a.min_loss == b.min_loss
-    assert a.witness.structure == b.witness.structure
 
 
 # -- options and errors --------------------------------------------------------------
