@@ -101,7 +101,7 @@ def cmd_solve(args) -> int:
     scorer = PairScorer(inputs, n, options)
     share = True
     try:
-        scorer._base_solve()
+        scorer.base_min_loss()
     except SolveTimeoutError:
         share = False
     rows = []

@@ -159,7 +159,10 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
     """Simulate, test and score ``config.models`` random models.
 
     The recorded wall time covers statement construction, solving and
-    scoring only (simulation and I/O excluded). Solver timeouts are
+    scoring only (simulation and I/O excluded). The solver's grounding
+    depends only on n and the set of tested triples, which the models of
+    one (n, max_order) share, and it is built once per process: the first
+    model timed pays for it and the later ones do not. Solver timeouts are
     recorded per model and never abort the batch. Deterministic per seed
     apart from the times themselves.
     """

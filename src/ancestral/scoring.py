@@ -19,6 +19,7 @@ from ancestral.core import (
     AncStatement,
     Ancestry,
     CiStatement,
+    Weight,
     enumerate_ancestral_structures,
 )
 from ancestral.rules import clause_holds, ground
@@ -97,6 +98,15 @@ class PairScorer:
             best, snap = search.run_min()
             self._base = (best, snap, tuple(search.act))
         return self._base
+
+    def base_min_loss(self) -> Weight:
+        """Minimum loss under the options' forced features alone,
+        ``Weight.hard()`` when the hard inputs admit no assignment. Solved
+        once and shared by every later ``confidence`` with
+        ``share_bounds``; raises :class:`SolveTimeoutError` when the
+        scorer's time limit runs out first."""
+        best = self._base_solve()[0]
+        return Weight.hard() if best is None else Weight.finite(best)
 
     def confidence(self, feature: AncStatement, share_bounds: bool = True) -> Union[int, float]:
         if feature.cause >= self.n or feature.effect >= self.n:

@@ -18,6 +18,15 @@ two watched tokens. The lower bound is the cost already paid plus the
 unavoidable minima of undecided ancestral-cost variables; undecided
 polarities are treated optimistically, so the bound is admissible.
 
+Compilation has two layers. The grounding of n variables and a triple set
+(fact universe, rule instances, gated clauses and their indexes) does not
+depend on weights or polarities, so it is memoised per (n, triple set) and
+shared by every input list over that set, as when many models are scored
+at one (n, max order). Each input list adds its costs, its decision order
+and a level-0 root state in which its hard inputs are asserted and
+propagated once. Every search (base solve, forced solve or witness query)
+starts from a copy of that root and asserts only its own pins.
+
 Determinism: decision activities, value preferences and all tie-breaks are
 deterministic, so identical inputs produce identical results. The reported
 witness is the lexicographically smallest optimum (row-major reachability
@@ -32,9 +41,10 @@ consistency constraints.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ancestral.core import (
     AncestralStructure,
@@ -89,7 +99,8 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Instance compilation
+# Instance compilation: shared tables per (n, triple set), then per input
+# list the costs and the propagated root state
 
 
 def _input_costs(inputs, n):
@@ -135,22 +146,14 @@ def _pair_min(a, b):
     return min(a, b)
 
 
-class _Compiled:
-    """Grounded tables for one input list: fact universe, rule instances,
-    gated clauses and costs, shared by every solve over these inputs."""
+class _Tables:
+    """Input-independent grounding for n variables and a sorted triple
+    set: fact universe (both polarities of every triple), rule instances,
+    gated clauses and their indexes, all tuples. Built once per key by
+    :func:`_tables` and shared read-only by every instance and search."""
 
-    def __init__(self, inputs, n: int):
-        self.n = n
-        triples, tri_cost, cost_true, cost_false = _input_costs(inputs, n)
+    def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
-        self.tri_cost = tri_cost
-        self.cost_true = cost_true
-        self.cost_false = cost_false
-        self.tri_min = [_pair_min(c[0], c[1]) for c in tri_cost]
-        self.var_min = [_pair_min(cost_true[v], cost_false[v]) for v in range(n * n)]
-        self.infeasible = None in self.tri_min or any(
-            self.var_min[x * n + y] is None for x in range(n) for y in range(n) if x != y
-        )
         self.pol_base = 2 * n * n
         self.fact_base = self.pol_base + 2 * len(triples)
 
@@ -159,30 +162,30 @@ class _Compiled:
         facts = sorted(g.facts, key=lambda f: (f[0], _POL_INDEX[f[1]]))
         fact_id = {f: i for i, f in enumerate(facts)}
         self.nfacts = len(facts)
-        self.fact_pol = [_POL_INDEX[f[1]] for f in facts]
+        self.fact_pol = tuple(_POL_INDEX[f[1]] for f in facts)
         tri_index = {t: i for i, t in enumerate(triples)}
-        self.fact_tri = [tri_index.get(f[0], -1) for f in facts]
-        self.tri_fact = [(fact_id[(t, INDEP)], fact_id[(t, DEP)]) for t in triples]
+        self.fact_tri = tuple(tri_index.get(f[0], -1) for f in facts)
+        self.tri_fact = tuple((fact_id[(t, INDEP)], fact_id[(t, DEP)]) for t in triples)
 
-        self.inst_premises = [tuple(fact_id[p] for p in r.premises) for r in g.derivations]
-        self.inst_concl = [fact_id[r.conclusion] for r in g.derivations]
-        self.inst_npremises = [len(p) for p in self.inst_premises]
-        self.inst_reason = [
-            tuple(self.fact_base + p for p in prem) for prem in self.inst_premises
-        ]
+        inst_premises = [tuple(fact_id[p] for p in r.premises) for r in g.derivations]
+        self.inst_concl = tuple(fact_id[r.conclusion] for r in g.derivations)
+        self.inst_npremises = tuple(len(p) for p in inst_premises)
+        self.inst_reason = tuple(
+            tuple(self.fact_base + p for p in prem) for prem in inst_premises
+        )
         fact_insts: list[list[int]] = [[] for _ in range(self.nfacts)]
-        for i, prem in enumerate(self.inst_premises):
+        for i, prem in enumerate(inst_premises):
             for f in set(prem):
                 fact_insts[f].append(i)
-        self.fact_insts = [tuple(v) for v in fact_insts]
+        self.fact_insts = tuple(tuple(v) for v in fact_insts)
 
-        self.cl_lits = [
+        self.cl_lits = tuple(
             tuple((lit[0], lit[1] * n + lit[2]) for lit in c.literals) for c in g.clauses
-        ]
-        self.cl_gate_toks = [
+        )
+        self.cl_gate_toks = tuple(
             tuple(self.fact_base + fact_id[f] for f in c.premises) for c in g.clauses
-        ]
-        self.cl_npremises = [len(c.premises) for c in g.clauses]
+        )
+        self.cl_npremises = tuple(len(c.premises) for c in g.clauses)
         fact_clauses: list[list[int]] = [[] for _ in range(self.nfacts)]
         var_clauses: list[list[int]] = [[] for _ in range(n * n)]
         for ci, c in enumerate(g.clauses):
@@ -190,23 +193,88 @@ class _Compiled:
                 fact_clauses[fact_id[f]].append(ci)
             for _, var in set(self.cl_lits[ci]):
                 var_clauses[var].append(ci)
-        self.fact_clauses = [tuple(v) for v in fact_clauses]
-        self.var_clauses = [tuple(v) for v in var_clauses]
+        self.fact_clauses = tuple(tuple(v) for v in fact_clauses)
+        self.var_clauses = tuple(tuple(v) for v in var_clauses)
+        self.lex_vars = tuple(x * n + y for x in range(n) for y in range(n) if x != y)
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(n: int, triples: tuple[Triple, ...]) -> _Tables:
+    """The grounding of one (n, triple set), memoised: experiments score
+    many models per (n, max order) over one triple set, so only the first
+    model of a process pays for it."""
+    return _Tables(n, triples)
+
+
+class _RootState(NamedTuple):
+    """The level-0 search state of one input list, immutable; a search
+    copies it into mutable form."""
+
+    fact_present: bytes
+    pol_state: bytes
+    reach_state: bytes
+    fact_reason: tuple
+    pol_reason: tuple
+    reach_reason: tuple
+    inst_missing: tuple
+    cl_missing: tuple
+    assign_trail: tuple
+    cost_items: tuple
+    cost: int
+    residual: int
+
+
+class _Compiled:
+    """One input list over the shared tables of its (n, triple set): the
+    costs, the decision order and the level-0 root state, in which the hard
+    inputs are asserted and propagated once. Every search starts from a
+    copy of the root; ``infeasible`` is set when the hard inputs contradict
+    at level 0."""
+
+    def __init__(self, inputs, n: int):
+        self.n = n
+        triples, tri_cost, cost_true, cost_false = _input_costs(inputs, n)
+        self.tables = tab = _tables(n, tuple(triples))
+        self.tri_cost = tri_cost
+        self.cost_true = cost_true
+        self.cost_false = cost_false
+        self.var_min = [_pair_min(cost_true[v], cost_false[v]) for v in range(n * n)]
 
         dec_vars = sorted(
             v
             for v in range(n * n)
             if v // n != v % n
-            and (self.var_clauses[v] or cost_true[v] != 0 or cost_false[v] != 0)
+            and (tab.var_clauses[v] or cost_true[v] != 0 or cost_false[v] != 0)
         )
         self.order = [(1, v) for v in dec_vars] + [(0, t) for t in range(len(triples))]
-        self.var_min_total = sum(
+        var_min_total = sum(
             self.var_min[x * n + y] or 0
             for x in range(n)
             for y in range(n)
             if x != y and self.var_min[x * n + y] is not None
         )
-        self.lex_vars = [x * n + y for x in range(n) for y in range(n) if x != y]
+
+        # the root starts empty; propagating the hard inputs replaces it
+        self.infeasible = False
+        self.root = _RootState(
+            bytes(tab.nfacts),
+            bytes(len(triples)),
+            bytes(n * n),
+            ((),) * tab.nfacts,
+            ((),) * len(triples),
+            ((),) * (n * n),
+            tab.inst_npremises,
+            tab.cl_npremises,
+            (),
+            (),
+            0,
+            var_min_total,
+        )
+        search = _Search(self)
+        if search._assert_hard_inputs() and search._flush():
+            self.root = search._state()
+        else:
+            self.infeasible = True
 
 # ---------------------------------------------------------------------------
 # Search engine
@@ -224,7 +292,9 @@ _ACT_RESCALE = 1e100
 
 
 class _Search:
-    """One conflict-driven run over a compiled instance.
+    """One conflict-driven run over a compiled instance. It starts from a
+    copy of the instance's root state, adds its pins at level 0 and runs
+    once; the run leaves the state where it ended.
 
     Token encoding: the assignment reach(var)=val is ``var * 2`` when val
     is true, ``var * 2 + 1`` when false; the polarity assignment (t, pol)
@@ -235,41 +305,64 @@ class _Search:
 
     def __init__(self, comp: _Compiled, pins=(), deadline=None, phase=None, act0=None):
         self.comp = comp
+        self.tab = tab = comp.tables
         self.pins = pins
         self.deadline = deadline
         self.phase = phase
         n2 = comp.n * comp.n
-        self.pol_base = comp.pol_base
-        self.fact_base = comp.fact_base
-        self.fact_present = bytearray(comp.nfacts)
-        self.pol_state = bytearray(len(comp.triples))
-        self.reach_state = bytearray(n2)
-        self.fact_level = [0] * comp.nfacts
-        self.pol_level = [0] * len(comp.triples)
+        ntri = len(tab.triples)
+        self.pol_base = tab.pol_base
+        self.fact_base = tab.fact_base
+        root = comp.root
+        self.fact_present = bytearray(root.fact_present)
+        self.pol_state = bytearray(root.pol_state)
+        self.reach_state = bytearray(root.reach_state)
+        # every root assignment is at level 0
+        self.fact_level = [0] * tab.nfacts
+        self.pol_level = [0] * ntri
         self.reach_level = [0] * n2
-        self.fact_reason = [()] * comp.nfacts
-        self.pol_reason = [()] * len(comp.triples)
-        self.reach_reason = [()] * n2
-        self.inst_missing = list(comp.inst_npremises)
-        self.cl_missing = list(comp.cl_npremises)
+        self.fact_reason = list(root.fact_reason)
+        self.pol_reason = list(root.pol_reason)
+        self.reach_reason = list(root.reach_reason)
+        self.inst_missing = list(root.inst_missing)
+        self.cl_missing = list(root.cl_missing)
+        # level-0 entries are never undone, so the trail starts empty
         self.trail: list[tuple] = []
-        self.assign_trail: list[int] = []
+        self.assign_trail = list(root.assign_trail)
         self.frames: list[tuple] = []
         self.decisions: list[int] = []
         self.qf: list[int] = []
         self.qr: list[int] = []
         self.qw: list[int] = []
-        self.cost_items: list[tuple[int, int]] = []
-        self.cost = 0
-        self.residual = comp.var_min_total
+        self.cost_items: list[tuple[int, int]] = list(root.cost_items)
+        self.cost = root.cost
+        self.residual = root.residual
         self.nodes = 0
         self.conflict: Optional[list[int]] = None
         self.learned: list[tuple[int, ...]] = []
         self.watches: dict[int, list[int]] = {}
-        self.act = list(act0) if act0 is not None else [0.0] * (n2 + len(comp.triples))
+        self.act = list(act0) if act0 is not None else [0.0] * (n2 + ntri)
         self.act_inc = 1.0
         self.best_cost: Optional[int] = None
         self.best_snap = None
+
+    def _state(self) -> _RootState:
+        """The current state, taken at level 0 with nothing queued."""
+        assert not self.decisions and not (self.qf or self.qr or self.qw)
+        return _RootState(
+            bytes(self.fact_present),
+            bytes(self.pol_state),
+            bytes(self.reach_state),
+            tuple(self.fact_reason),
+            tuple(self.pol_reason),
+            tuple(self.reach_reason),
+            tuple(self.inst_missing),
+            tuple(self.cl_missing),
+            tuple(self.assign_trail),
+            tuple(self.cost_items),
+            self.cost,
+            self.residual,
+        )
 
     @property
     def level(self) -> int:
@@ -325,7 +418,7 @@ class _Search:
             self.cost += c
             self.cost_items.append((c, tok))
         self.qw.append(tok ^ 1)
-        return self._set_fact(self.comp.tri_fact[t][pol], (tok,))
+        return self._set_fact(self.tab.tri_fact[t][pol], (tok,))
 
     def _set_reach(self, var: int, val: bool, reason) -> bool:
         st = self.reach_state[var]
@@ -367,7 +460,7 @@ class _Search:
         reach_state = self.reach_state
         unknown = None
         count = 0
-        lits = self.comp.cl_lits[c]
+        lits = self.tab.cl_lits[c]
         for lit in lits:
             st = reach_state[lit[1]]
             if st == 0:
@@ -377,7 +470,7 @@ class _Search:
                 unknown = lit
             elif (st == 1) == lit[0]:
                 return True
-        gate = self.comp.cl_gate_toks[c]
+        gate = self.tab.cl_gate_toks[c]
         if count == 0:
             self.conflict = list(gate) + [
                 lit[1] * 2 + (1 if lit[0] else 0) for lit in lits
@@ -430,7 +523,7 @@ class _Search:
                 ):
                     return False
         cl_missing = self.cl_missing
-        for c in self.comp.var_clauses[var]:
+        for c in self.tab.var_clauses[var]:
             if cl_missing[c] == 0 and not self._check_clause(c):
                 return False
         return True
@@ -497,27 +590,27 @@ class _Search:
 
     def _flush(self) -> bool:
         qf, qr, qw = self.qf, self.qr, self.qw
-        comp = self.comp
+        tab = self.tab
         while qf or qr or qw:
             while qf:
                 f = qf.pop()
-                t = comp.fact_tri[f]
+                t = tab.fact_tri[f]
                 if t >= 0 and not self._set_pol(
-                    t, comp.fact_pol[f], (self.fact_base + f,)
+                    t, tab.fact_pol[f], (self.fact_base + f,)
                 ):
                     return False
                 inst_missing = self.inst_missing
                 trail = self.trail
-                for i in comp.fact_insts[f]:
+                for i in tab.fact_insts[f]:
                     m = inst_missing[i] - 1
                     inst_missing[i] = m
                     trail.append((_KIND_INST, i))
                     if m == 0 and not self._set_fact(
-                        comp.inst_concl[i], comp.inst_reason[i]
+                        tab.inst_concl[i], tab.inst_reason[i]
                     ):
                         return False
                 cl_missing = self.cl_missing
-                for c in comp.fact_clauses[f]:
+                for c in tab.fact_clauses[f]:
                     m = cl_missing[c] - 1
                     cl_missing[c] = m
                     trail.append((_KIND_CLAUSE, c))
@@ -731,10 +824,9 @@ class _Search:
 
     # -- top level ----------------------------------------------------------------
 
-    def _root(self) -> bool:
+    def _assert_hard_inputs(self) -> bool:
+        """Assert at level 0 the values that hard inputs leave open."""
         comp = self.comp
-        if comp.infeasible:
-            return False
         for t, cc in enumerate(comp.tri_cost):
             if cc[0] is None and not self._set_pol(t, 1, ()):
                 return False
@@ -750,6 +842,12 @@ class _Search:
                     return False
                 if comp.cost_false[var] is None and not self._set_reach(var, True, ()):
                     return False
+        return True
+
+    def _root(self) -> bool:
+        """Add the pins to the propagated root state at level 0."""
+        if self.comp.infeasible:
+            return False
         for kind, idx, value in self.pins:
             ok = (
                 self._set_pol(idx, value, ())
@@ -813,9 +911,7 @@ class _Search:
         return idx * 2 + choices[0][1]
 
     def _run(self, decision_bound: Optional[int]) -> None:
-        self._push_frame()
         if not self._root():
-            self._pop_frame()
             return
         conflicts = 0
         restart_budget = 4000.0
@@ -851,8 +947,6 @@ class _Search:
                 conflicts += 1
                 analyzed = self._analyze()
                 if analyzed is None:
-                    self._backjump(0)
-                    self._pop_frame()
                     return
                 self.conflict = None
                 self._learn(*analyzed)
@@ -862,8 +956,6 @@ class _Search:
                 conflicts = 0
                 restart_budget *= 2.0
                 self._backjump(0)
-        self._backjump(0)
-        self._pop_frame()
 
     def run_min(self):
         """Exact minimum cost and one optimal snapshot, or (None, None)."""
@@ -909,17 +1001,17 @@ def _joint_from_snap(comp: _Compiled, snap) -> JointAssignment:
             if x != y and reach_state[x * n + y] == 1:
                 rows[x] |= 1 << y
     truth = {
-        t: (INDEP if pol_state[i] == 1 else DEP) for i, t in enumerate(comp.triples)
+        t: (INDEP if pol_state[i] == 1 else DEP) for i, t in enumerate(comp.tables.triples)
     }
     return JointAssignment(AncestralStructure(n, tuple(rows)), CiAssignment(truth))
 
 
 def _lex_witness(comp: _Compiled, pins, best: int, deadline) -> JointAssignment:
     pins = list(pins)
-    for var in comp.lex_vars:
+    for var in comp.tables.lex_vars:
         snap = _Search(comp, pins + [(1, var, False)], deadline).run_decision(best)
         pins.append((1, var, False) if snap is not None else (1, var, True))
-    for t in range(len(comp.triples)):
+    for t in range(len(comp.tables.triples)):
         snap = _Search(comp, pins + [(0, t, 0)], deadline).run_decision(best)
         pins.append((0, t, 0) if snap is not None else (0, t, 1))
     final = _Search(comp, pins, deadline).run_decision(best)
@@ -927,15 +1019,26 @@ def _lex_witness(comp: _Compiled, pins, best: int, deadline) -> JointAssignment:
     return _joint_from_snap(comp, final)
 
 
-def _solve_compiled(
-    comp: _Compiled,
-    options: SolveOptions,
+def solve_min_loss(
+    inputs: Sequence,
+    n: int,
+    options: Optional[SolveOptions] = None,
     build_witness: bool = True,
 ) -> SolveResult:
+    """Exact global minimum of the loss over all consistent joint
+    assignments; forced features act as hard constraints.
+
+    The time limit bounds the whole call, compile included. Raises
+    :class:`SolveTimeoutError` when it elapses, carrying the best upper
+    bound found so far.
+    """
+    options = options or SolveOptions()
+    _validate_n(n, options)
     deadline = None
     if options.time_limit is not None:
         deadline = time.monotonic() + options.time_limit
-    pins = _feature_pins(comp.n, options.forced_features)
+    pins = _feature_pins(n, options.forced_features)
+    comp = _Compiled(inputs, n)
     best, _snap = _Search(comp, pins, deadline).run_min()
     if best is None:
         return SolveResult(Weight.hard(), None)
@@ -948,24 +1051,6 @@ def _solve_compiled(
             "witness reconstruction exceeded the time limit", Weight.finite(best)
         ) from None
     return SolveResult(Weight.finite(best), witness)
-
-
-def solve_min_loss(
-    inputs: Sequence,
-    n: int,
-    options: Optional[SolveOptions] = None,
-    build_witness: bool = True,
-) -> SolveResult:
-    """Exact global minimum of the loss over all consistent joint
-    assignments; forced features act as hard constraints.
-
-    Raises :class:`SolveTimeoutError` when the time limit elapses, carrying
-    the best upper bound found so far.
-    """
-    options = options or SolveOptions()
-    _validate_n(n, options)
-    comp = _Compiled(inputs, n)
-    return _solve_compiled(comp, options, build_witness=build_witness)
 
 
 def brute_force_min_loss(inputs: Sequence, n: int) -> SolveResult:

@@ -9,7 +9,17 @@ from itertools import combinations
 
 import numpy as np
 
-from ancestral.core import Weight, WeightedInput, canonicalize, is_ancestral_structure, Polarity
+from ancestral.core import (
+    Polarity,
+    Weight,
+    WeightedInput,
+    canonicalize,
+    causes,
+    dep,
+    indep,
+    is_ancestral_structure,
+    not_causes,
+)
 from ancestral.simulate import d_separated
 
 
@@ -111,3 +121,43 @@ def dag_oracle_inputs(adj: np.ndarray, n_obs: int, max_order: int) -> list[Weigh
                     bits |= 1 << u
                 out.append(WeightedInput(canonicalize(x, y, bits, polarity), Weight.hard()))
     return out
+
+
+# One triple set at n = 4 shared by several input lists, so that solves over
+# different inputs reuse one grounding.
+SHARED_TRIPLES = ((0, 1, ()), (0, 2, (1,)), (1, 2, ()), (1, 3, (0,)), (2, 3, ()), (0, 3, (1, 2)))
+
+
+def shared_triple_inputs(rng: random.Random, hard_share: float = 0.2) -> list[WeightedInput]:
+    """Every triple of SHARED_TRIPLES once with a random polarity, up to two
+    of them with the opposite polarity too, and up to four ancestral
+    statements; each weight is hard with probability ``hard_share``."""
+
+    def weight() -> Weight:
+        return Weight.hard() if rng.random() < hard_share else Weight.finite(rng.randint(0, 5000))
+
+    inputs = []
+    for x, y, cond in SHARED_TRIPLES:
+        make = indep if rng.random() < 0.5 else dep
+        inputs.append(make(x, y, cond, weight()))
+    for x, y, cond in rng.sample(SHARED_TRIPLES, rng.randint(0, 2)):
+        first = inputs[SHARED_TRIPLES.index((x, y, cond))].statement.polarity
+        make = dep if first is Polarity.INDEPENDENT else indep
+        inputs.append(make(x, y, cond, weight()))
+    for _ in range(rng.randint(0, 4)):
+        x, y = rng.sample(range(4), 2)
+        make = causes if rng.random() < 0.5 else not_causes
+        inputs.append(make(x, y, weight()))
+    return inputs
+
+
+def level0_contradictions() -> list[list[WeightedInput]]:
+    """Input lists over SHARED_TRIPLES whose hard inputs contradict once
+    propagated at level 0: both polarities of one triple, a broken
+    transitive chain, and a two-cycle."""
+    soft = [indep(x, y, cond, Weight.finite(100)) for x, y, cond in SHARED_TRIPLES]
+    return [
+        soft[1:] + [indep(0, 1), dep(0, 1)],
+        soft + [causes(0, 1), causes(1, 2), not_causes(0, 2)],
+        soft + [causes(2, 3), causes(3, 2)],
+    ]

@@ -1,9 +1,23 @@
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ancestral.cli import main
-from ancestral.core import Weight, causes, not_causes
+from ancestral.core import (
+    Ancestry,
+    AncStatement,
+    Polarity,
+    Weight,
+    WeightedInput,
+    canonicalize,
+    causes,
+    condset,
+    not_causes,
+)
 from ancestral.factfile import (
     FactFileError,
     format_fact_lines,
@@ -18,6 +32,55 @@ W = Weight.finite
 
 
 # -- fact files -----------------------------------------------------------------
+
+@st.composite
+def fact_file_contents(draw):
+    """Distinct variable names, distinct statements of all four kinds with
+    weights from 0 to inf, and a point that splits them over two files."""
+    n = draw(st.integers(2, 5))
+    names = draw(
+        st.lists(
+            st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+
+    def ci(pair_cond_pol):
+        (x, y), cond, pol = pair_cond_pol
+        return canonicalize(x, y, condset(v for v in cond if v not in (x, y)), pol)
+
+    ci_statements = st.tuples(
+        st.sampled_from(pairs),
+        st.lists(st.integers(0, n - 1), unique=True, max_size=3),
+        st.sampled_from(tuple(Polarity)),
+    ).map(ci)
+    anc_statements = st.builds(
+        lambda pair, pol: AncStatement(pair[0], pair[1], pol),
+        st.sampled_from(pairs),
+        st.sampled_from(tuple(Ancestry)),
+    )
+    statements = draw(
+        st.lists(st.one_of(ci_statements, anc_statements), unique=True, max_size=12)
+    )
+    weights = st.one_of(st.just(Weight.hard()), st.integers(0, 10**12).map(W))
+    inputs = [WeightedInput(stmt, draw(weights)) for stmt in statements]
+    return tuple(names), inputs, draw(st.integers(0, len(inputs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fact_file_contents())
+def test_fact_file_round_trip_property(case):
+    names, inputs, split = case
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.facts", Path(tmp) / "b.facts"
+        write_fact_file(names, inputs[:split], first)
+        write_fact_file(names, inputs[split:], second)
+        assert parse_fact_files([first]) == (names, inputs[:split])
+        assert parse_fact_files([first, second]) == (names, inputs)
+
 
 def test_parse_basic_statements():
     names, inputs = parse_fact_text(

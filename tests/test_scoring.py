@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ancestral.core import (
     Ancestry,
@@ -12,16 +14,25 @@ from ancestral.core import (
     indep,
     not_causes,
 )
+from ancestral.cli import main
+from ancestral.factfile import write_fact_file
 from ancestral.scoring import (
     BothInfeasibleError,
     Identifiability,
     NoConsistentModelError,
+    PairScorer,
     confidence,
     identifiability_oracle,
     score_all_pairs,
 )
+from ancestral.solver import SolveOptions, _tables, solve_min_loss
 
-from helpers import dag_oracle_inputs, random_dag
+from helpers import (
+    dag_oracle_inputs,
+    level0_contradictions,
+    random_dag,
+    shared_triple_inputs,
+)
 
 W = Weight.finite
 CHAIN_ORACLE = [
@@ -84,6 +95,43 @@ def test_antisymmetry_of_scores():
                 plus = confidence(inputs, 4, feat(x, y))
                 minus = confidence(inputs, 4, feat(x, y, wanted=False))
                 assert plus == -minus
+
+
+@st.composite
+def scored_features(draw):
+    """At most 4 variables, hard or soft CI statements up to order 2 and
+    ancestral statements, and one ordered pair to score."""
+    n = draw(st.integers(2, 4))
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    weights = st.one_of(st.just(Weight.hard()), st.integers(0, 5000).map(W))
+    inputs = []
+    for _ in range(draw(st.integers(0, 8))):
+        x, y = draw(st.sampled_from(pairs))
+        others = [v for v in range(n) if v not in (x, y)]
+        cond = draw(st.lists(st.sampled_from(others), unique=True, max_size=2)) if others else []
+        make = draw(st.sampled_from((indep, dep)))
+        inputs.append(make(x, y, cond, draw(weights)))
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(st.sampled_from(pairs))
+        make = draw(st.sampled_from((causes, not_causes)))
+        inputs.append(make(x, y, draw(weights)))
+    return n, inputs, draw(st.sampled_from(pairs))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scored_features())
+def test_antisymmetry_property(case):
+    n, inputs, (x, y) = case
+    try:
+        plus = confidence(inputs, n, feat(x, y))
+    except BothInfeasibleError:
+        with pytest.raises(BothInfeasibleError):
+            confidence(inputs, n, feat(x, y, wanted=False))
+        return
+    minus = confidence(inputs, n, feat(x, y, wanted=False))
+    assert plus == -minus
+    if math.isinf(plus):
+        assert math.copysign(1, plus) == -math.copysign(1, minus)
 
 
 def test_monotone_evidence():
@@ -156,6 +204,55 @@ def test_share_bounds_is_bit_identical():
         assert score_all_pairs(inputs, 4, share_bounds=True) == score_all_pairs(
             inputs, 4, share_bounds=False
         )
+
+
+def _scores_or_error(inputs, share_bounds=True):
+    try:
+        return score_all_pairs(inputs, 4, share_bounds=share_bounds)
+    except BothInfeasibleError:
+        return BothInfeasibleError
+
+
+def test_score_all_pairs_is_identical_in_any_call_order():
+    rng = random.Random(505)
+    cases = [shared_triple_inputs(rng) for _ in range(6)] + level0_contradictions()
+    _tables.cache_clear()
+    first = [_scores_or_error(inputs) for inputs in cases]
+    assert first[6:] == [BothInfeasibleError] * 3
+    assert BothInfeasibleError not in first[:6]
+    for i in reversed(range(len(cases))):  # warm tables
+        assert _scores_or_error(cases[i]) == first[i]
+    _tables.cache_clear()
+    for i in rng.sample(range(len(cases)), len(cases)):
+        assert _scores_or_error(cases[i]) == first[i]
+        assert _scores_or_error(cases[i], share_bounds=False) == first[i]
+
+
+def test_base_min_loss_matches_solve_min_loss():
+    rng = random.Random(606)
+    forced = ((feat(0, 2), True), (feat(3, 1, wanted=False), False))
+    for inputs in [shared_triple_inputs(rng) for _ in range(4)] + level0_contradictions():
+        for options in (SolveOptions(), SolveOptions(forced_features=forced)):
+            want = solve_min_loss(inputs, 4, options, build_witness=False).min_loss
+            assert PairScorer(inputs, 4, options).base_min_loss() == want
+
+
+def test_level0_contradictions_with_warm_tables(tmp_path):
+    rng = random.Random(707)
+    feasible = shared_triple_inputs(rng, hard_share=0.0)
+    expected = score_all_pairs(feasible, 4)
+    names = ("A", "B", "C", "D")
+    for k, inputs in enumerate(level0_contradictions()):
+        scorer = PairScorer(inputs, 4)
+        assert scorer.base_min_loss() == Weight.hard()
+        with pytest.raises(BothInfeasibleError):
+            scorer.confidence(feat(0, 1))
+        with pytest.raises(BothInfeasibleError):
+            score_all_pairs(inputs, 4)
+        facts = tmp_path / f"bad{k}.facts"
+        write_fact_file(names, inputs, facts)
+        assert main(["solve", "--facts", str(facts), "--out", str(tmp_path / "s.csv")]) == 4
+        assert score_all_pairs(feasible, 4) == expected
 
 
 # -- identifiability oracle -----------------------------------------------------------

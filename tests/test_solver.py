@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -16,14 +17,23 @@ from ancestral.core import (
     not_causes,
 )
 from ancestral.rules import check_consistency, loss
+from ancestral.scoring import BothInfeasibleError, score_all_pairs
 from ancestral.solver import (
     SolveOptions,
     SolveTimeoutError,
+    _Compiled,
+    _Tables,
+    _tables,
     brute_force_min_loss,
     solve_min_loss,
 )
 
-from helpers import dag_oracle_inputs, random_dag
+from helpers import (
+    dag_oracle_inputs,
+    level0_contradictions,
+    random_dag,
+    shared_triple_inputs,
+)
 
 W = Weight.finite
 
@@ -156,6 +166,65 @@ def test_matches_brute_force_with_forced_features(case):
     if not fast.min_loss.is_hard:
         assert fast.witness.structure == slow.witness.structure
         assert fast.witness.ci.truth == slow.witness.ci.truth
+
+
+# -- shared grounding tables -------------------------------------------------------
+
+def _assert_same_result(got, want):
+    assert got.min_loss == want.min_loss
+    if want.min_loss.is_hard:
+        assert got.witness is None
+    else:
+        assert got.witness.structure == want.witness.structure
+        assert got.witness.ci.truth == want.witness.ci.truth
+
+
+def test_shared_tables_match_brute_force_in_any_call_order():
+    rng = random.Random(404)
+    cases = [shared_triple_inputs(rng) for _ in range(6)] + level0_contradictions()
+    expected = [brute_force_min_loss(inputs, 4) for inputs in cases]
+    assert all(r.min_loss.is_hard for r in expected[6:])
+    assert not any(r.min_loss.is_hard for r in expected[:6])
+    orders = [
+        list(range(len(cases))),
+        list(reversed(range(len(cases)))),
+        rng.sample(range(len(cases)), len(cases)),
+    ]
+    for k, order in enumerate(orders):
+        if k != 1:  # cold, warm, then cold again
+            _tables.cache_clear()
+        for i in order:
+            _assert_same_result(solve_min_loss(cases[i], 4), expected[i])
+    info = _tables.cache_info()
+    assert info.currsize == 1 and info.hits == len(cases) - 1
+
+
+def test_level0_contradictions_are_infeasible_with_warm_tables():
+    feasible = shared_triple_inputs(random.Random(9), hard_share=0.0)
+    before = brute_force_min_loss(feasible, 4)
+    for inputs in level0_contradictions():
+        assert _Compiled(inputs, 4).infeasible
+        r = solve_min_loss(inputs, 4)
+        assert r.min_loss == Weight.hard() and r.witness is None
+        _assert_same_result(solve_min_loss(feasible, 4), before)
+
+
+def test_cached_tables_are_unchanged_by_solves():
+    _tables.cache_clear()
+    rng = random.Random(7)
+    cases = [shared_triple_inputs(rng) for _ in range(4)] + level0_contradictions()
+    tab = _Compiled(cases[0], 4).tables
+    key = tab.triples
+    before = copy.deepcopy(vars(tab))
+    assert before == vars(_Tables(4, key))
+    for inputs in cases:
+        solve_min_loss(inputs, 4)
+        try:
+            score_all_pairs(inputs, 4)
+        except BothInfeasibleError:
+            pass
+    assert _tables(4, key) is tab
+    assert vars(tab) == before
 
 
 # -- invariants -------------------------------------------------------------------
