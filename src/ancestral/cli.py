@@ -99,11 +99,6 @@ def cmd_solve(args) -> int:
         raise ValueError(f"--n {args.n} does not match the {n} declared variables")
     options = SolveOptions(time_limit=args.time_limit)
     scorer = PairScorer(inputs, n, options)
-    share = True
-    try:
-        scorer.base_min_loss()
-    except SolveTimeoutError:
-        share = False
     rows = []
     timed_out = False
     for x in range(n):
@@ -111,9 +106,7 @@ def cmd_solve(args) -> int:
             if x == y:
                 continue
             try:
-                score = scorer.confidence(
-                    AncStatement(x, y, Ancestry.CAUSES), share_bounds=share
-                )
+                score = scorer.confidence(AncStatement(x, y, Ancestry.CAUSES))
             except SolveTimeoutError:
                 score = None
                 timed_out = True

@@ -10,7 +10,6 @@ assignment and -inf exactly when it holds in none, which
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
@@ -23,14 +22,7 @@ from ancestral.core import (
     enumerate_ancestral_structures,
 )
 from ancestral.rules import clause_holds, ground
-from ancestral.solver import (
-    SolveOptions,
-    SolveTimeoutError,
-    _Compiled,
-    _feature_pins,
-    _Search,
-    _validate_n,
-)
+from ancestral.solver import Engine, SolveOptions
 
 
 class BothInfeasibleError(ValueError):
@@ -55,48 +47,30 @@ class Prediction:
     score: Union[int, float]
 
 
-def _want_reach(feature: AncStatement, hold: bool) -> bool:
-    return (feature.polarity is Ancestry.CAUSES) == hold
-
-
 class PairScorer:
-    """Scores features over one input list, compiling the instance once.
+    """Scores features over one input list on one solver :class:`Engine`,
+    which compiles the instance once and keeps what its searches learn.
 
     With ``share_bounds`` the unconstrained optimum is solved first and
     reused: a forced solve whose constraint the unconstrained witness
-    already satisfies must have the same minimum, so it is skipped. The
-    scores are identical to the uncached path.
+    already satisfies must have the same minimum, so it is skipped, and the
+    other starts from that witness's values. The scores are identical to
+    the uncached path.
 
     The time limit of the options is one budget for the scorer's whole
-    life, compile included: every search shares the deadline fixed here,
-    and a search that would start after it raises at once.
+    life, compile included: every search shares the engine's deadline, and
+    a search that would start after it raises at once.
     """
 
     def __init__(self, inputs: Sequence, n: int, options: Optional[SolveOptions] = None):
         self.options = options or SolveOptions()
-        _validate_n(n, self.options)
         self.n = n
-        self._deadline = None
-        if self.options.time_limit is not None:
-            self._deadline = time.monotonic() + self.options.time_limit
-        self._pins = _feature_pins(n, self.options.forced_features)
-        self._comp = _Compiled(list(inputs), n)
+        self._engine = Engine(inputs, n, self.options)
         self._base = None
-
-    def _search(self, pins, phase=None, act0=None) -> _Search:
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise SolveTimeoutError("scoring exceeded the time limit", None)
-        return _Search(self._comp, pins, self._deadline, phase, act0)
-
-    def _forced_min(self, var: int, value: bool, phase=None, act0=None) -> Optional[int]:
-        best, _ = self._search(self._pins + ((1, var, value),), phase, act0).run_min()
-        return best
 
     def _base_solve(self):
         if self._base is None:
-            search = self._search(self._pins)
-            best, snap = search.run_min()
-            self._base = (best, snap, tuple(search.act))
+            self._base = self._engine.query()
         return self._base
 
     def base_min_loss(self) -> Weight:
@@ -109,33 +83,28 @@ class PairScorer:
         return Weight.hard() if best is None else Weight.finite(best)
 
     def confidence(self, feature: AncStatement, share_bounds: bool = True) -> Union[int, float]:
-        if feature.cause >= self.n or feature.effect >= self.n:
-            raise ValueError("feature references variables >= n")
-        var = feature.cause * self.n + feature.effect
-        loss_true = loss_false = "pending"
-        phase = act0 = None
+        engine = self._engine
+        pins = {hold: engine.pin(feature, hold) for hold in (True, False)}
+        loss = {}
+        snap = None
         if share_bounds:
-            base, snap, act0 = self._base_solve()
+            base, snap = self._base_solve()
             if base is not None:
-                phase = snap
-                reached = snap[0][var] == 1
-                if reached == _want_reach(feature, True):
-                    loss_true = base
-                else:
-                    loss_false = base
-        if loss_true == "pending":
-            loss_true = self._forced_min(var, _want_reach(feature, True), phase, act0)
-        if loss_false == "pending":
-            loss_false = self._forced_min(var, _want_reach(feature, False), phase, act0)
-        if loss_true is None and loss_false is None:
+                for hold, pin in pins.items():
+                    if engine.holds(snap, pin):
+                        loss[hold] = base
+        for hold, pin in pins.items():
+            if hold not in loss:
+                loss[hold] = engine.query((pin,), phase=snap)[0]
+        if loss[True] is None and loss[False] is None:
             raise BothInfeasibleError(
                 "both forced solves are infeasible; the hard inputs contradict"
             )
-        if loss_false is None:
+        if loss[False] is None:
             return math.inf
-        if loss_true is None:
+        if loss[True] is None:
             return -math.inf
-        return loss_false - loss_true
+        return loss[False] - loss[True]
 
     def all_pairs(self, share_bounds: bool = True) -> list[Prediction]:
         preds = []

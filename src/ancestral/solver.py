@@ -23,16 +23,29 @@ Compilation has two layers. The grounding of n variables and a triple set
 depend on weights or polarities, so it is memoised per (n, triple set) and
 shared by every input list over that set, as when many models are scored
 at one (n, max order). Each input list adds its costs, its decision order
-and a level-0 root state in which its hard inputs are asserted and
-propagated once. Every search (base solve, forced solve or witness query)
-starts from a copy of that root and asserts only its own pins.
+and one incremental engine, in which its hard inputs are asserted and
+propagated once at level 0.
+
+One engine answers every query of an instance: the base solve, each
+forced solve of the scores and each witness query. A query backjumps to
+level 0 and poses its pins (forced features, witness pins) as assumptions
+at level 1, below which the search never backjumps, in the manner of the
+MiniSat assumption interface. Logical learned clauses, those resolved from
+the rules, the hard inputs and other logical clauses alone, hold under any
+pins and persist across queries, as do decision activities. A clause
+resolved from a bound or incumbent nogood, or from the reason of a clause
+so derived, depends on one query's threshold: it is query-local and
+dropped when the next query starts.
 
 Determinism: decision activities, value preferences and all tie-breaks are
-deterministic, so identical inputs produce identical results. The reported
-witness is the lexicographically smallest optimum (row-major reachability
-bits, then polarity bits of the sorted input triples with independent <
-dependent), built by pinning variables one at a time with bound-tight
-feasibility queries.
+deterministic, so identical inputs and an identical sequence of queries
+produce identical results; every minimum is exact whatever the queries
+before it. The reported witness is the lexicographically smallest optimum
+(row-major reachability bits, then polarity bits of the sorted input
+triples with independent < dependent), built by pinning variables one at a
+time. A pin that the current optimal completion already satisfies is
+taken without search; each other pin is decided by a bound-tight
+feasibility query.
 
 ``brute_force_min_loss`` is the independent oracle: exhaustive enumeration
 of all ancestral structures and polarity assignments filtered through the
@@ -44,7 +57,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from ancestral.core import (
     AncestralStructure,
@@ -99,8 +112,8 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Instance compilation: shared tables per (n, triple set), then per input
-# list the costs and the propagated root state
+# Instance compilation: input costs, and grounding tables shared per
+# (n, triple set)
 
 
 def _input_costs(inputs, n):
@@ -150,7 +163,7 @@ class _Tables:
     """Input-independent grounding for n variables and a sorted triple
     set: fact universe (both polarities of every triple), rule instances,
     gated clauses and their indexes, all tuples. Built once per key by
-    :func:`_tables` and shared read-only by every instance and search."""
+    :func:`_tables` and shared read-only by every engine."""
 
     def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
@@ -206,40 +219,62 @@ def _tables(n: int, triples: tuple[Triple, ...]) -> _Tables:
     return _Tables(n, triples)
 
 
-class _RootState(NamedTuple):
-    """The level-0 search state of one input list, immutable; a search
-    copies it into mutable form."""
+# ---------------------------------------------------------------------------
+# Search engine
 
-    fact_present: bytes
-    pol_state: bytes
-    reach_state: bytes
-    fact_reason: tuple
-    pol_reason: tuple
-    reach_reason: tuple
-    inst_missing: tuple
-    cl_missing: tuple
-    assign_trail: tuple
-    cost_items: tuple
-    cost: int
-    residual: int
+_TIMEOUT_CHECK_INTERVAL = 64
+_RESTART_CONFLICTS = 4000
+_ACT_DECAY = 1.0 / 0.95
+_ACT_RESCALE = 1e100
 
 
-class _Compiled:
-    """One input list over the shared tables of its (n, triple set): the
-    costs, the decision order and the level-0 root state, in which the hard
-    inputs are asserted and propagated once. Every search starts from a
-    copy of the root; ``infeasible`` is set when the hard inputs contradict
-    at level 0."""
+class _Local(tuple):
+    """A learned clause, reason or conflict that depends on one query's
+    bound or incumbent; it is dropped when the next query starts."""
 
-    def __init__(self, inputs, n: int):
+
+class Engine:
+    """The exact solver for one input list: it validates and compiles the
+    instance, fixes one deadline for its whole life and answers every query
+    on one incremental conflict-driven search.
+
+    Compile looks up the shared grounding of the instance's (n, triple set),
+    adds the input costs and the decision order, and asserts and propagates
+    the hard inputs once at level 0; ``infeasible`` is set when they
+    contradict there. Level 0 never changes after that. Each
+    :meth:`query` backjumps to it and asserts the options' forced features,
+    its own pins and the learned unit clauses at assumption level 1, which
+    the search never backjumps below.
+
+    Token encoding: the assignment reach(var)=val is ``var * 2`` when val
+    is true, ``var * 2 + 1`` when false; the polarity assignment (t, pol)
+    is ``pol_base + t * 2 + pol``; a present derived fact f is
+    ``fact_base + f``. Negating an assignment token flips its low bit;
+    fact tokens are never negated and never enter learned clauses. A pin
+    is an assignment token.
+    """
+
+    def __init__(self, inputs: Sequence, n: int, options: Optional[SolveOptions] = None):
+        options = options or SolveOptions()
+        if not 1 <= n <= 31:
+            raise ValueError("n must be in 1..31")
+        if n > MAX_DEFAULT_N and not options.allow_large_n:
+            raise ValueError(
+                f"n={n} exceeds the default search guard ({MAX_DEFAULT_N}); "
+                "set allow_large_n to override"
+            )
+        self.deadline = None
+        if options.time_limit is not None:
+            self.deadline = time.monotonic() + options.time_limit
         self.n = n
+        self.pins = tuple(self.pin(stmt, hold) for stmt, hold in options.forced_features)
+
         triples, tri_cost, cost_true, cost_false = _input_costs(inputs, n)
         self.tables = tab = _tables(n, tuple(triples))
         self.tri_cost = tri_cost
         self.cost_true = cost_true
         self.cost_false = cost_false
         self.var_min = [_pair_min(cost_true[v], cost_false[v]) for v in range(n * n)]
-
         dec_vars = sorted(
             v
             for v in range(n * n)
@@ -247,126 +282,62 @@ class _Compiled:
             and (tab.var_clauses[v] or cost_true[v] != 0 or cost_false[v] != 0)
         )
         self.order = [(1, v) for v in dec_vars] + [(0, t) for t in range(len(triples))]
-        var_min_total = sum(
-            self.var_min[x * n + y] or 0
-            for x in range(n)
-            for y in range(n)
-            if x != y and self.var_min[x * n + y] is not None
-        )
 
-        # the root starts empty; propagating the hard inputs replaces it
-        self.infeasible = False
-        self.root = _RootState(
-            bytes(tab.nfacts),
-            bytes(len(triples)),
-            bytes(n * n),
-            ((),) * tab.nfacts,
-            ((),) * len(triples),
-            ((),) * (n * n),
-            tab.inst_npremises,
-            tab.cl_npremises,
-            (),
-            (),
-            0,
-            var_min_total,
-        )
-        search = _Search(self)
-        if search._assert_hard_inputs() and search._flush():
-            self.root = search._state()
-        else:
-            self.infeasible = True
-
-# ---------------------------------------------------------------------------
-# Search engine
-
-(
-    _KIND_FACT,
-    _KIND_POL,
-    _KIND_REACH,
-    _KIND_INST,
-    _KIND_CLAUSE,
-) = range(5)
-_TIMEOUT_CHECK_INTERVAL = 64
-_ACT_DECAY = 1.0 / 0.95
-_ACT_RESCALE = 1e100
-
-
-class _Search:
-    """One conflict-driven run over a compiled instance. It starts from a
-    copy of the instance's root state, adds its pins at level 0 and runs
-    once; the run leaves the state where it ended.
-
-    Token encoding: the assignment reach(var)=val is ``var * 2`` when val
-    is true, ``var * 2 + 1`` when false; the polarity assignment (t, pol)
-    is ``pol_base + t * 2 + pol``; a present derived fact f is
-    ``fact_base + f``. Negating an assignment token flips its low bit;
-    fact tokens are never negated and never enter learned clauses.
-    """
-
-    def __init__(self, comp: _Compiled, pins=(), deadline=None, phase=None, act0=None):
-        self.comp = comp
-        self.tab = tab = comp.tables
-        self.pins = pins
-        self.deadline = deadline
-        self.phase = phase
-        n2 = comp.n * comp.n
-        ntri = len(tab.triples)
+        n2 = n * n
+        ntri = len(triples)
         self.pol_base = tab.pol_base
         self.fact_base = tab.fact_base
-        root = comp.root
-        self.fact_present = bytearray(root.fact_present)
-        self.pol_state = bytearray(root.pol_state)
-        self.reach_state = bytearray(root.reach_state)
-        # every root assignment is at level 0
+        self.fact_present = bytearray(tab.nfacts)
+        self.pol_state = bytearray(ntri)
+        self.reach_state = bytearray(n2)
         self.fact_level = [0] * tab.nfacts
         self.pol_level = [0] * ntri
         self.reach_level = [0] * n2
-        self.fact_reason = list(root.fact_reason)
-        self.pol_reason = list(root.pol_reason)
-        self.reach_reason = list(root.reach_reason)
-        self.inst_missing = list(root.inst_missing)
-        self.cl_missing = list(root.cl_missing)
-        # level-0 entries are never undone, so the trail starts empty
-        self.trail: list[tuple] = []
-        self.assign_trail = list(root.assign_trail)
+        self.fact_reason: list = [()] * tab.nfacts
+        self.pol_reason: list = [()] * ntri
+        self.reach_reason: list = [()] * n2
+        self.inst_missing = list(tab.inst_npremises)
+        self.cl_missing = list(tab.cl_npremises)
+        # undo logs: assignment tokens, present facts, and facts whose
+        # premise counters have been decremented
+        self.assign_trail: list[int] = []
+        self.fact_trail: list[int] = []
+        self.counted: list[int] = []
         self.frames: list[tuple] = []
-        self.decisions: list[int] = []
         self.qf: list[int] = []
         self.qr: list[int] = []
         self.qw: list[int] = []
-        self.cost_items: list[tuple[int, int]] = list(root.cost_items)
-        self.cost = root.cost
-        self.residual = root.residual
+        self.cost_items: list[tuple[int, int]] = []
+        self.cost = 0
+        self.residual = sum(m for v, m in enumerate(self.var_min) if m and v // n != v % n)
         self.nodes = 0
-        self.conflict: Optional[list[int]] = None
+        self.conflict = None
         self.learned: list[tuple[int, ...]] = []
         self.watches: dict[int, list[int]] = {}
-        self.act = list(act0) if act0 is not None else [0.0] * (n2 + ntri)
+        self.units: list[int] = []
+        self.act = [0.0] * (n2 + ntri)
         self.act_inc = 1.0
+        self.phase = None
         self.best_cost: Optional[int] = None
         self.best_snap = None
+        self.infeasible = not (self._assert_hard_inputs() and self._flush())
 
-    def _state(self) -> _RootState:
-        """The current state, taken at level 0 with nothing queued."""
-        assert not self.decisions and not (self.qf or self.qr or self.qw)
-        return _RootState(
-            bytes(self.fact_present),
-            bytes(self.pol_state),
-            bytes(self.reach_state),
-            tuple(self.fact_reason),
-            tuple(self.pol_reason),
-            tuple(self.reach_reason),
-            tuple(self.inst_missing),
-            tuple(self.cl_missing),
-            tuple(self.assign_trail),
-            tuple(self.cost_items),
-            self.cost,
-            self.residual,
-        )
+    # -- pins and snapshots -------------------------------------------------
 
-    @property
-    def level(self) -> int:
-        return len(self.decisions)
+    def pin(self, feature: AncStatement, hold: bool) -> int:
+        """The pin that makes ``feature`` hold (or fail) in a query."""
+        n = self.n
+        if feature.cause >= n or feature.effect >= n:
+            raise ValueError("feature references variables >= n")
+        want_reach = (feature.polarity is Ancestry.CAUSES) == bool(hold)
+        return (feature.cause * n + feature.effect) * 2 + (0 if want_reach else 1)
+
+    def holds(self, snap, pin: int) -> bool:
+        """Whether the pin holds in the snapshot as its witness reads it:
+        an unassigned reachability reads as false."""
+        if pin >= self.pol_base:
+            return snap[1][(pin - self.pol_base) >> 1] == (pin & 1) + 1
+        return (snap[0][pin >> 1] == 1) == (pin & 1 == 0)
 
     # -- token helpers ------------------------------------------------------
 
@@ -390,9 +361,9 @@ class _Search:
         if self.fact_present[f]:
             return True
         self.fact_present[f] = 1
-        self.fact_level[f] = len(self.decisions)
+        self.fact_level[f] = len(self.frames)
         self.fact_reason[f] = reason
-        self.trail.append((_KIND_FACT, f))
+        self.fact_trail.append(f)
         self.qf.append(f)
         return True
 
@@ -401,24 +372,23 @@ class _Search:
         if st:
             if st - 1 == pol:
                 return True
-            self.conflict = list(reason) + [self.pol_base + t * 2 + (st - 1)]
+            self.conflict = type(reason)(reason + (self.pol_base + t * 2 + (st - 1),))
             return False
-        c = self.comp.tri_cost[t][pol]
+        c = self.tri_cost[t][pol]
         if c is None:
             # forbidden by a hard input: level-0 knowledge, reason suffices
-            self.conflict = list(reason)
+            self.conflict = reason
             return False
         self.pol_state[t] = pol + 1
-        self.pol_level[t] = len(self.decisions)
+        self.pol_level[t] = len(self.frames)
         self.pol_reason[t] = reason
         tok = self.pol_base + t * 2 + pol
-        self.trail.append((_KIND_POL, t))
         self.assign_trail.append(tok)
         if c:
             self.cost += c
             self.cost_items.append((c, tok))
         self.qw.append(tok ^ 1)
-        return self._set_fact(self.tab.tri_fact[t][pol], (tok,))
+        return self._set_fact(self.tables.tri_fact[t][pol], (tok,))
 
     def _set_reach(self, var: int, val: bool, reason) -> bool:
         st = self.reach_state[var]
@@ -426,22 +396,21 @@ class _Search:
         if st:
             if st == code:
                 return True
-            self.conflict = list(reason) + [var * 2 + (0 if st == 1 else 1)]
+            self.conflict = type(reason)(reason + (var * 2 + (0 if st == 1 else 1),))
             return False
-        c = (self.comp.cost_true if val else self.comp.cost_false)[var]
+        c = (self.cost_true if val else self.cost_false)[var]
         if c is None:
-            self.conflict = list(reason)
+            self.conflict = reason
             return False
         self.reach_state[var] = code
-        self.reach_level[var] = len(self.decisions)
+        self.reach_level[var] = len(self.frames)
         self.reach_reason[var] = reason
         tok = var * 2 + (0 if val else 1)
-        self.trail.append((_KIND_REACH, var))
         self.assign_trail.append(tok)
         if c:
             self.cost += c
             self.cost_items.append((c, tok))
-        m = self.comp.var_min[var]
+        m = self.var_min[var]
         if m:
             self.residual -= m
         self.qr.append(var)
@@ -460,7 +429,7 @@ class _Search:
         reach_state = self.reach_state
         unknown = None
         count = 0
-        lits = self.tab.cl_lits[c]
+        lits = self.tables.cl_lits[c]
         for lit in lits:
             st = reach_state[lit[1]]
             if st == 0:
@@ -470,7 +439,7 @@ class _Search:
                 unknown = lit
             elif (st == 1) == lit[0]:
                 return True
-        gate = self.tab.cl_gate_toks[c]
+        gate = self.tables.cl_gate_toks[c]
         if count == 0:
             self.conflict = list(gate) + [
                 lit[1] * 2 + (1 if lit[0] else 0) for lit in lits
@@ -482,7 +451,7 @@ class _Search:
         return self._set_reach(unknown[1], unknown[0], reason)
 
     def _reach_consequences(self, var: int) -> bool:
-        n = self.comp.n
+        n = self.n
         x, y = divmod(var, n)
         reach_state = self.reach_state
         set_reach = self._set_reach
@@ -523,17 +492,10 @@ class _Search:
                 ):
                     return False
         cl_missing = self.cl_missing
-        for c in self.tab.var_clauses[var]:
+        for c in self.tables.var_clauses[var]:
             if cl_missing[c] == 0 and not self._check_clause(c):
                 return False
         return True
-
-    def _token_falsified(self, tok: int) -> bool:
-        if tok >= self.pol_base:
-            st = self.pol_state[(tok - self.pol_base) >> 1]
-            return st != 0 and st - 1 != (tok & 1)
-        st = self.reach_state[tok >> 1]
-        return st != 0 and (st == 1) != (tok & 1 == 0)
 
     def _propagate_watches(self, falsified: int) -> bool:
         wl = self.watches.get(falsified)
@@ -571,7 +533,7 @@ class _Search:
                     lst = list(clause)
                     pos = 0 if lst[0] == falsified else 1
                     lst[pos], lst[j] = lst[j], lst[pos]
-                    learned[ci] = tuple(lst)
+                    learned[ci] = type(clause)(lst)
                     self.watches.setdefault(tok, []).append(ci)
                     wl[i] = wl[-1]
                     wl.pop()
@@ -580,9 +542,9 @@ class _Search:
             if moved:
                 continue
             if status == -1:
-                self.conflict = [tok ^ 1 for tok in clause]
+                self.conflict = type(clause)(tok ^ 1 for tok in clause)
                 return False
-            reason = tuple(tok ^ 1 for tok in clause if tok != other)
+            reason = type(clause)(tok ^ 1 for tok in clause if tok != other)
             if not self._assert_token(other, reason):
                 return False
             i += 1
@@ -590,7 +552,7 @@ class _Search:
 
     def _flush(self) -> bool:
         qf, qr, qw = self.qf, self.qr, self.qw
-        tab = self.tab
+        tab = self.tables
         while qf or qr or qw:
             while qf:
                 f = qf.pop()
@@ -599,22 +561,24 @@ class _Search:
                     t, tab.fact_pol[f], (self.fact_base + f,)
                 ):
                     return False
+                # all counters of f are decremented together, so that
+                # undo can restore them from f alone
+                self.counted.append(f)
                 inst_missing = self.inst_missing
-                trail = self.trail
                 for i in tab.fact_insts[f]:
                     m = inst_missing[i] - 1
                     inst_missing[i] = m
-                    trail.append((_KIND_INST, i))
-                    if m == 0 and not self._set_fact(
-                        tab.inst_concl[i], tab.inst_reason[i]
-                    ):
-                        return False
+                    if m == 0:
+                        self._set_fact(tab.inst_concl[i], tab.inst_reason[i])
                 cl_missing = self.cl_missing
+                active = []
                 for c in tab.fact_clauses[f]:
                     m = cl_missing[c] - 1
                     cl_missing[c] = m
-                    trail.append((_KIND_CLAUSE, c))
-                    if m == 0 and not self._check_clause(c):
+                    if m == 0:
+                        active.append(c)
+                for c in active:
+                    if not self._check_clause(c):
                         return False
             if qr:
                 if not self._reach_consequences(qr.pop()):
@@ -624,7 +588,7 @@ class _Search:
                 return False
         return True
 
-    def _bound_conflict(self, threshold: int) -> list[int]:
+    def _bound_conflict(self, threshold: int) -> _Local:
         """Assigned tokens whose conjunction forces every completion to
         cost at least ``threshold``: a greedy cover by the costliest
         cost-bearing assignments. The per-variable minima of unassigned
@@ -637,15 +601,16 @@ class _Search:
             out.append(tok)
             if total >= need:
                 break
-        return sorted(out)
+        return _Local(sorted(out))
 
     # -- frames / backjumping -------------------------------------------------
 
     def _push_frame(self) -> None:
         self.frames.append(
             (
-                len(self.trail),
                 len(self.assign_trail),
+                len(self.fact_trail),
+                len(self.counted),
                 len(self.cost_items),
                 self.cost,
                 self.residual,
@@ -653,26 +618,29 @@ class _Search:
         )
 
     def _pop_frame(self) -> None:
-        tlen, alen, clen, cost, residual = self.frames.pop()
-        trail = self.trail
-        fact_present = self.fact_present
+        alen, flen, nlen, clen, cost, residual = self.frames.pop()
+        pol_base = self.pol_base
         pol_state = self.pol_state
         reach_state = self.reach_state
+        for tok in self.assign_trail[alen:]:
+            if tok >= pol_base:
+                pol_state[(tok - pol_base) >> 1] = 0
+            else:
+                reach_state[tok >> 1] = 0
+        del self.assign_trail[alen:]
+        fact_present = self.fact_present
+        for f in self.fact_trail[flen:]:
+            fact_present[f] = 0
+        del self.fact_trail[flen:]
+        tab = self.tables
         inst_missing = self.inst_missing
         cl_missing = self.cl_missing
-        while len(trail) > tlen:
-            kind, idx = trail.pop()
-            if kind == _KIND_FACT:
-                fact_present[idx] = 0
-            elif kind == _KIND_POL:
-                pol_state[idx] = 0
-            elif kind == _KIND_REACH:
-                reach_state[idx] = 0
-            elif kind == _KIND_INST:
-                inst_missing[idx] += 1
-            else:
-                cl_missing[idx] += 1
-        del self.assign_trail[alen:]
+        for f in self.counted[nlen:]:
+            for i in tab.fact_insts[f]:
+                inst_missing[i] += 1
+            for c in tab.fact_clauses[f]:
+                cl_missing[c] += 1
+        del self.counted[nlen:]
         del self.cost_items[clen:]
         self.cost = cost
         self.residual = residual
@@ -681,9 +649,8 @@ class _Search:
         self.qw.clear()
 
     def _backjump(self, target_level: int) -> None:
-        while len(self.decisions) > target_level:
+        while len(self.frames) > target_level:
             self._pop_frame()
-            self.decisions.pop()
 
     # -- conflict analysis ------------------------------------------------------
 
@@ -713,11 +680,14 @@ class _Search:
     def _analyze(self):
         """First-UIP analysis of ``self.conflict``.
 
-        Returns (clause, assertion_level, conflict_level) with the
-        asserting token first, or None when the conflict reduces to level
-        zero (the query is exhausted).
+        Returns (clause, assertion_level, conflict_level, local) with the
+        asserting token first, or None when the conflict reduces to the
+        assumption level (the query is exhausted). ``local`` is set when
+        the conflict or any reason resolved into the clause is query-local;
+        derived facts always have logical reasons.
         """
         conflict = self.conflict
+        local = type(conflict) is _Local
         while True:
             fbase = self.fact_base
             expanded: set[int] = set()
@@ -731,9 +701,9 @@ class _Search:
                         stack.extend(self.fact_reason[tok - fbase])
                 elif self._token_level(tok) > 0:
                     flat.add(tok)
-            if not flat:
+            conflict_level = max((self._token_level(tok) for tok in flat), default=0)
+            if conflict_level <= 1:
                 return None
-            conflict_level = max(self._token_level(tok) for tok in flat)
             seen: set[int] = set()
             lower: list[int] = []
             counter = self._collect(flat, seen, lower, expanded, conflict_level)
@@ -747,25 +717,27 @@ class _Search:
                     break
                 counter -= 1
                 seen.discard(tok)
-                counter += self._collect(
-                    self._token_reason(tok), seen, lower, expanded, conflict_level
-                )
+                reason = self._token_reason(tok)
+                local = local or type(reason) is _Local
+                counter += self._collect(reason, seen, lower, expanded, conflict_level)
             if uip is not None:
-                lower = self._minimize(lower)
+                lower, local = self._minimize(lower, local)
                 assertion = 0
                 for tok in lower:
                     lvl = self._token_level(tok)
                     if lvl > assertion:
                         assertion = lvl
-                return (uip ^ 1,) + tuple(lower), assertion, conflict_level
+                return (uip ^ 1,) + tuple(lower), assertion, conflict_level, local
             # everything resolved below the conflict level: restate and retry
             conflict = [tok ^ 1 for tok in lower]
 
-    def _minimize(self, lower: list[int]) -> list[int]:
+    def _minimize(self, lower: list[int], local: bool) -> tuple[list[int], bool]:
         """Drop clause literals whose assignment reasons are covered by the
-        other clause literals (standard local clause minimization)."""
+        other clause literals (standard local clause minimization). A
+        dropped literal's reason is resolved into the clause, so its
+        query-local tag carries over."""
         if len(lower) < 2:
-            return lower
+            return lower, local
         fbase = self.fact_base
         clause_set = set(lower)
         keep = []
@@ -786,15 +758,17 @@ class _Search:
                 elif (r ^ 1) not in clause_set and self._token_level(r) > 0:
                     redundant = False
                     break
-            if not redundant:
+            if redundant:
+                local = local or type(reason) is _Local
+            else:
                 keep.append(tok)
-        return keep
+        return keep, local
 
     def _bump(self, clause) -> None:
         act = self.act
         inc = self.act_inc
         pol_base = self.pol_base
-        n2 = self.comp.n * self.comp.n
+        n2 = self.n * self.n
         for tok in clause:
             if tok >= pol_base:
                 act[n2 + ((tok - pol_base) >> 1)] += inc
@@ -806,57 +780,57 @@ class _Search:
             self.act = [a * scale for a in act]
             self.act_inc *= scale
 
-    def _learn(self, clause: tuple[int, ...], assertion: int, conflict_level: int) -> bool:
-        """Backjump and assert the learned clause's first token."""
+    def _learn(self, clause, assertion: int, conflict_level: int, local: bool) -> bool:
+        """Backjump, no lower than the assumption level, and assert the
+        learned clause's first token. A logical unit clause is kept and
+        asserted with the pins of every later query."""
         self._bump(clause)
-        self._backjump(min(assertion, conflict_level - 1))
+        self._backjump(max(1, min(assertion, conflict_level - 1)))
+        tag = _Local if local else tuple
         if len(clause) >= 2:
             rest = sorted(clause[1:], key=lambda tok: -self._token_level(tok))
-            clause = (clause[0],) + tuple(rest)
+            clause = tag((clause[0],) + tuple(rest))
             ci = len(self.learned)
             self.learned.append(clause)
             self.watches.setdefault(clause[0], []).append(ci)
             self.watches.setdefault(clause[1], []).append(ci)
-            reason = tuple(tok ^ 1 for tok in clause[1:])
+            reason = tag(tok ^ 1 for tok in clause[1:])
         else:
-            reason = ()
+            if not local:
+                self.units.append(clause[0])
+            reason = tag()
         return self._assert_token(clause[0], reason) and self._flush()
+
+    def _drop_local_clauses(self) -> None:
+        """Keep the logical learned clauses only and watch them afresh. No
+        learned token is assigned at level 0, so the first two tokens of
+        every clause are valid watches there."""
+        self.learned = [c for c in self.learned if type(c) is tuple]
+        watches = self.watches = {}
+        for ci, clause in enumerate(self.learned):
+            watches.setdefault(clause[0], []).append(ci)
+            watches.setdefault(clause[1], []).append(ci)
 
     # -- top level ----------------------------------------------------------------
 
     def _assert_hard_inputs(self) -> bool:
         """Assert at level 0 the values that hard inputs leave open."""
-        comp = self.comp
-        for t, cc in enumerate(comp.tri_cost):
+        for t, cc in enumerate(self.tri_cost):
             if cc[0] is None and not self._set_pol(t, 1, ()):
                 return False
             if cc[1] is None and not self._set_pol(t, 0, ()):
                 return False
-        n = comp.n
+        n = self.n
         for x in range(n):
             for y in range(n):
                 if x == y:
                     continue
                 var = x * n + y
-                if comp.cost_true[var] is None and not self._set_reach(var, False, ()):
+                if self.cost_true[var] is None and not self._set_reach(var, False, ()):
                     return False
-                if comp.cost_false[var] is None and not self._set_reach(var, True, ()):
+                if self.cost_false[var] is None and not self._set_reach(var, True, ()):
                     return False
         return True
-
-    def _root(self) -> bool:
-        """Add the pins to the propagated root state at level 0."""
-        if self.comp.infeasible:
-            return False
-        for kind, idx, value in self.pins:
-            ok = (
-                self._set_pol(idx, value, ())
-                if kind == 0
-                else self._set_reach(idx, value, ())
-            )
-            if not ok:
-                return False
-        return self._flush()
 
     def _check_time(self) -> None:
         self.nodes += 1
@@ -871,10 +845,10 @@ class _Search:
         pol_state = self.pol_state
         reach_state = self.reach_state
         act = self.act
-        n2 = self.comp.n * self.comp.n
+        n2 = self.n * self.n
         best = None
         best_act = -1.0
-        for kind, idx in self.comp.order:
+        for kind, idx in self.order:
             if kind == 0:
                 if pol_state[idx]:
                     continue
@@ -893,7 +867,7 @@ class _Search:
         its value is not hard-forbidden."""
         phase = self.phase
         if kind == 0:
-            ci, cd = self.comp.tri_cost[idx]
+            ci, cd = self.tri_cost[idx]
             if phase is not None:
                 st = phase[1][idx]
                 if st and (ci, cd)[st - 1] is not None:
@@ -901,7 +875,7 @@ class _Search:
             vals = [(c, p) for p, c in ((0, ci), (1, cd)) if c is not None]
             vals.sort(key=lambda vc: (vc[0], vc[1]))
             return self.pol_base + idx * 2 + vals[0][1]
-        ct, cf = self.comp.cost_true[idx], self.comp.cost_false[idx]
+        ct, cf = self.cost_true[idx], self.cost_false[idx]
         if phase is not None:
             want_true = phase[0][idx] == 1
             if (ct if want_true else cf) is not None:
@@ -910,11 +884,36 @@ class _Search:
         choices.sort(key=lambda vc: (vc[0], 1 - vc[1]))
         return idx * 2 + choices[0][1]
 
-    def _run(self, decision_bound: Optional[int]) -> None:
-        if not self._root():
-            return
+    def query(self, pins: Sequence[int] = (), decision_bound: Optional[int] = None, phase=None):
+        """One query under the options' forced features and ``pins``.
+
+        Without ``decision_bound`` it returns the exact minimum cost and
+        one optimal snapshot; with it, the first completion whose cost is
+        at most the bound. Either is ``(None, None)`` when there is none.
+        A snapshot is the pair (reachability states, polarity states);
+        ``phase`` is one whose values decisions follow where allowed.
+        Raises :class:`SolveTimeoutError` once the deadline has passed.
+        """
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SolveTimeoutError("search exceeded the time limit", None)
+        self._backjump(0)
+        self._drop_local_clauses()
+        self.conflict = None
+        self.phase = phase
+        self.best_cost = self.best_snap = None
+        if self.infeasible:
+            return None, None
+        self._push_frame()
+        for tok in (*self.units, *self.pins, *pins):
+            if not self._assert_token(tok, ()):
+                return None, None
+        if self._flush():
+            self._search(decision_bound)
+        return self.best_cost, self.best_snap
+
+    def _search(self, decision_bound: Optional[int]) -> None:
         conflicts = 0
-        restart_budget = 4000.0
+        restart_budget = _RESTART_CONFLICTS
         while True:
             self._check_time()
             projected = self.cost + self.residual
@@ -923,8 +922,8 @@ class _Search:
             else:
                 over = self.best_cost is not None and projected >= self.best_cost
             if over:
-                if not self.decisions:
-                    break
+                if len(self.frames) == 1:
+                    return
                 threshold = (
                     self.best_cost if decision_bound is None else decision_bound + 1
                 )
@@ -934,13 +933,12 @@ class _Search:
                 if nxt is None:
                     self.best_cost = self.cost
                     self.best_snap = (bytes(self.reach_state), bytes(self.pol_state))
-                    if decision_bound is not None or not self.decisions:
-                        break
+                    if decision_bound is not None or len(self.frames) == 1:
+                        return
                     self.conflict = self._bound_conflict(self.best_cost)
                 else:
                     tok = self._preferred(*nxt)
                     self._push_frame()
-                    self.decisions.append(tok)
                     if self._assert_token(tok, None) and self._flush():
                         continue
             while self.conflict is not None:
@@ -950,73 +948,54 @@ class _Search:
                     return
                 self.conflict = None
                 self._learn(*analyzed)
-            if conflicts >= restart_budget and self.decisions:
-                # geometric restart, keeping clauses and activities; the
-                # growing budget guarantees termination
+            if conflicts >= restart_budget and len(self.frames) > 1:
+                # geometric restart to the assumption level, keeping
+                # clauses and activities; the growing budget guarantees
+                # termination
                 conflicts = 0
-                restart_budget *= 2.0
-                self._backjump(0)
-
-    def run_min(self):
-        """Exact minimum cost and one optimal snapshot, or (None, None)."""
-        self._run(None)
-        return self.best_cost, self.best_snap
-
-    def run_decision(self, bound: int):
-        """First completion with cost <= bound, or None."""
-        self._run(bound)
-        return self.best_snap
+                restart_budget *= 2
+                self._backjump(1)
 
 
 # ---------------------------------------------------------------------------
 # Public API
 
 
-def _validate_n(n: int, options: SolveOptions) -> None:
-    if not 1 <= n <= 31:
-        raise ValueError("n must be in 1..31")
-    if n > MAX_DEFAULT_N and not options.allow_large_n:
-        raise ValueError(
-            f"n={n} exceeds the default search guard ({MAX_DEFAULT_N}); "
-            "set allow_large_n to override"
-        )
-
-
-def _feature_pins(n: int, features: Iterable[tuple[AncStatement, bool]]):
-    pins = []
-    for stmt, hold in features:
-        if stmt.cause >= n or stmt.effect >= n:
-            raise ValueError("forced feature references variables >= n")
-        want_reach = (stmt.polarity is Ancestry.CAUSES) == bool(hold)
-        pins.append((1, stmt.cause * n + stmt.effect, want_reach))
-    return tuple(pins)
-
-
-def _joint_from_snap(comp: _Compiled, snap) -> JointAssignment:
+def _joint_from_snap(engine: Engine, snap) -> JointAssignment:
     reach_state, pol_state = snap
-    n = comp.n
+    n = engine.n
     rows = [1 << x for x in range(n)]
     for x in range(n):
         for y in range(n):
             if x != y and reach_state[x * n + y] == 1:
                 rows[x] |= 1 << y
     truth = {
-        t: (INDEP if pol_state[i] == 1 else DEP) for i, t in enumerate(comp.tables.triples)
+        t: (INDEP if pol_state[i] == 1 else DEP) for i, t in enumerate(engine.tables.triples)
     }
     return JointAssignment(AncestralStructure(n, tuple(rows)), CiAssignment(truth))
 
 
-def _lex_witness(comp: _Compiled, pins, best: int, deadline) -> JointAssignment:
-    pins = list(pins)
-    for var in comp.tables.lex_vars:
-        snap = _Search(comp, pins + [(1, var, False)], deadline).run_decision(best)
-        pins.append((1, var, False) if snap is not None else (1, var, True))
-    for t in range(len(comp.tables.triples)):
-        snap = _Search(comp, pins + [(0, t, 0)], deadline).run_decision(best)
-        pins.append((0, t, 0) if snap is not None else (0, t, 1))
-    final = _Search(comp, pins, deadline).run_decision(best)
-    assert final is not None
-    return _joint_from_snap(comp, final)
+def _lex_witness(engine: Engine, best: int, cur) -> JointAssignment:
+    """The lexicographically smallest optimum, from the optimal snapshot
+    ``cur``: every reachability in row-major order, then every input
+    triple's polarity, is pinned to its smaller value (false, independent)
+    when an optimum under the pins so far allows it, else to the other. A
+    pin that ``cur`` already satisfies needs no search; otherwise a
+    bound-tight decision query decides it, and its completion, optimal
+    under every pin so far, becomes ``cur``."""
+    tab = engine.tables
+    pins: list[int] = []
+    for pin in [var * 2 + 1 for var in tab.lex_vars] + [
+        engine.pol_base + t * 2 for t in range(len(tab.triples))
+    ]:
+        if not engine.holds(cur, pin):
+            snap = engine.query(pins + [pin], best, cur)[1]
+            if snap is None:
+                pin ^= 1
+            else:
+                cur = snap
+        pins.append(pin)
+    return _joint_from_snap(engine, cur)
 
 
 def solve_min_loss(
@@ -1032,20 +1011,14 @@ def solve_min_loss(
     :class:`SolveTimeoutError` when it elapses, carrying the best upper
     bound found so far.
     """
-    options = options or SolveOptions()
-    _validate_n(n, options)
-    deadline = None
-    if options.time_limit is not None:
-        deadline = time.monotonic() + options.time_limit
-    pins = _feature_pins(n, options.forced_features)
-    comp = _Compiled(inputs, n)
-    best, _snap = _Search(comp, pins, deadline).run_min()
+    engine = Engine(inputs, n, options)
+    best, snap = engine.query()
     if best is None:
         return SolveResult(Weight.hard(), None)
     if not build_witness:
         return SolveResult(Weight.finite(best), None)
     try:
-        witness = _lex_witness(comp, pins, best, deadline)
+        witness = _lex_witness(engine, best, snap)
     except SolveTimeoutError:
         raise SolveTimeoutError(
             "witness reconstruction exceeded the time limit", Weight.finite(best)

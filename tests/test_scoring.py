@@ -25,7 +25,10 @@ from ancestral.scoring import (
     identifiability_oracle,
     score_all_pairs,
 )
+from ancestral import solver
+from ancestral.simulate import random_linear_model, sample_data
 from ancestral.solver import SolveOptions, _tables, solve_min_loss
+from ancestral.stats import CiTestConfig, ci_inputs_from_data
 
 from helpers import (
     dag_oracle_inputs,
@@ -253,6 +256,45 @@ def test_level0_contradictions_with_warm_tables(tmp_path):
         write_fact_file(names, inputs, facts)
         assert main(["solve", "--facts", str(facts), "--out", str(tmp_path / "s.csv")]) == 4
         assert score_all_pairs(feasible, 4) == expected
+
+
+def _fresh_score(inputs, n, feature):
+    """The score from two fresh forced solves, one engine each."""
+    loss = {
+        hold: solve_min_loss(
+            inputs, n, SolveOptions(forced_features=((feature, hold),)), build_witness=False
+        ).min_loss
+        for hold in (True, False)
+    }
+    assert not (loss[True].is_hard and loss[False].is_hard)
+    if loss[False].is_hard:
+        return math.inf
+    if loss[True].is_hard:
+        return -math.inf
+    return loss[False].millis - loss[True].millis
+
+
+@pytest.mark.parametrize(
+    "n, m, hard",
+    [(5, 0, ()), (5, 1, (causes(0, 1), not_causes(3, 2))), (6, 0, ()), (6, 2, ())],
+)
+def test_incremental_scores_match_fresh_forced_solves(n, m, hard, monkeypatch):
+    # One engine answers every query of a scorer and keeps the logical
+    # clauses it learns; a clause leaked from a bound or incumbent nogood,
+    # or a backjump below the pins, changes some minimum. Restarting after
+    # every few conflicts runs the restart path on these small instances.
+    scm = random_linear_model(n, 1, 0.3, seed=[0, m, 0])
+    data = sample_data(scm, 500, seed=[0, m, 1])
+    inputs = ci_inputs_from_data(data, CiTestConfig(max_order=1)) + list(hard)
+    features = [feat(x, y) for x in range(n) for y in range(n) if x != y]
+    want = {(f.cause, f.effect): _fresh_score(inputs, n, f) for f in features}
+    for restart_conflicts in (solver._RESTART_CONFLICTS, 1):
+        monkeypatch.setattr(solver, "_RESTART_CONFLICTS", restart_conflicts)
+        got = {(p.cause, p.effect): p.score for p in score_all_pairs(inputs, n)}
+        assert got == want
+        scorer = PairScorer(inputs, n)
+        for f in reversed(features):
+            assert scorer.confidence(f) == want[(f.cause, f.effect)]
 
 
 # -- identifiability oracle -----------------------------------------------------------

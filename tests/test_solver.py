@@ -19,9 +19,9 @@ from ancestral.core import (
 from ancestral.rules import check_consistency, loss
 from ancestral.scoring import BothInfeasibleError, score_all_pairs
 from ancestral.solver import (
+    Engine,
     SolveOptions,
     SolveTimeoutError,
-    _Compiled,
     _Tables,
     _tables,
     brute_force_min_loss,
@@ -203,7 +203,7 @@ def test_level0_contradictions_are_infeasible_with_warm_tables():
     feasible = shared_triple_inputs(random.Random(9), hard_share=0.0)
     before = brute_force_min_loss(feasible, 4)
     for inputs in level0_contradictions():
-        assert _Compiled(inputs, 4).infeasible
+        assert Engine(inputs, 4).infeasible
         r = solve_min_loss(inputs, 4)
         assert r.min_loss == Weight.hard() and r.witness is None
         _assert_same_result(solve_min_loss(feasible, 4), before)
@@ -213,7 +213,7 @@ def test_cached_tables_are_unchanged_by_solves():
     _tables.cache_clear()
     rng = random.Random(7)
     cases = [shared_triple_inputs(rng) for _ in range(4)] + level0_contradictions()
-    tab = _Compiled(cases[0], 4).tables
+    tab = Engine(cases[0], 4).tables
     key = tab.triples
     before = copy.deepcopy(vars(tab))
     assert before == vars(_Tables(4, key))
