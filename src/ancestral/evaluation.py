@@ -10,6 +10,7 @@ positives is 1 by convention, as is recall when there are no positives.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -84,14 +85,7 @@ def pr_curve(
     got = [(p.cause, p.effect) for p in predictions]
     if len(got) != len(expected) or set(got) != expected:
         raise ValueError("predictions must cover each ordered pair exactly once")
-    items = []
-    for p in predictions:
-        reached = truth.reach(p.cause, p.effect)
-        if task is PrTask.ANCESTRAL:
-            items.append((p.score, reached))
-        else:
-            items.append((-p.score, not reached))
-    return _curve(items)
+    return pooled_pr_curve([(predictions, truth)], task)
 
 
 def pooled_pr_curve(
@@ -146,10 +140,18 @@ class BenchmarkReport:
     config: BenchConfig
     records: tuple[ModelRecord, ...]
 
+    def _done_times(self) -> list[float]:
+        return [r.time_seconds for r in self.records if r.status == "ok"]
+
     @property
     def mean_time(self) -> float:
-        done = [r.time_seconds for r in self.records if r.status == "ok"]
+        done = self._done_times()
         return sum(done) / len(done) if done else float("nan")
+
+    @property
+    def median_time(self) -> float:
+        done = self._done_times()
+        return statistics.median(done) if done else float("nan")
 
     def ok_results(self) -> list[tuple[tuple, AncestralStructure]]:
         return [(r.predictions, r.truth) for r in self.records if r.status == "ok"]
@@ -228,15 +230,17 @@ def write_bench_csv(report: BenchmarkReport, path) -> None:
 
 
 def format_reference_comparison(report: BenchmarkReport) -> str:
-    """Side-by-side table of measured mean time against the published
-    reference timing for the same (n, max_order) condition."""
+    """Side-by-side table of the measured mean and median time per solved
+    model against the published reference mean for the same
+    (n, max_order) condition."""
     key = (report.config.n_obs, report.config.max_order)
     ref = REFERENCE_SOLVE_SECONDS.get(key)
     lines = [
-        "condition   measured_mean_s   reference_mean_s",
-        "{:<11} {:<17.3f} {}".format(
+        "condition   measured_mean_s   measured_median_s   reference_mean_s",
+        "{:<11} {:<17.3f} {:<19.3f} {}".format(
             f"n={key[0]} c={key[1]}",
             report.mean_time,
+            report.median_time,
             f"{ref:.2f}" if ref is not None else "n/a",
         ),
     ]

@@ -169,6 +169,8 @@ def oracle_inputs(scm: Scm, max_order: int) -> list[WeightedInput]:
     """Hard (in)dependence statements read off the graph's d-separations,
     for every canonical observed triple up to the given order."""
     n = scm.n_obs
+    if max_order < 0:
+        raise ValueError("max_order must be nonnegative")
     if max_order > n - 2:
         raise ValueError("max_order may not exceed n_obs - 2")
     out = []

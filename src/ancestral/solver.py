@@ -10,6 +10,11 @@ tokens only; derived facts are resolved away through the rule instances
 that fired them. Nogoods learned under one incumbent stay valid as the
 incumbent tightens, so the minimum is exact.
 
+Reachability, polarity and derived-fact variables share one numbering, so
+the assignment state is kept once, in MiniSat's layout (Een & Sorensson
+2003): one value byte per token, one level and one reason per variable,
+and one trail that undoes them all.
+
 Propagation interleaves four mechanisms: rule instances fire as soon as
 all premises are present; gated structural constraints unit-propagate over
 reachability variables; transitivity and antisymmetry are kept closed
@@ -163,7 +168,8 @@ class _Tables:
     """Input-independent grounding for n variables and a sorted triple
     set: fact universe (both polarities of every triple), rule instances,
     gated clauses and their indexes, all tuples. Built once per key by
-    :func:`_tables` and shared read-only by every engine."""
+    :func:`_tables` and shared read-only by every engine. Facts, gates and
+    clause literals are stored as engine tokens (see :class:`Engine`)."""
 
     def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
@@ -173,39 +179,41 @@ class _Tables:
         seeds = [(t, INDEP) for t in triples] + [(t, DEP) for t in triples]
         g = ground(seeds, n)
         facts = sorted(g.facts, key=lambda f: (f[0], _POL_INDEX[f[1]]))
-        fact_id = {f: i for i, f in enumerate(facts)}
+        fact_tok = {f: self.fact_base + 2 * i for i, f in enumerate(facts)}
         self.nfacts = len(facts)
-        self.fact_pol = tuple(_POL_INDEX[f[1]] for f in facts)
-        tri_index = {t: i for i, t in enumerate(triples)}
-        self.fact_tri = tuple(tri_index.get(f[0], -1) for f in facts)
-        self.tri_fact = tuple((fact_id[(t, INDEP)], fact_id[(t, DEP)]) for t in triples)
+        pol_tok = {
+            (t, pol): self.pol_base + 2 * i + _POL_INDEX[pol]
+            for i, t in enumerate(triples)
+            for pol in (INDEP, DEP)
+        }
+        self.fact_pol_tok = tuple(pol_tok.get(f) for f in facts)
+        self.pol_fact = tuple(fact_tok[(t, pol)] for t in triples for pol in (INDEP, DEP))
 
-        inst_premises = [tuple(fact_id[p] for p in r.premises) for r in g.derivations]
-        self.inst_concl = tuple(fact_id[r.conclusion] for r in g.derivations)
-        self.inst_npremises = tuple(len(p) for p in inst_premises)
+        self.inst_concl = tuple(fact_tok[r.conclusion] for r in g.derivations)
         self.inst_reason = tuple(
-            tuple(self.fact_base + p for p in prem) for prem in inst_premises
+            tuple(fact_tok[p] for p in r.premises) for r in g.derivations
         )
+        self.inst_npremises = tuple(len(r.premises) for r in g.derivations)
         fact_insts: list[list[int]] = [[] for _ in range(self.nfacts)]
-        for i, prem in enumerate(inst_premises):
-            for f in set(prem):
-                fact_insts[f].append(i)
+        for i, prem in enumerate(self.inst_reason):
+            for tok in set(prem):
+                fact_insts[(tok - self.fact_base) >> 1].append(i)
         self.fact_insts = tuple(tuple(v) for v in fact_insts)
 
+        # a literal's token is the reachability assignment that satisfies it
         self.cl_lits = tuple(
-            tuple((lit[0], lit[1] * n + lit[2]) for lit in c.literals) for c in g.clauses
+            tuple(2 * (lit[1] * n + lit[2]) + (0 if lit[0] else 1) for lit in c.literals)
+            for c in g.clauses
         )
-        self.cl_gate_toks = tuple(
-            tuple(self.fact_base + fact_id[f] for f in c.premises) for c in g.clauses
-        )
+        self.cl_gate_toks = tuple(tuple(fact_tok[f] for f in c.premises) for c in g.clauses)
         self.cl_npremises = tuple(len(c.premises) for c in g.clauses)
         fact_clauses: list[list[int]] = [[] for _ in range(self.nfacts)]
         var_clauses: list[list[int]] = [[] for _ in range(n * n)]
-        for ci, c in enumerate(g.clauses):
-            for f in set(c.premises):
-                fact_clauses[fact_id[f]].append(ci)
-            for _, var in set(self.cl_lits[ci]):
-                var_clauses[var].append(ci)
+        for ci, gate in enumerate(self.cl_gate_toks):
+            for tok in set(gate):
+                fact_clauses[(tok - self.fact_base) >> 1].append(ci)
+            for tok in set(self.cl_lits[ci]):
+                var_clauses[tok >> 1].append(ci)
         self.fact_clauses = tuple(tuple(v) for v in fact_clauses)
         self.var_clauses = tuple(tuple(v) for v in var_clauses)
         self.lex_vars = tuple(x * n + y for x in range(n) for y in range(n) if x != y)
@@ -246,12 +254,17 @@ class Engine:
     its own pins and the learned unit clauses at assumption level 1, which
     the search never backjumps below.
 
-    Token encoding: the assignment reach(var)=val is ``var * 2`` when val
-    is true, ``var * 2 + 1`` when false; the polarity assignment (t, pol)
-    is ``pol_base + t * 2 + pol``; a present derived fact f is
-    ``fact_base + f``. Negating an assignment token flips its low bit;
-    fact tokens are never negated and never enter learned clauses. A pin
-    is an assignment token.
+    Token encoding: every engine variable has one number. Reachability
+    ``var = x * n + y`` is variable ``var``, the polarity of input triple
+    ``t`` is variable ``n * n + t`` and derived fact ``f`` is variable
+    ``n * n + len(triples) + f``. Token ``2 * v`` makes variable ``v``
+    true (reachable, independent, present) and ``2 * v + 1`` false, so
+    negating a token flips its low bit, and ``pol_base`` and ``fact_base``
+    are the first polarity and fact tokens. Fact tokens are never negated
+    and never enter learned clauses. A pin is a reachability or polarity
+    token. ``value`` holds one byte per token, set while the token is
+    true; ``level`` and ``reason`` hold one entry per variable; ``trail``
+    is the one undo log of assigned tokens.
     """
 
     def __init__(self, inputs: Sequence, n: int, options: Optional[SolveOptions] = None):
@@ -271,37 +284,31 @@ class Engine:
 
         triples, tri_cost, cost_true, cost_false = _input_costs(inputs, n)
         self.tables = tab = _tables(n, tuple(triples))
-        self.tri_cost = tri_cost
-        self.cost_true = cost_true
-        self.cost_false = cost_false
-        self.var_min = [_pair_min(cost_true[v], cost_false[v]) for v in range(n * n)]
-        dec_vars = sorted(
-            v
-            for v in range(n * n)
-            if v // n != v % n
-            and (tab.var_clauses[v] or cost_true[v] != 0 or cost_false[v] != 0)
-        )
-        self.order = [(1, v) for v in dec_vars] + [(0, t) for t in range(len(triples))]
-
         n2 = n * n
-        ntri = len(triples)
+        nvars = n2 + len(triples) + tab.nfacts
         self.pol_base = tab.pol_base
         self.fact_base = tab.fact_base
-        self.fact_present = bytearray(tab.nfacts)
-        self.pol_state = bytearray(ntri)
-        self.reach_state = bytearray(n2)
-        self.fact_level = [0] * tab.nfacts
-        self.pol_level = [0] * ntri
-        self.reach_level = [0] * n2
-        self.fact_reason: list = [()] * tab.nfacts
-        self.pol_reason: list = [()] * ntri
-        self.reach_reason: list = [()] * n2
+        # the cost of making a token true; None marks a forbidden value
+        self.cost_of: list = [c for v in range(n2) for c in (cost_true[v], cost_false[v])]
+        self.cost_of += [c for cc in tri_cost for c in cc] + [0] * (2 * tab.nfacts)
+        self.var_min = [_pair_min(cost_true[v], cost_false[v]) for v in range(n2)]
+        self.order = [
+            v
+            for v in range(n2)
+            if v // n != v % n
+            and (tab.var_clauses[v] or cost_true[v] != 0 or cost_false[v] != 0)
+        ] + list(range(n2, n2 + len(triples)))
+
+        self.value = bytearray(2 * nvars)
+        # both tokens of variable v as one word: zero while v is unassigned
+        self.assigned = memoryview(self.value).cast("H")
+        self.level = [0] * nvars
+        self.reason: list = [()] * nvars
         self.inst_missing = list(tab.inst_npremises)
         self.cl_missing = list(tab.cl_npremises)
-        # undo logs: assignment tokens, present facts, and facts whose
-        # premise counters have been decremented
-        self.assign_trail: list[int] = []
-        self.fact_trail: list[int] = []
+        # undo logs: assigned tokens, and facts whose premise counters have
+        # been decremented
+        self.trail: list[int] = []
         self.counted: list[int] = []
         self.frames: list[tuple] = []
         self.qf: list[int] = []
@@ -315,12 +322,14 @@ class Engine:
         self.learned: list[tuple[int, ...]] = []
         self.watches: dict[int, list[int]] = {}
         self.units: list[int] = []
-        self.act = [0.0] * (n2 + ntri)
+        self.act = [0.0] * (n2 + len(triples))
         self.act_inc = 1.0
         self.phase = None
         self.best_cost: Optional[int] = None
         self.best_snap = None
         self.infeasible = not (self._assert_hard_inputs() and self._flush())
+        # level 0 never changes, so a variable it assigns is never decided
+        self.order = [v for v in self.order if not self.assigned[v]]
 
     # -- pins and snapshots -------------------------------------------------
 
@@ -334,162 +343,96 @@ class Engine:
 
     def holds(self, snap, pin: int) -> bool:
         """Whether the pin holds in the snapshot as its witness reads it:
-        an unassigned reachability reads as false."""
-        if pin >= self.pol_base:
-            return snap[1][(pin - self.pol_base) >> 1] == (pin & 1) + 1
-        return (snap[0][pin >> 1] == 1) == (pin & 1 == 0)
-
-    # -- token helpers ------------------------------------------------------
-
-    def _token_level(self, tok: int) -> int:
-        if tok >= self.fact_base:
-            return self.fact_level[tok - self.fact_base]
-        if tok >= self.pol_base:
-            return self.pol_level[(tok - self.pol_base) >> 1]
-        return self.reach_level[tok >> 1]
-
-    def _token_reason(self, tok: int):
-        if tok >= self.fact_base:
-            return self.fact_reason[tok - self.fact_base]
-        if tok >= self.pol_base:
-            return self.pol_reason[(tok - self.pol_base) >> 1]
-        return self.reach_reason[tok >> 1]
+        a false token holds unless its variable is true, so an unassigned
+        reachability reads as false."""
+        return not snap[pin ^ 1] if pin & 1 else snap[pin] == 1
 
     # -- state updates (queue consequences; conflicts set self.conflict) ----
 
-    def _set_fact(self, f: int, reason) -> bool:
-        if self.fact_present[f]:
+    def _assign(self, tok: int, reason) -> bool:
+        """Make ``tok`` true at the current level with ``reason``."""
+        value = self.value
+        if value[tok]:
             return True
-        self.fact_present[f] = 1
-        self.fact_level[f] = len(self.frames)
-        self.fact_reason[f] = reason
-        self.fact_trail.append(f)
-        self.qf.append(f)
-        return True
-
-    def _set_pol(self, t: int, pol: int, reason) -> bool:
-        st = self.pol_state[t]
-        if st:
-            if st - 1 == pol:
-                return True
-            self.conflict = type(reason)(reason + (self.pol_base + t * 2 + (st - 1),))
+        if value[tok ^ 1]:
+            self.conflict = type(reason)(reason + (tok ^ 1,))
             return False
-        c = self.tri_cost[t][pol]
+        c = self.cost_of[tok]
         if c is None:
             # forbidden by a hard input: level-0 knowledge, reason suffices
             self.conflict = reason
             return False
-        self.pol_state[t] = pol + 1
-        self.pol_level[t] = len(self.frames)
-        self.pol_reason[t] = reason
-        tok = self.pol_base + t * 2 + pol
-        self.assign_trail.append(tok)
+        value[tok] = 1
+        var = tok >> 1
+        self.level[var] = len(self.frames)
+        self.reason[var] = reason
+        self.trail.append(tok)
+        if tok >= self.fact_base:
+            self.qf.append((tok - self.fact_base) >> 1)
+            return True
         if c:
             self.cost += c
             self.cost_items.append((c, tok))
         self.qw.append(tok ^ 1)
-        return self._set_fact(self.tables.tri_fact[t][pol], (tok,))
-
-    def _set_reach(self, var: int, val: bool, reason) -> bool:
-        st = self.reach_state[var]
-        code = 1 if val else 2
-        if st:
-            if st == code:
-                return True
-            self.conflict = type(reason)(reason + (var * 2 + (0 if st == 1 else 1),))
-            return False
-        c = (self.cost_true if val else self.cost_false)[var]
-        if c is None:
-            self.conflict = reason
-            return False
-        self.reach_state[var] = code
-        self.reach_level[var] = len(self.frames)
-        self.reach_reason[var] = reason
-        tok = var * 2 + (0 if val else 1)
-        self.assign_trail.append(tok)
-        if c:
-            self.cost += c
-            self.cost_items.append((c, tok))
+        if tok >= self.pol_base:
+            return self._assign(self.tables.pol_fact[tok - self.pol_base], (tok,))
         m = self.var_min[var]
         if m:
             self.residual -= m
         self.qr.append(var)
-        self.qw.append(tok ^ 1)
         return True
-
-    def _assert_token(self, tok: int, reason) -> bool:
-        if tok >= self.pol_base:
-            t, pol = divmod(tok - self.pol_base, 2)
-            return self._set_pol(t, pol, reason)
-        var, neg = divmod(tok, 2)
-        return self._set_reach(var, neg == 0, reason)
 
     def _check_clause(self, c: int) -> bool:
         """Evaluate an active gated clause; unit-propagate or conflict."""
-        reach_state = self.reach_state
+        value = self.value
         unknown = None
         count = 0
         lits = self.tables.cl_lits[c]
-        for lit in lits:
-            st = reach_state[lit[1]]
-            if st == 0:
+        for tok in lits:
+            if value[tok]:
+                return True
+            if not value[tok ^ 1]:
                 count += 1
                 if count > 1:
                     return True
-                unknown = lit
-            elif (st == 1) == lit[0]:
-                return True
+                unknown = tok
         gate = self.tables.cl_gate_toks[c]
         if count == 0:
-            self.conflict = list(gate) + [
-                lit[1] * 2 + (1 if lit[0] else 0) for lit in lits
-            ]
+            self.conflict = gate + tuple(tok ^ 1 for tok in lits)
             return False
-        reason = gate + tuple(
-            lit[1] * 2 + (1 if lit[0] else 0) for lit in lits if lit is not unknown
-        )
-        return self._set_reach(unknown[1], unknown[0], reason)
+        return self._assign(unknown, gate + tuple(tok ^ 1 for tok in lits if tok != unknown))
 
     def _reach_consequences(self, var: int) -> bool:
+        """Keep transitivity and antisymmetry closed around ``var``."""
         n = self.n
         x, y = divmod(var, n)
-        reach_state = self.reach_state
-        set_reach = self._set_reach
-        if reach_state[var] == 1:
+        value = self.value
+        assign = self._assign
+        if value[var * 2]:
             tok = var * 2
-            if not set_reach(y * n + x, False, (tok,)):
+            if not assign((y * n + x) * 2 + 1, (tok,)):
                 return False
             for z in range(n):
                 if z == x or z == y:
                     continue
-                if reach_state[y * n + z] == 1 and not set_reach(
-                    x * n + z, True, (tok, (y * n + z) * 2)
-                ):
+                yz, xz, zx, zy = (y * n + z) * 2, (x * n + z) * 2, (z * n + x) * 2, (z * n + y) * 2
+                if value[yz] and not assign(xz, (tok, yz)):
                     return False
-                if reach_state[x * n + z] == 2 and not set_reach(
-                    y * n + z, False, (tok, (x * n + z) * 2 + 1)
-                ):
+                if value[xz + 1] and not assign(yz + 1, (tok, xz + 1)):
                     return False
-                if reach_state[z * n + x] == 1 and not set_reach(
-                    z * n + y, True, (tok, (z * n + x) * 2)
-                ):
+                if value[zx] and not assign(zy, (tok, zx)):
                     return False
-                if reach_state[z * n + y] == 2 and not set_reach(
-                    z * n + x, False, (tok, (z * n + y) * 2 + 1)
-                ):
+                if value[zy + 1] and not assign(zx + 1, (tok, zy + 1)):
                     return False
         else:
             tok = var * 2 + 1
             for z in range(n):
                 if z == x or z == y:
                     continue
-                if reach_state[x * n + z] == 1 and not set_reach(
-                    z * n + y, False, (tok, (x * n + z) * 2)
-                ):
+                xz, zy = (x * n + z) * 2, (z * n + y) * 2
+                if value[xz] and not assign(zy + 1, (tok, xz)):
                     return False
-                if reach_state[z * n + y] == 1 and not set_reach(
-                    x * n + z, False, (tok, (z * n + y) * 2)
-                ):
+                if value[zy] and not assign(xz + 1, (tok, zy)):
                     return False
         cl_missing = self.cl_missing
         for c in self.tables.var_clauses[var]:
@@ -502,34 +445,19 @@ class Engine:
         if not wl:
             return True
         learned = self.learned
-        pol_base = self.pol_base
-        pol_state = self.pol_state
-        reach_state = self.reach_state
+        value = self.value
         i = 0
         while i < len(wl):
             ci = wl[i]
             clause = learned[ci]
             other = clause[1] if clause[0] == falsified else clause[0]
-            # status of `other`: 1 sat, -1 falsified, 0 unassigned
-            if other >= pol_base:
-                st = pol_state[(other - pol_base) >> 1]
-                status = 0 if st == 0 else (1 if st - 1 == (other & 1) else -1)
-            else:
-                st = reach_state[other >> 1]
-                status = 0 if st == 0 else (1 if (st == 1) == (other & 1 == 0) else -1)
-            if status == 1:
+            if value[other]:
                 i += 1
                 continue
             moved = False
             for j in range(2, len(clause)):
                 tok = clause[j]
-                if tok >= pol_base:
-                    st = pol_state[(tok - pol_base) >> 1]
-                    falsif = st != 0 and st - 1 != (tok & 1)
-                else:
-                    st = reach_state[tok >> 1]
-                    falsif = st != 0 and (st == 1) != (tok & 1 == 0)
-                if not falsif:
+                if not value[tok ^ 1]:
                     lst = list(clause)
                     pos = 0 if lst[0] == falsified else 1
                     lst[pos], lst[j] = lst[j], lst[pos]
@@ -541,11 +469,11 @@ class Engine:
                     break
             if moved:
                 continue
-            if status == -1:
+            if value[other ^ 1]:
                 self.conflict = type(clause)(tok ^ 1 for tok in clause)
                 return False
             reason = type(clause)(tok ^ 1 for tok in clause if tok != other)
-            if not self._assert_token(other, reason):
+            if not self._assign(other, reason):
                 return False
             i += 1
         return True
@@ -556,10 +484,8 @@ class Engine:
         while qf or qr or qw:
             while qf:
                 f = qf.pop()
-                t = tab.fact_tri[f]
-                if t >= 0 and not self._set_pol(
-                    t, tab.fact_pol[f], (self.fact_base + f,)
-                ):
+                tok = tab.fact_pol_tok[f]
+                if tok is not None and not self._assign(tok, (self.fact_base + 2 * f,)):
                     return False
                 # all counters of f are decremented together, so that
                 # undo can restore them from f alone
@@ -569,7 +495,7 @@ class Engine:
                     m = inst_missing[i] - 1
                     inst_missing[i] = m
                     if m == 0:
-                        self._set_fact(tab.inst_concl[i], tab.inst_reason[i])
+                        self._assign(tab.inst_concl[i], tab.inst_reason[i])
                 cl_missing = self.cl_missing
                 active = []
                 for c in tab.fact_clauses[f]:
@@ -608,8 +534,7 @@ class Engine:
     def _push_frame(self) -> None:
         self.frames.append(
             (
-                len(self.assign_trail),
-                len(self.fact_trail),
+                len(self.trail),
                 len(self.counted),
                 len(self.cost_items),
                 self.cost,
@@ -618,20 +543,11 @@ class Engine:
         )
 
     def _pop_frame(self) -> None:
-        alen, flen, nlen, clen, cost, residual = self.frames.pop()
-        pol_base = self.pol_base
-        pol_state = self.pol_state
-        reach_state = self.reach_state
-        for tok in self.assign_trail[alen:]:
-            if tok >= pol_base:
-                pol_state[(tok - pol_base) >> 1] = 0
-            else:
-                reach_state[tok >> 1] = 0
-        del self.assign_trail[alen:]
-        fact_present = self.fact_present
-        for f in self.fact_trail[flen:]:
-            fact_present[f] = 0
-        del self.fact_trail[flen:]
+        tlen, nlen, clen, cost, residual = self.frames.pop()
+        value = self.value
+        for tok in self.trail[tlen:]:
+            value[tok] = 0
+        del self.trail[tlen:]
         tab = self.tables
         inst_missing = self.inst_missing
         cl_missing = self.cl_missing
@@ -658,6 +574,7 @@ class Engine:
         """Resolve fact tokens through their reasons; classify assignment
         tokens against the conflict level. Returns new at-level count."""
         fbase = self.fact_base
+        level = self.level
         added = 0
         stack = list(tokens)
         while stack:
@@ -665,9 +582,9 @@ class Engine:
             if tok >= fbase:
                 if tok not in expanded:
                     expanded.add(tok)
-                    stack.extend(self.fact_reason[tok - fbase])
+                    stack.extend(self.reason[tok >> 1])
             elif tok not in seen:
-                lvl = self._token_level(tok)
+                lvl = level[tok >> 1]
                 if lvl == 0:
                     continue
                 seen.add(tok)
@@ -688,6 +605,7 @@ class Engine:
         """
         conflict = self.conflict
         local = type(conflict) is _Local
+        level = self.level
         while True:
             fbase = self.fact_base
             expanded: set[int] = set()
@@ -698,33 +616,32 @@ class Engine:
                 if tok >= fbase:
                     if tok not in expanded:
                         expanded.add(tok)
-                        stack.extend(self.fact_reason[tok - fbase])
-                elif self._token_level(tok) > 0:
+                        stack.extend(self.reason[tok >> 1])
+                elif level[tok >> 1] > 0:
                     flat.add(tok)
-            conflict_level = max((self._token_level(tok) for tok in flat), default=0)
+            conflict_level = max((level[tok >> 1] for tok in flat), default=0)
             if conflict_level <= 1:
                 return None
             seen: set[int] = set()
             lower: list[int] = []
             counter = self._collect(flat, seen, lower, expanded, conflict_level)
             uip = None
-            for i in range(len(self.assign_trail) - 1, -1, -1):
-                tok = self.assign_trail[i]
-                if tok not in seen or self._token_level(tok) < conflict_level:
+            for tok in reversed(self.trail):
+                if tok not in seen or level[tok >> 1] < conflict_level:
                     continue
                 if counter == 1:
                     uip = tok
                     break
                 counter -= 1
                 seen.discard(tok)
-                reason = self._token_reason(tok)
+                reason = self.reason[tok >> 1]
                 local = local or type(reason) is _Local
                 counter += self._collect(reason, seen, lower, expanded, conflict_level)
             if uip is not None:
                 lower, local = self._minimize(lower, local)
                 assertion = 0
                 for tok in lower:
-                    lvl = self._token_level(tok)
+                    lvl = level[tok >> 1]
                     if lvl > assertion:
                         assertion = lvl
                 return (uip ^ 1,) + tuple(lower), assertion, conflict_level, local
@@ -739,10 +656,11 @@ class Engine:
         if len(lower) < 2:
             return lower, local
         fbase = self.fact_base
+        level = self.level
         clause_set = set(lower)
         keep = []
         for tok in lower:
-            reason = self._token_reason(tok ^ 1)
+            reason = self.reason[tok >> 1]
             if not reason:
                 keep.append(tok)
                 continue
@@ -754,8 +672,8 @@ class Engine:
                 if r >= fbase:
                     if r not in expanded:
                         expanded.add(r)
-                        stack.extend(self.fact_reason[r - fbase])
-                elif (r ^ 1) not in clause_set and self._token_level(r) > 0:
+                        stack.extend(self.reason[r >> 1])
+                elif (r ^ 1) not in clause_set and level[r >> 1] > 0:
                     redundant = False
                     break
             if redundant:
@@ -767,13 +685,8 @@ class Engine:
     def _bump(self, clause) -> None:
         act = self.act
         inc = self.act_inc
-        pol_base = self.pol_base
-        n2 = self.n * self.n
         for tok in clause:
-            if tok >= pol_base:
-                act[n2 + ((tok - pol_base) >> 1)] += inc
-            else:
-                act[tok >> 1] += inc
+            act[tok >> 1] += inc
         self.act_inc = inc * _ACT_DECAY
         if self.act_inc > _ACT_RESCALE:
             scale = 1.0 / _ACT_RESCALE
@@ -788,7 +701,8 @@ class Engine:
         self._backjump(max(1, min(assertion, conflict_level - 1)))
         tag = _Local if local else tuple
         if len(clause) >= 2:
-            rest = sorted(clause[1:], key=lambda tok: -self._token_level(tok))
+            level = self.level
+            rest = sorted(clause[1:], key=lambda tok: -level[tok >> 1])
             clause = tag((clause[0],) + tuple(rest))
             ci = len(self.learned)
             self.learned.append(clause)
@@ -799,7 +713,7 @@ class Engine:
             if not local:
                 self.units.append(clause[0])
             reason = tag()
-        return self._assert_token(clause[0], reason) and self._flush()
+        return self._assign(clause[0], reason) and self._flush()
 
     def _drop_local_clauses(self) -> None:
         """Keep the logical learned clauses only and watch them afresh. No
@@ -815,21 +729,9 @@ class Engine:
 
     def _assert_hard_inputs(self) -> bool:
         """Assert at level 0 the values that hard inputs leave open."""
-        for t, cc in enumerate(self.tri_cost):
-            if cc[0] is None and not self._set_pol(t, 1, ()):
+        for tok in range(self.fact_base):
+            if self.cost_of[tok] is None and not self._assign(tok ^ 1, ()):
                 return False
-            if cc[1] is None and not self._set_pol(t, 0, ()):
-                return False
-        n = self.n
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                var = x * n + y
-                if self.cost_true[var] is None and not self._set_reach(var, False, ()):
-                    return False
-                if self.cost_false[var] is None and not self._set_reach(var, True, ()):
-                    return False
         return True
 
     def _check_time(self) -> None:
@@ -839,50 +741,33 @@ class Engine:
                 bound = None if self.best_cost is None else Weight.finite(self.best_cost)
                 raise SolveTimeoutError("search exceeded the time limit", bound)
 
-    def _next_decision(self):
+    def _next_decision(self) -> Optional[int]:
         """Undecided variable with the highest conflict activity; ties fall
         back to the static order."""
-        pol_state = self.pol_state
-        reach_state = self.reach_state
+        assigned = self.assigned
         act = self.act
-        n2 = self.n * self.n
         best = None
         best_act = -1.0
-        for kind, idx in self.order:
-            if kind == 0:
-                if pol_state[idx]:
-                    continue
-                a = act[n2 + idx]
-            else:
-                if reach_state[idx]:
-                    continue
-                a = act[idx]
+        for v in self.order:
+            if assigned[v]:
+                continue
+            a = act[v]
             if a > best_act:
                 best_act = a
-                best = (kind, idx)
+                best = v
         return best
 
-    def _preferred(self, kind: int, idx: int) -> int:
-        """Cheapest value first; with a phase hint, follow the hint when
-        its value is not hard-forbidden."""
-        phase = self.phase
-        if kind == 0:
-            ci, cd = self.tri_cost[idx]
-            if phase is not None:
-                st = phase[1][idx]
-                if st and (ci, cd)[st - 1] is not None:
-                    return self.pol_base + idx * 2 + (st - 1)
-            vals = [(c, p) for p, c in ((0, ci), (1, cd)) if c is not None]
-            vals.sort(key=lambda vc: (vc[0], vc[1]))
-            return self.pol_base + idx * 2 + vals[0][1]
-        ct, cf = self.cost_true[idx], self.cost_false[idx]
-        if phase is not None:
-            want_true = phase[0][idx] == 1
-            if (ct if want_true else cf) is not None:
-                return idx * 2 + (0 if want_true else 1)
-        choices = [(c, b) for b, c in ((1, cf), (0, ct)) if c is not None]
-        choices.sort(key=lambda vc: (vc[0], 1 - vc[1]))
-        return idx * 2 + choices[0][1]
+    def _preferred(self, var: int) -> int:
+        """Cheapest value first, ties to false reachability and independent
+        polarity; with a phase hint, the hint's value. Level 0 has assigned
+        every variable with a forbidden value, so both values are allowed."""
+        tok = var * 2
+        if self.phase is not None:
+            return tok if self.phase[tok] else tok + 1
+        c_true, c_false = self.cost_of[tok], self.cost_of[tok + 1]
+        if c_true == c_false:
+            return tok if tok >= self.pol_base else tok + 1
+        return tok if c_true < c_false else tok + 1
 
     def query(self, pins: Sequence[int] = (), decision_bound: Optional[int] = None, phase=None):
         """One query under the options' forced features and ``pins``.
@@ -890,8 +775,8 @@ class Engine:
         Without ``decision_bound`` it returns the exact minimum cost and
         one optimal snapshot; with it, the first completion whose cost is
         at most the bound. Either is ``(None, None)`` when there is none.
-        A snapshot is the pair (reachability states, polarity states);
-        ``phase`` is one whose values decisions follow where allowed.
+        A snapshot is the ``value`` bytes of the reachability and polarity
+        tokens; ``phase`` is one whose values decisions follow.
         Raises :class:`SolveTimeoutError` once the deadline has passed.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -905,7 +790,7 @@ class Engine:
             return None, None
         self._push_frame()
         for tok in (*self.units, *self.pins, *pins):
-            if not self._assert_token(tok, ()):
+            if not self._assign(tok, ()):
                 return None, None
         if self._flush():
             self._search(decision_bound)
@@ -929,17 +814,16 @@ class Engine:
                 )
                 self.conflict = self._bound_conflict(threshold)
             else:
-                nxt = self._next_decision()
-                if nxt is None:
+                var = self._next_decision()
+                if var is None:
                     self.best_cost = self.cost
-                    self.best_snap = (bytes(self.reach_state), bytes(self.pol_state))
+                    self.best_snap = bytes(self.value[: self.fact_base])
                     if decision_bound is not None or len(self.frames) == 1:
                         return
                     self.conflict = self._bound_conflict(self.best_cost)
                 else:
-                    tok = self._preferred(*nxt)
                     self._push_frame()
-                    if self._assert_token(tok, None) and self._flush():
+                    if self._assign(self._preferred(var), None) and self._flush():
                         continue
             while self.conflict is not None:
                 conflicts += 1
@@ -962,15 +846,15 @@ class Engine:
 
 
 def _joint_from_snap(engine: Engine, snap) -> JointAssignment:
-    reach_state, pol_state = snap
     n = engine.n
     rows = [1 << x for x in range(n)]
     for x in range(n):
         for y in range(n):
-            if x != y and reach_state[x * n + y] == 1:
+            if x != y and snap[(x * n + y) * 2]:
                 rows[x] |= 1 << y
+    base = engine.pol_base
     truth = {
-        t: (INDEP if pol_state[i] == 1 else DEP) for i, t in enumerate(engine.tables.triples)
+        t: (INDEP if snap[base + 2 * i] else DEP) for i, t in enumerate(engine.tables.triples)
     }
     return JointAssignment(AncestralStructure(n, tuple(rows)), CiAssignment(truth))
 

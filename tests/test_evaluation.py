@@ -139,6 +139,7 @@ def test_benchmark_smoke_and_determinism(tmp_path):
     assert (tmp_path / "pr.csv").read_text().startswith("threshold,precision,recall")
     table = format_reference_comparison(a)
     assert "measured_mean_s" in table
+    assert "measured_median_s" in table
 
 
 def test_oracle_benchmark_infinite_scores_are_correct():

@@ -363,6 +363,17 @@ def test_cmd_bench_writes_reports(tmp_path):
     assert "reference_mean_s" in (out / "reference_comparison.txt").read_text()
 
 
+def test_cmd_bench_oracle_negative_order_exits_2(tmp_path, capsys):
+    rc = main(
+        [
+            "bench", "--oracle", "--n", "4", "--models", "1",
+            "--max-order", "-1", "--out-dir", str(tmp_path / "bench"),
+        ]
+    )
+    assert rc == 2
+    assert "max_order" in capsys.readouterr().err
+
+
 def test_cmd_solve_time_limit_bounds_the_whole_call(tmp_path):
     # order-1 facts of `ancestral simulate --seed 0` model 3 at n = 7: the
     # full solve runs for tens of seconds, far past the budget

@@ -211,6 +211,12 @@ def test_oracle_statement_count():
         assert len(inputs) == expected
 
 
+def test_oracle_rejects_negative_order():
+    scm = random_linear_model(5, 1, 0.4, seed=20)
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle_inputs(scm, -1)
+
+
 def test_oracle_instances_solve_to_zero():
     for seed in range(5):
         scm = random_linear_model(4, 1, 0.4, seed=seed)

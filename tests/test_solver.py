@@ -16,12 +16,13 @@ from ancestral.core import (
     indep,
     not_causes,
 )
-from ancestral.rules import check_consistency, loss
+from ancestral.rules import INDEP, check_consistency, loss
 from ancestral.scoring import BothInfeasibleError, score_all_pairs
 from ancestral.solver import (
     Engine,
     SolveOptions,
     SolveTimeoutError,
+    _joint_from_snap,
     _Tables,
     _tables,
     brute_force_min_loss,
@@ -225,6 +226,37 @@ def test_cached_tables_are_unchanged_by_solves():
             pass
     assert _tables(4, key) is tab
     assert vars(tab) == before
+
+
+# -- snapshot readers ---------------------------------------------------------------
+
+def test_holds_agrees_with_joint_from_snap():
+    rng = random.Random(61)
+    unassigned = 0
+    for _ in range(40):
+        n = rng.randint(3, 4)
+        engine = Engine(random_instance(rng, n=n), n)
+        snap = engine.query()[1]
+        if snap is None:
+            continue
+        joint = _joint_from_snap(engine, snap)
+        for x in range(n):
+            for y in range(n):
+                if x == y:
+                    continue
+                tok = (x * n + y) * 2
+                reach = joint.structure.reach(x, y)
+                assert engine.holds(snap, tok) == reach
+                assert engine.holds(snap, tok + 1) == (not reach)
+                unassigned += not (snap[tok] or snap[tok + 1])
+        for i, t in enumerate(engine.tables.triples):
+            tok = engine.pol_base + 2 * i
+            indep_holds = joint.ci.truth[t] is INDEP
+            assert engine.holds(snap, tok) == indep_holds
+            assert engine.holds(snap, tok + 1) == (not indep_holds)
+    # unassigned reachability must occur, or the rule that it reads false
+    # would go untested
+    assert unassigned > 0
 
 
 # -- invariants -------------------------------------------------------------------
