@@ -189,9 +189,7 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
                 inputs = ci_inputs_from_data(
                     data, CiTestConfig(alpha=config.alpha, max_order=config.max_order)
                 )
-            predictions = tuple(
-                score_all_pairs(inputs, config.n_obs, options, share_bounds=True)
-            )
+            predictions = tuple(score_all_pairs(inputs, config.n_obs, options))
             status = "ok"
         except SolveTimeoutError:
             predictions = ()

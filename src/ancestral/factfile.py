@@ -47,12 +47,12 @@ def _parse_weight(text: str, where: str) -> Weight:
     return Weight.finite(millis)
 
 
-def parse_fact_text(text: str) -> tuple[tuple[str, ...], list[WeightedInput]]:
-    """Parse fact-file content into (variable names, weighted inputs)."""
+def _parse_numbered(text: str) -> tuple[tuple[str, ...], list[tuple[int, WeightedInput]]]:
+    """Parse fact-file content into (variable names, [(line number,
+    weighted input)]); duplicates are left to :func:`_unique_inputs`."""
     names: tuple[str, ...] = ()
     index: dict[str, int] = {}
-    inputs: list[WeightedInput] = []
-    seen_keys: set = set()
+    numbered: list[tuple[int, WeightedInput]] = []
 
     def resolve(token: str, where: str) -> int:
         try:
@@ -101,7 +101,6 @@ def parse_fact_text(text: str) -> tuple[tuple[str, ...], list[WeightedInput]]:
                 stmt = canonicalize(x, y, cond, polarity)
             except ValueError as exc:
                 raise FactFileError(f"{where}: {exc}") from None
-            key = ("ci", stmt.x, stmt.y, stmt.cond, stmt.polarity)
         elif kind in ("causes", "notcauses"):
             if len(body) != 2:
                 raise FactFileError(f"{where}: expected two variables")
@@ -111,43 +110,62 @@ def parse_fact_text(text: str) -> tuple[tuple[str, ...], list[WeightedInput]]:
                 stmt = AncStatement(cause, effect, polarity)
             except ValueError as exc:
                 raise FactFileError(f"{where}: {exc}") from None
-            key = ("anc", cause, effect, polarity)
         else:
             raise FactFileError(f"{where}: unknown statement kind {kind!r}")
-        if key in seen_keys:
-            raise FactFileError(f"{where}: duplicate canonical statement")
-        seen_keys.add(key)
-        inputs.append(WeightedInput(stmt, weight))
+        numbered.append((lineno, WeightedInput(stmt, weight)))
     if not names:
         raise FactFileError("missing vars header")
-    return names, inputs
+    return names, numbered
+
+
+def _unique_inputs(sources) -> list[WeightedInput]:
+    """The inputs of ``(place prefix, numbered inputs)`` sources in order;
+    a canonical statement given twice is an error that names both
+    places."""
+    inputs: list[WeightedInput] = []
+    first: dict = {}
+    for prefix, numbered in sources:
+        for lineno, item in numbered:
+            where = f"{prefix}line {lineno}"
+            if item.statement in first:
+                raise FactFileError(
+                    f"{where}: duplicate canonical statement (first at {first[item.statement]})"
+                )
+            first[item.statement] = where
+            inputs.append(item)
+    return inputs
+
+
+def parse_fact_text(text: str) -> tuple[tuple[str, ...], list[WeightedInput]]:
+    """Parse fact-file content into (variable names, weighted inputs)."""
+    names, numbered = _parse_numbered(text)
+    return names, _unique_inputs([("", numbered)])
 
 
 def parse_fact_file(path) -> tuple[tuple[str, ...], list[WeightedInput]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_fact_text(fh.read())
+    return parse_fact_files([path])
 
 
 def parse_fact_files(paths: Sequence) -> tuple[tuple[str, ...], list[WeightedInput]]:
-    """Concatenate several fact files; their vars headers must agree and
-    duplicate canonical statements across files are an error."""
-    combined = []
+    """The inputs of several fact files in order. Each file is parsed
+    once and its errors name it and its own line; the vars headers must
+    agree, and a canonical statement repeated across files is an error."""
+    if not paths:
+        raise FactFileError("no fact files given")
     names: tuple[str, ...] = ()
+    sources = []
     for path in paths:
-        file_names, _ = parse_fact_file(path)
-        if not names:
-            names = file_names
-        elif file_names != names:
-            raise FactFileError(f"{path}: vars header differs from the first file")
         with open(path, "r", encoding="utf-8") as fh:
-            body = [
-                line
-                for line in fh.read().splitlines()
-                if not line.split("#", 1)[0].strip().startswith("vars")
-            ]
-        combined.extend(body)
-    text = "vars " + " ".join(names) + "\n" + "\n".join(combined)
-    return parse_fact_text(text)
+            text = fh.read()
+        try:
+            file_names, numbered = _parse_numbered(text)
+        except FactFileError as exc:
+            raise FactFileError(f"{path}: {exc}") from None
+        if names and file_names != names:
+            raise FactFileError(f"{path}: vars header differs from the first file")
+        names = file_names
+        sources.append((f"{path}: ", numbered))
+    return names, _unique_inputs(sources)
 
 
 def format_weight(weight: Weight) -> str:

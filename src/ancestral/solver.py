@@ -6,8 +6,9 @@ clause, and bound prunes and accepted solutions are turned into cost-core
 nogoods (the cost-bearing assignments that already force the total to the
 threshold), so every dead end backjumps with a recorded clause and is never
 re-refuted. Learned clauses range over structure and polarity assignment
-tokens only; derived facts are resolved away through the rule instances
-that fired them. Nogoods learned under one incumbent stay valid as the
+tokens only: one resolution walk, shared by conflict analysis and clause
+minimization, resolves every derived fact away through the gated clause
+that derived it. Nogoods learned under one incumbent stay valid as the
 incumbent tightens, so the minimum is exact.
 
 Reachability, polarity and derived-fact variables share one numbering, so
@@ -15,21 +16,24 @@ the assignment state is kept once, in MiniSat's layout (Een & Sorensson
 2003): one value byte per token, one level and one reason per variable,
 and one trail that undoes them all.
 
-Propagation interleaves four mechanisms: rule instances fire as soon as
-all premises are present; gated structural constraints unit-propagate over
-reachability variables; transitivity and antisymmetry are kept closed
-after every structure assignment; and learned clauses propagate through
-two watched tokens. The lower bound is the cost already paid plus the
-unavoidable minima of undecided ancestral-cost variables; undecided
-polarities are treated optimistically, so the bound is admissible.
+Propagation interleaves three mechanisms. One table of gated clauses
+unit-propagates each clause once all its gate facts are present: a rule
+instance is a clause gated by its premises whose one literal is its
+conclusion fact, a structural constraint one over reachability variables.
+Transitivity and antisymmetry are kept closed after every structure
+assignment. Learned clauses propagate through two watched tokens, swapped
+in place as the watches move. The lower bound is the cost already paid
+plus the unavoidable minima of undecided ancestral-cost variables;
+undecided polarities are treated optimistically, so the bound is
+admissible.
 
 Compilation has two layers. The grounding of n variables and a triple set
-(fact universe, rule instances, gated clauses and their indexes) does not
-depend on weights or polarities, so it is memoised per (n, triple set) and
-shared by every input list over that set, as when many models are scored
-at one (n, max order). Each input list adds its costs, its decision order
-and one incremental engine, in which its hard inputs are asserted and
-propagated once at level 0.
+(fact universe, one gated-clause table and its indexes) does not depend
+on weights or polarities, so it is memoised per (n, triple set) and shared
+by every input list over that set, as when many models are scored at one
+(n, max order). Each input list adds its costs, its decision order and one
+incremental engine, in which its hard inputs are asserted and propagated
+once at level 0.
 
 One engine answers every query of an instance: the base solve, each
 forced solve of the scores and each witness query. A query backjumps to
@@ -155,21 +159,18 @@ def _input_costs(inputs, n):
 
 
 def _pair_min(a, b):
-    if a is None and b is None:
-        return None
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return min((c for c in (a, b) if c is not None), default=None)
 
 
 class _Tables:
     """Input-independent grounding for n variables and a sorted triple
-    set: fact universe (both polarities of every triple), rule instances,
-    gated clauses and their indexes, all tuples. Built once per key by
-    :func:`_tables` and shared read-only by every engine. Facts, gates and
-    clause literals are stored as engine tokens (see :class:`Engine`)."""
+    set, all tuples: the fact universe (both polarities of every triple)
+    and one table of gated clauses, each active once all its gate facts
+    are present, with its indexes. A rule instance of :func:`ground` is a
+    clause gated by its premises whose one literal is its conclusion
+    fact; a structural constraint is one over reachability tokens. Built
+    once per key by :func:`_tables` and shared read-only by every engine.
+    Facts, gates and literals are engine tokens (see :class:`Engine`)."""
 
     def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
@@ -189,31 +190,25 @@ class _Tables:
         self.fact_pol_tok = tuple(pol_tok.get(f) for f in facts)
         self.pol_fact = tuple(fact_tok[(t, pol)] for t in triples for pol in (INDEP, DEP))
 
-        self.inst_concl = tuple(fact_tok[r.conclusion] for r in g.derivations)
-        self.inst_reason = tuple(
-            tuple(fact_tok[p] for p in r.premises) for r in g.derivations
-        )
-        self.inst_npremises = tuple(len(r.premises) for r in g.derivations)
-        fact_insts: list[list[int]] = [[] for _ in range(self.nfacts)]
-        for i, prem in enumerate(self.inst_reason):
-            for tok in set(prem):
-                fact_insts[(tok - self.fact_base) >> 1].append(i)
-        self.fact_insts = tuple(tuple(v) for v in fact_insts)
-
-        # a literal's token is the reachability assignment that satisfies it
-        self.cl_lits = tuple(
-            tuple(2 * (lit[1] * n + lit[2]) + (0 if lit[0] else 1) for lit in c.literals)
+        # each derivation is a clause whose one literal is its conclusion
+        # fact, listed first so that instances fire first and in order; a
+        # structural literal's token is the reachability value satisfying it
+        gated = [(r.premises, (fact_tok[r.conclusion],)) for r in g.derivations]
+        gated += [
+            (c.premises, tuple(2 * (x * n + y) + (0 if want else 1) for want, x, y in c.literals))
             for c in g.clauses
-        )
-        self.cl_gate_toks = tuple(tuple(fact_tok[f] for f in c.premises) for c in g.clauses)
-        self.cl_npremises = tuple(len(c.premises) for c in g.clauses)
+        ]
+        self.cl_lits = tuple(lits for _, lits in gated)
+        self.cl_gate_toks = tuple(tuple(fact_tok[f] for f in prem) for prem, _ in gated)
+        self.cl_npremises = tuple(len(prem) for prem, _ in gated)
         fact_clauses: list[list[int]] = [[] for _ in range(self.nfacts)]
         var_clauses: list[list[int]] = [[] for _ in range(n * n)]
         for ci, gate in enumerate(self.cl_gate_toks):
             for tok in set(gate):
                 fact_clauses[(tok - self.fact_base) >> 1].append(ci)
             for tok in set(self.cl_lits[ci]):
-                var_clauses[tok >> 1].append(ci)
+                if tok < self.pol_base:
+                    var_clauses[tok >> 1].append(ci)
         self.fact_clauses = tuple(tuple(v) for v in fact_clauses)
         self.var_clauses = tuple(tuple(v) for v in var_clauses)
         self.lex_vars = tuple(x * n + y for x in range(n) for y in range(n) if x != y)
@@ -236,9 +231,11 @@ _ACT_DECAY = 1.0 / 0.95
 _ACT_RESCALE = 1e100
 
 
-class _Local(tuple):
+class _Local(list):
     """A learned clause, reason or conflict that depends on one query's
     bound or incumbent; it is dropped when the next query starts."""
+
+    __slots__ = ()
 
 
 class Engine:
@@ -304,7 +301,6 @@ class Engine:
         self.assigned = memoryview(self.value).cast("H")
         self.level = [0] * nvars
         self.reason: list = [()] * nvars
-        self.inst_missing = list(tab.inst_npremises)
         self.cl_missing = list(tab.cl_npremises)
         # undo logs: assigned tokens, and facts whose premise counters have
         # been decremented
@@ -319,7 +315,7 @@ class Engine:
         self.residual = sum(m for v, m in enumerate(self.var_min) if m and v // n != v % n)
         self.nodes = 0
         self.conflict = None
-        self.learned: list[tuple[int, ...]] = []
+        self.learned: list[list[int]] = []
         self.watches: dict[int, list[int]] = {}
         self.units: list[int] = []
         self.act = [0.0] * (n2 + len(triples))
@@ -355,7 +351,7 @@ class Engine:
         if value[tok]:
             return True
         if value[tok ^ 1]:
-            self.conflict = type(reason)(reason + (tok ^ 1,))
+            self.conflict = type(reason)([*reason, tok ^ 1])
             return False
         c = self.cost_of[tok]
         if c is None:
@@ -450,32 +446,28 @@ class Engine:
         while i < len(wl):
             ci = wl[i]
             clause = learned[ci]
-            other = clause[1] if clause[0] == falsified else clause[0]
+            pos = 0 if clause[0] == falsified else 1
+            other = clause[1 - pos]
             if value[other]:
                 i += 1
                 continue
-            moved = False
             for j in range(2, len(clause)):
                 tok = clause[j]
                 if not value[tok ^ 1]:
-                    lst = list(clause)
-                    pos = 0 if lst[0] == falsified else 1
-                    lst[pos], lst[j] = lst[j], lst[pos]
-                    learned[ci] = type(clause)(lst)
+                    # watch tok in place of the falsified token
+                    clause[pos], clause[j] = tok, falsified
                     self.watches.setdefault(tok, []).append(ci)
                     wl[i] = wl[-1]
                     wl.pop()
-                    moved = True
                     break
-            if moved:
-                continue
-            if value[other ^ 1]:
-                self.conflict = type(clause)(tok ^ 1 for tok in clause)
-                return False
-            reason = type(clause)(tok ^ 1 for tok in clause if tok != other)
-            if not self._assign(other, reason):
-                return False
-            i += 1
+            else:
+                if value[other ^ 1]:
+                    self.conflict = type(clause)(tok ^ 1 for tok in clause)
+                    return False
+                reason = type(clause)(tok ^ 1 for tok in clause if tok != other)
+                if not self._assign(other, reason):
+                    return False
+                i += 1
         return True
 
     def _flush(self) -> bool:
@@ -490,12 +482,6 @@ class Engine:
                 # all counters of f are decremented together, so that
                 # undo can restore them from f alone
                 self.counted.append(f)
-                inst_missing = self.inst_missing
-                for i in tab.fact_insts[f]:
-                    m = inst_missing[i] - 1
-                    inst_missing[i] = m
-                    if m == 0:
-                        self._assign(tab.inst_concl[i], tab.inst_reason[i])
                 cl_missing = self.cl_missing
                 active = []
                 for c in tab.fact_clauses[f]:
@@ -542,19 +528,20 @@ class Engine:
             )
         )
 
-    def _pop_frame(self) -> None:
-        tlen, nlen, clen, cost, residual = self.frames.pop()
+    def _backjump(self, target_level: int) -> None:
+        """Undo every level above ``target_level`` in one pass."""
+        if len(self.frames) <= target_level:
+            return
+        tlen, nlen, clen, cost, residual = self.frames[target_level]
+        del self.frames[target_level:]
         value = self.value
         for tok in self.trail[tlen:]:
             value[tok] = 0
         del self.trail[tlen:]
-        tab = self.tables
-        inst_missing = self.inst_missing
+        fact_clauses = self.tables.fact_clauses
         cl_missing = self.cl_missing
         for f in self.counted[nlen:]:
-            for i in tab.fact_insts[f]:
-                inst_missing[i] += 1
-            for c in tab.fact_clauses[f]:
+            for c in fact_clauses[f]:
                 cl_missing[c] += 1
         del self.counted[nlen:]
         del self.cost_items[clen:]
@@ -564,89 +551,77 @@ class Engine:
         self.qr.clear()
         self.qw.clear()
 
-    def _backjump(self, target_level: int) -> None:
-        while len(self.frames) > target_level:
-            self._pop_frame()
-
     # -- conflict analysis ------------------------------------------------------
 
-    def _collect(self, tokens, seen, lower, expanded, conflict_level) -> int:
-        """Resolve fact tokens through their reasons; classify assignment
-        tokens against the conflict level. Returns new at-level count."""
+    def _resolve(self, tokens, expanded: set):
+        """Yield the assignment tokens behind ``tokens``, depth first: each
+        fact token not yet in ``expanded`` is resolved through its reason,
+        every other token is yielded as it is."""
         fbase = self.fact_base
-        level = self.level
-        added = 0
+        reason = self.reason
         stack = list(tokens)
         while stack:
             tok = stack.pop()
-            if tok >= fbase:
-                if tok not in expanded:
-                    expanded.add(tok)
-                    stack.extend(self.reason[tok >> 1])
-            elif tok not in seen:
-                lvl = level[tok >> 1]
-                if lvl == 0:
-                    continue
-                seen.add(tok)
-                if lvl >= conflict_level:
-                    added += 1
-                else:
-                    lower.append(tok ^ 1)
+            if tok < fbase:
+                yield tok
+            elif tok not in expanded:
+                expanded.add(tok)
+                stack.extend(reason[tok >> 1])
+
+    def _collect(self, tokens, seen, lower, conflict_level) -> int:
+        """Classify assignment tokens against the conflict level. Returns
+        the new at-level count."""
+        level = self.level
+        added = 0
+        for tok in tokens:
+            if tok in seen:
+                continue
+            lvl = level[tok >> 1]
+            if lvl == 0:
+                continue
+            seen.add(tok)
+            if lvl >= conflict_level:
+                added += 1
+            else:
+                lower.append(tok ^ 1)
         return added
 
     def _analyze(self):
-        """First-UIP analysis of ``self.conflict``.
+        """First-UIP analysis of ``self.conflict``, with every fact token
+        resolved away through :meth:`_resolve`.
 
-        Returns (clause, assertion_level, conflict_level, local) with the
-        asserting token first, or None when the conflict reduces to the
-        assumption level (the query is exhausted). ``local`` is set when
-        the conflict or any reason resolved into the clause is query-local;
-        derived facts always have logical reasons.
+        Returns (clause, assertion_level) with the asserting token first,
+        or None when the conflict reduces to the assumption level (the
+        query is exhausted). The clause is a :class:`_Local` when the
+        conflict or any reason resolved into it is query-local, else a
+        list; derived facts always have logical reasons. Every level above
+        the assumption level opens with a decision, so the walk back along
+        the trail always meets a unique implication point, and the
+        assertion level lies below the conflict level.
         """
-        conflict = self.conflict
-        local = type(conflict) is _Local
+        local = type(self.conflict) is _Local
         level = self.level
-        while True:
-            fbase = self.fact_base
-            expanded: set[int] = set()
-            flat: set[int] = set()
-            stack = list(conflict)
-            while stack:
-                tok = stack.pop()
-                if tok >= fbase:
-                    if tok not in expanded:
-                        expanded.add(tok)
-                        stack.extend(self.reason[tok >> 1])
-                elif level[tok >> 1] > 0:
-                    flat.add(tok)
-            conflict_level = max((level[tok >> 1] for tok in flat), default=0)
-            if conflict_level <= 1:
-                return None
-            seen: set[int] = set()
-            lower: list[int] = []
-            counter = self._collect(flat, seen, lower, expanded, conflict_level)
-            uip = None
-            for tok in reversed(self.trail):
-                if tok not in seen or level[tok >> 1] < conflict_level:
-                    continue
-                if counter == 1:
-                    uip = tok
-                    break
-                counter -= 1
-                seen.discard(tok)
-                reason = self.reason[tok >> 1]
-                local = local or type(reason) is _Local
-                counter += self._collect(reason, seen, lower, expanded, conflict_level)
-            if uip is not None:
-                lower, local = self._minimize(lower, local)
-                assertion = 0
-                for tok in lower:
-                    lvl = level[tok >> 1]
-                    if lvl > assertion:
-                        assertion = lvl
-                return (uip ^ 1,) + tuple(lower), assertion, conflict_level, local
-            # everything resolved below the conflict level: restate and retry
-            conflict = [tok ^ 1 for tok in lower]
+        expanded: set[int] = set()
+        flat = {tok for tok in self._resolve(self.conflict, expanded) if level[tok >> 1] > 0}
+        conflict_level = max((level[tok >> 1] for tok in flat), default=0)
+        if conflict_level <= 1:
+            return None
+        seen: set[int] = set()
+        lower: list[int] = []
+        counter = self._collect(self._resolve(flat, expanded), seen, lower, conflict_level)
+        for uip in reversed(self.trail):
+            if uip not in seen or level[uip >> 1] < conflict_level:
+                continue
+            if counter == 1:
+                break
+            counter -= 1
+            seen.discard(uip)
+            reason = self.reason[uip >> 1]
+            local = local or type(reason) is _Local
+            counter += self._collect(self._resolve(reason, expanded), seen, lower, conflict_level)
+        lower, local = self._minimize(lower, local)
+        assertion = max((level[tok >> 1] for tok in lower), default=0)
+        return (_Local if local else list)([uip ^ 1, *lower]), assertion
 
     def _minimize(self, lower: list[int], local: bool) -> tuple[list[int], bool]:
         """Drop clause literals whose assignment reasons are covered by the
@@ -655,28 +630,15 @@ class Engine:
         query-local tag carries over."""
         if len(lower) < 2:
             return lower, local
-        fbase = self.fact_base
         level = self.level
         clause_set = set(lower)
         keep = []
         for tok in lower:
             reason = self.reason[tok >> 1]
-            if not reason:
-                keep.append(tok)
-                continue
-            redundant = True
-            stack = list(reason)
-            expanded: set[int] = set()
-            while stack:
-                r = stack.pop()
-                if r >= fbase:
-                    if r not in expanded:
-                        expanded.add(r)
-                        stack.extend(self.reason[r >> 1])
-                elif (r ^ 1) not in clause_set and level[r >> 1] > 0:
-                    redundant = False
-                    break
-            if redundant:
+            if reason and all(
+                (r ^ 1) in clause_set or level[r >> 1] == 0
+                for r in self._resolve(reason, set())
+            ):
                 local = local or type(reason) is _Local
             else:
                 keep.append(tok)
@@ -693,33 +655,31 @@ class Engine:
             self.act = [a * scale for a in act]
             self.act_inc *= scale
 
-    def _learn(self, clause, assertion: int, conflict_level: int, local: bool) -> bool:
-        """Backjump, no lower than the assumption level, and assert the
-        learned clause's first token. A logical unit clause is kept and
-        asserted with the pins of every later query."""
+    def _learn(self, clause: list[int], assertion: int) -> bool:
+        """Backjump to the assertion level, but no lower than the
+        assumption level, and assert the learned clause's first token. The
+        clause keeps its two watched tokens first, swapped in place as the
+        watches move; a logical unit clause is kept and asserted with the
+        pins of every later query."""
         self._bump(clause)
-        self._backjump(max(1, min(assertion, conflict_level - 1)))
-        tag = _Local if local else tuple
+        self._backjump(max(1, assertion))
         if len(clause) >= 2:
             level = self.level
-            rest = sorted(clause[1:], key=lambda tok: -level[tok >> 1])
-            clause = tag((clause[0],) + tuple(rest))
+            clause[1:] = sorted(clause[1:], key=lambda tok: -level[tok >> 1])
             ci = len(self.learned)
             self.learned.append(clause)
             self.watches.setdefault(clause[0], []).append(ci)
             self.watches.setdefault(clause[1], []).append(ci)
-            reason = tag(tok ^ 1 for tok in clause[1:])
-        else:
-            if not local:
-                self.units.append(clause[0])
-            reason = tag()
+        elif type(clause) is list:
+            self.units.append(clause[0])
+        reason = type(clause)(tok ^ 1 for tok in clause[1:])
         return self._assign(clause[0], reason) and self._flush()
 
     def _drop_local_clauses(self) -> None:
         """Keep the logical learned clauses only and watch them afresh. No
         learned token is assigned at level 0, so the first two tokens of
         every clause are valid watches there."""
-        self.learned = [c for c in self.learned if type(c) is tuple]
+        self.learned = [c for c in self.learned if type(c) is list]
         watches = self.watches = {}
         for ci, clause in enumerate(self.learned):
             watches.setdefault(clause[0], []).append(ci)

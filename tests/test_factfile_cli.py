@@ -1,3 +1,4 @@
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -157,6 +158,21 @@ def test_multi_file_concat_and_conflicts(tmp_path):
     d.write_text("vars A B\nindep A B | : 10\n")
     with pytest.raises(FactFileError, match="duplicate"):
         parse_fact_files([a, d])
+
+
+def test_multi_file_errors_name_the_file_and_its_line(tmp_path):
+    a = tmp_path / "a.facts"
+    b = tmp_path / "b.facts"
+    a.write_text("vars A B\nindep A B | : 10\n")
+    b.write_text("vars A B\n# repeated below\ncauses A B : 2\nindep B A | : 3\n")
+    with pytest.raises(FactFileError) as info:
+        parse_fact_files([a, b])
+    assert str(info.value) == (
+        f"{b}: line 4: duplicate canonical statement (first at {a}: line 2)"
+    )
+    b.write_text("vars A B\nindep A Q | : 3\n")
+    with pytest.raises(FactFileError, match=f"^{re.escape(str(b))}: line 2: unknown variable"):
+        parse_fact_files([a, b])
 
 
 # -- CLI ------------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from ancestral.core import (
     AncestralStructure,
     Ancestry,
     AncStatement,
+    CiStatement,
     Weight,
     WeightedInput,
     causes,
@@ -16,7 +17,7 @@ from ancestral.core import (
     indep,
     not_causes,
 )
-from ancestral.rules import INDEP, check_consistency, loss
+from ancestral.rules import DEP, INDEP, check_consistency, ground, loss
 from ancestral.scoring import BothInfeasibleError, score_all_pairs
 from ancestral.solver import (
     Engine,
@@ -226,6 +227,45 @@ def test_cached_tables_are_unchanged_by_solves():
             pass
     assert _tables(4, key) is tab
     assert vars(tab) == before
+
+
+def test_level0_polarities_are_the_closure_of_the_hard_inputs():
+    """Level 0 of an engine holds exactly the polarities that the rules
+    derive from the hard inputs. The inputs are oracle statements of every
+    order, about 30% of them hard. Half the cases are noise-free, so their
+    closure never contradicts a hard input and their engine is feasible;
+    the other half flip some polarities, and an engine whose hard inputs
+    contradict under the closure must be infeasible."""
+    rng = random.Random(23)
+    checked = contradicted = 0
+    for case in range(60):
+        n = rng.randint(4, 6)
+        noise = 0.1 if case % 2 else 0.0
+        inputs = []
+        for item in dag_oracle_inputs(random_dag(n + 1, 0.3, rng), n, n - 2):
+            stmt = item.statement
+            pol = stmt.polarity.flipped() if rng.random() < noise else stmt.polarity
+            w = Weight.hard() if rng.random() < 0.3 else W(rng.randint(1, 5000))
+            inputs.append(WeightedInput(CiStatement(stmt.x, stmt.y, stmt.cond, pol), w))
+        seeds = [(i.statement.triple, i.statement.polarity) for i in inputs if i.weight.is_hard]
+        closure = ground(seeds, n).facts
+        contradiction = any((t, pol.flipped()) in closure for t, pol in seeds)
+        engine = Engine(inputs, n)
+        if not noise:
+            assert not contradiction and not engine.infeasible
+        contradicted += contradiction
+        if contradiction:
+            assert engine.infeasible
+            continue
+        if engine.infeasible:
+            continue
+        for i, t in enumerate(engine.tables.triples):
+            tok = engine.pol_base + 2 * i
+            got = INDEP if engine.value[tok] else DEP if engine.value[tok + 1] else None
+            want = INDEP if (t, INDEP) in closure else DEP if (t, DEP) in closure else None
+            assert got is want
+            checked += got is not None
+    assert contradicted > 0 and checked > 0
 
 
 # -- snapshot readers ---------------------------------------------------------------
