@@ -190,5 +190,9 @@ def format_fact_lines(names: Sequence[str], inputs: Iterable[WeightedInput]) -> 
 
 
 def write_fact_file(names: Sequence[str], inputs: Iterable[WeightedInput], path) -> None:
+    """Write a fact file; a canonical statement given twice is an error,
+    raised before the file is opened, that names both lines it would take."""
+    unique = _unique_inputs([(f"{path}: ", enumerate(inputs, start=2))])
+    text = format_fact_lines(names, unique)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_fact_lines(names, inputs))
+        fh.write(text)

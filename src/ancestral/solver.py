@@ -7,14 +7,16 @@ nogoods (the cost-bearing assignments that already force the total to the
 threshold), so every dead end backjumps with a recorded clause and is never
 re-refuted. Learned clauses range over structure and polarity assignment
 tokens only: one resolution walk, shared by conflict analysis and clause
-minimization, resolves every derived fact away through the gated clause
-that derived it. Nogoods learned under one incumbent stay valid as the
-incumbent tightens, so the minimum is exact.
+minimization, resolves every other derived fact away through the gated
+clause that derived it. Nogoods learned under one incumbent stay valid as
+the incumbent tightens, so the minimum is exact.
 
 Reachability, polarity and derived-fact variables share one numbering, so
 the assignment state is kept once, in MiniSat's layout (Een & Sorensson
 2003): one value byte per token, one level and one reason per variable,
-and one trail that undoes them all.
+and one trail that undoes them all. Each fact has one variable: the two
+facts of an input triple are the two values of its polarity variable, and
+only the facts of other triples get fact variables of their own.
 
 Propagation interleaves three mechanisms. One table of gated clauses
 unit-propagates each clause once all its gate facts are present: a rule
@@ -170,7 +172,10 @@ class _Tables:
     clause gated by its premises whose one literal is its conclusion
     fact; a structural constraint is one over reachability tokens. Built
     once per key by :func:`_tables` and shared read-only by every engine.
-    Facts, gates and literals are engine tokens (see :class:`Engine`)."""
+    Facts, gates and literals are engine tokens (see :class:`Engine`), the
+    two facts of an input triple being its two polarity tokens; ``nfacts``
+    counts the other facts, and ``fact_clauses[tok]`` lists the clauses
+    gated by token ``tok``."""
 
     def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
@@ -179,16 +184,16 @@ class _Tables:
 
         seeds = [(t, INDEP) for t in triples] + [(t, DEP) for t in triples]
         g = ground(seeds, n)
-        facts = sorted(g.facts, key=lambda f: (f[0], _POL_INDEX[f[1]]))
-        fact_tok = {f: self.fact_base + 2 * i for i, f in enumerate(facts)}
-        self.nfacts = len(facts)
-        pol_tok = {
+        fact_tok = {
             (t, pol): self.pol_base + 2 * i + _POL_INDEX[pol]
             for i, t in enumerate(triples)
             for pol in (INDEP, DEP)
         }
-        self.fact_pol_tok = tuple(pol_tok.get(f) for f in facts)
-        self.pol_fact = tuple(fact_tok[(t, pol)] for t in triples for pol in (INDEP, DEP))
+        others = sorted(
+            (f for f in g.facts if f not in fact_tok), key=lambda f: (f[0], _POL_INDEX[f[1]])
+        )
+        fact_tok.update((f, self.fact_base + 2 * i) for i, f in enumerate(others))
+        self.nfacts = len(others)
 
         # each derivation is a clause whose one literal is its conclusion
         # fact, listed first so that instances fire first and in order; a
@@ -201,11 +206,11 @@ class _Tables:
         self.cl_lits = tuple(lits for _, lits in gated)
         self.cl_gate_toks = tuple(tuple(fact_tok[f] for f in prem) for prem, _ in gated)
         self.cl_npremises = tuple(len(prem) for prem, _ in gated)
-        fact_clauses: list[list[int]] = [[] for _ in range(self.nfacts)]
+        fact_clauses: list[list[int]] = [[] for _ in range(self.fact_base + 2 * self.nfacts)]
         var_clauses: list[list[int]] = [[] for _ in range(n * n)]
         for ci, gate in enumerate(self.cl_gate_toks):
             for tok in set(gate):
-                fact_clauses[(tok - self.fact_base) >> 1].append(ci)
+                fact_clauses[tok].append(ci)
             for tok in set(self.cl_lits[ci]):
                 if tok < self.pol_base:
                     var_clauses[tok >> 1].append(ci)
@@ -253,15 +258,18 @@ class Engine:
 
     Token encoding: every engine variable has one number. Reachability
     ``var = x * n + y`` is variable ``var``, the polarity of input triple
-    ``t`` is variable ``n * n + t`` and derived fact ``f`` is variable
-    ``n * n + len(triples) + f``. Token ``2 * v`` makes variable ``v``
-    true (reachable, independent, present) and ``2 * v + 1`` false, so
-    negating a token flips its low bit, and ``pol_base`` and ``fact_base``
-    are the first polarity and fact tokens. Fact tokens are never negated
-    and never enter learned clauses. A pin is a reachability or polarity
-    token. ``value`` holds one byte per token, set while the token is
-    true; ``level`` and ``reason`` hold one entry per variable; ``trail``
-    is the one undo log of assigned tokens.
+    ``t`` is variable ``n * n + t``, and fact ``f`` of a triple that is not
+    an input is variable ``n * n + len(triples) + f``. Token ``2 * v``
+    makes variable ``v`` true (reachable, independent, present) and
+    ``2 * v + 1`` false, so negating a token flips its low bit, and
+    ``pol_base`` and ``fact_base`` are the first polarity and fact tokens.
+    The facts ``(t, INDEP)`` and ``(t, DEP)`` of input triple ``t`` are
+    its two polarity tokens, so they are each other's negation. The tokens
+    from ``fact_base`` on are never negated and never enter learned
+    clauses. A pin is a reachability or polarity token. ``value`` holds one
+    byte per token, set while the token is true; ``level`` and ``reason``
+    hold one entry per variable; ``trail`` is the one undo log of assigned
+    tokens, and the lower bound reads its cost-bearing tokens off it.
     """
 
     def __init__(self, inputs: Sequence, n: int, options: Optional[SolveOptions] = None):
@@ -302,15 +310,14 @@ class Engine:
         self.level = [0] * nvars
         self.reason: list = [()] * nvars
         self.cl_missing = list(tab.cl_npremises)
-        # undo logs: assigned tokens, and facts whose premise counters have
-        # been decremented
+        # undo logs: assigned tokens, and fact tokens whose premise counters
+        # have been decremented
         self.trail: list[int] = []
         self.counted: list[int] = []
         self.frames: list[tuple] = []
         self.qf: list[int] = []
         self.qr: list[int] = []
         self.qw: list[int] = []
-        self.cost_items: list[tuple[int, int]] = []
         self.cost = 0
         self.residual = sum(m for v, m in enumerate(self.var_min) if m and v // n != v % n)
         self.nodes = 0
@@ -364,14 +371,13 @@ class Engine:
         self.reason[var] = reason
         self.trail.append(tok)
         if tok >= self.fact_base:
-            self.qf.append((tok - self.fact_base) >> 1)
+            self.qf.append(tok)
             return True
-        if c:
-            self.cost += c
-            self.cost_items.append((c, tok))
+        self.cost += c
         self.qw.append(tok ^ 1)
         if tok >= self.pol_base:
-            return self._assign(self.tables.pol_fact[tok - self.pol_base], (tok,))
+            self.qf.append(tok)
+            return True
         m = self.var_min[var]
         if m:
             self.residual -= m
@@ -471,20 +477,21 @@ class Engine:
         return True
 
     def _flush(self) -> bool:
+        # The queues are LIFO stacks drained facts first. One FIFO queue
+        # over the trail (MiniSat's qhead) is less code, but it changes the
+        # propagation order, and measured on the benchmark it made the
+        # witness-n7c1-int instances 25-28% slower.
         qf, qr, qw = self.qf, self.qr, self.qw
-        tab = self.tables
+        fact_clauses = self.tables.fact_clauses
         while qf or qr or qw:
             while qf:
-                f = qf.pop()
-                tok = tab.fact_pol_tok[f]
-                if tok is not None and not self._assign(tok, (self.fact_base + 2 * f,)):
-                    return False
-                # all counters of f are decremented together, so that
-                # undo can restore them from f alone
-                self.counted.append(f)
+                tok = qf.pop()
+                # all counters of a fact are decremented together, so that
+                # undo can restore them from its token alone
+                self.counted.append(tok)
                 cl_missing = self.cl_missing
                 active = []
-                for c in tab.fact_clauses[f]:
+                for c in fact_clauses[tok]:
                     m = cl_missing[c] - 1
                     cl_missing[c] = m
                     if m == 0:
@@ -506,10 +513,11 @@ class Engine:
         cost-bearing assignments. The per-variable minima of unassigned
         variables hold unconditionally and need no tokens."""
         need = threshold - self.residual
+        cost_of = self.cost_of
         total = 0
         out: list[int] = []
-        for c, tok in sorted(self.cost_items, key=lambda it: (-it[0], it[1])):
-            total += c
+        for tok in sorted((t for t in self.trail if cost_of[t]), key=lambda t: (-cost_of[t], t)):
+            total += cost_of[tok]
             out.append(tok)
             if total >= need:
                 break
@@ -518,21 +526,13 @@ class Engine:
     # -- frames / backjumping -------------------------------------------------
 
     def _push_frame(self) -> None:
-        self.frames.append(
-            (
-                len(self.trail),
-                len(self.counted),
-                len(self.cost_items),
-                self.cost,
-                self.residual,
-            )
-        )
+        self.frames.append((len(self.trail), len(self.counted), self.cost, self.residual))
 
     def _backjump(self, target_level: int) -> None:
         """Undo every level above ``target_level`` in one pass."""
         if len(self.frames) <= target_level:
             return
-        tlen, nlen, clen, cost, residual = self.frames[target_level]
+        tlen, nlen, cost, residual = self.frames[target_level]
         del self.frames[target_level:]
         value = self.value
         for tok in self.trail[tlen:]:
@@ -540,11 +540,10 @@ class Engine:
         del self.trail[tlen:]
         fact_clauses = self.tables.fact_clauses
         cl_missing = self.cl_missing
-        for f in self.counted[nlen:]:
-            for c in fact_clauses[f]:
+        for tok in self.counted[nlen:]:
+            for c in fact_clauses[tok]:
                 cl_missing[c] += 1
         del self.counted[nlen:]
-        del self.cost_items[clen:]
         self.cost = cost
         self.residual = residual
         self.qf.clear()

@@ -242,6 +242,24 @@ def test_cmd_intervene_append(tmp_path):
     assert len(lines) == 1 + 2 + 2
 
 
+def test_cmd_intervene_append_rejects_a_repeated_target(tmp_path, capsys):
+    """Appending the statements of a target already in the file would
+    write each of them twice, a file that no reader accepts: the run
+    exits 2 and leaves the file as it was."""
+    data_path = tmp_path / "d.csv"
+    write_sample_dataset(data_path, n=3)
+    out = tmp_path / "anc.facts"
+    args = ["intervene", "--obs", str(data_path), "--int", str(data_path), "--target", "X0"]
+    assert main(args + ["--out", str(out)]) == 0
+    before = out.read_bytes()
+    assert main(args + ["--out", str(out), "--append"]) == 2
+    err = capsys.readouterr().err
+    assert "anc.facts: line 4: duplicate canonical statement (first at " in err
+    assert "anc.facts: line 2)" in err
+    assert out.read_bytes() == before
+    assert main(["solve", "--facts", str(out), "--out", str(tmp_path / "s.csv")]) == 0
+
+
 def test_cmd_intervene_unknown_target(tmp_path, capsys):
     data_path = tmp_path / "d.csv"
     write_sample_dataset(data_path)

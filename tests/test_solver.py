@@ -24,6 +24,7 @@ from ancestral.solver import (
     SolveOptions,
     SolveTimeoutError,
     _joint_from_snap,
+    _lex_witness,
     _Tables,
     _tables,
     brute_force_min_loss,
@@ -227,6 +228,19 @@ def test_cached_tables_are_unchanged_by_solves():
             pass
     assert _tables(4, key) is tab
     assert vars(tab) == before
+    # the two facts of an input triple are its polarity tokens; only the
+    # other facts get tokens from fact_base on
+    seeds = [(t, INDEP) for t in key] + [(t, DEP) for t in key]
+    g = ground(seeds, 4)
+    assert tab.nfacts == len(g.facts) - 2 * len(key)
+    pol_tok = {
+        (t, pol): tab.pol_base + 2 * i + (pol is DEP) for i, t in enumerate(key) for pol in (INDEP, DEP)
+    }
+    gates = [r.premises for r in g.derivations] + [c.premises for c in g.clauses]
+    concls = [(r.conclusion,) for r in g.derivations]
+    for facts, toks in [*zip(gates, tab.cl_gate_toks), *zip(concls, tab.cl_lits)]:
+        for f, tok in zip(facts, toks, strict=True):
+            assert tok == pol_tok[f] if f in pol_tok else tok >= tab.fact_base
 
 
 def test_level0_polarities_are_the_closure_of_the_hard_inputs():
@@ -266,6 +280,57 @@ def test_level0_polarities_are_the_closure_of_the_hard_inputs():
             assert got is want
             checked += got is not None
     assert contradicted > 0 and checked > 0
+
+
+def test_level0_state_is_restored_after_queries():
+    """After base, forced and witness queries, backjumping to level 0
+    leaves a state that agrees with its own trail: ``value`` is set on the
+    trail's tokens only, every clause counts the gate tokens missing from
+    the trail, and ``cost`` and ``residual`` are the trail's."""
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        inputs = []
+        for item in dag_oracle_inputs(random_dag(n + 1, 0.4, rng), n, 1):
+            stmt = item.statement
+            if rng.random() < 0.2:
+                inputs.append(item)
+            elif rng.random() < 0.2:
+                flipped = CiStatement(stmt.x, stmt.y, stmt.cond, stmt.polarity.flipped())
+                inputs.append(WeightedInput(flipped, W(rng.randint(1, 5000))))
+            else:
+                inputs.append(WeightedInput(stmt, W(rng.randint(1, 5000))))
+        for _ in range(rng.randint(0, 3)):
+            x, y = rng.sample(range(n), 2)
+            make = causes if rng.random() < 0.5 else not_causes
+            inputs.append(make(x, y, W(rng.randint(1, 5000))))
+        engine = Engine(inputs, n)
+        if engine.infeasible:
+            continue
+        best, snap = engine.query()
+        pins = [
+            engine.pin(AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5)
+            for x, y in rng.sample([(x, y) for x in range(n) for y in range(n) if x != y], 3)
+        ]
+        queries = [lambda pin=pin: engine.query([pin]) for pin in pins]
+        queries.append(lambda: _lex_witness(engine, best, snap))
+        for run in queries:
+            run()
+            engine._backjump(0)
+            value, trail = engine.value, engine.trail
+            assert sorted(tok for tok in range(len(value)) if value[tok]) == sorted(trail)
+            on_trail = set(trail)
+            for c, gate in enumerate(engine.tables.cl_gate_toks):
+                assert engine.cl_missing[c] == sum(tok not in on_trail for tok in gate)
+            assert engine.cost == sum(engine.cost_of[tok] for tok in trail)
+            assert engine.residual == sum(
+                m
+                for v, m in enumerate(engine.var_min)
+                if m and v // n != v % n and not engine.assigned[v]
+            )
+            checked += 1
+    assert checked > 0
 
 
 # -- snapshot readers ---------------------------------------------------------------
