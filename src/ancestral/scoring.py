@@ -55,7 +55,11 @@ class PairScorer:
     reused: a forced solve whose constraint the unconstrained witness
     already satisfies must have the same minimum, so it is skipped, and the
     other starts from that witness's values. The scores are identical to
-    the uncached path.
+    the uncached path. Every forced solve starts from the cheapest
+    completion that an earlier solve of the engine accepted and that
+    satisfies its pin. Once the base minimum is known, which bounds every
+    forced solve from below, a forced solve stops when it reaches it, so a
+    side whose minimum is the base minimum needs no proof of optimality.
 
     The time limit of the options is one budget for the scorer's whole
     life, compile included: every search shares the engine's deadline, and

@@ -63,6 +63,10 @@ def random_linear_model(
     """Random DAG on a random topological order; each forward pair gets an
     edge with probability ``edge_prob`` and a coefficient drawn uniformly
     from +-[0.5, 2.0]. Unit noise everywhere. Deterministic per seed."""
+    if n_obs < 1:
+        raise ValueError("n_obs must be positive")
+    if n_latent < 0:
+        raise ValueError("n_latent must be nonnegative")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
     total = n_obs + n_latent

@@ -380,6 +380,20 @@ def test_cmd_simulate_edge_prob_zero_truth_is_identity(tmp_path):
     assert (out / "truth_0.csv").read_text() == "1,0,0\n0,1,0\n0,0,1\n"
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (["--n", "0"], "n_obs must be positive"),
+        (["--n", "3", "--latents", "-1"], "n_latent must be nonnegative"),
+    ],
+)
+def test_cmd_simulate_rejects_empty_models(tmp_path, capsys, sizes, message):
+    out = tmp_path / "sim"
+    assert main(["simulate", *sizes, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_cmd_bench_writes_reports(tmp_path):
     out = tmp_path / "bench"
     rc = main(

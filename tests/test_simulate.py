@@ -54,6 +54,14 @@ def test_full_edge_probability_is_total_order():
     assert sum(truth.reach(x, y) for x in range(3) for y in range(3) if x != y) == 3
 
 
+def test_model_sizes_are_validated():
+    with pytest.raises(ValueError, match="n_obs must be positive"):
+        random_linear_model(0, 1, 0.3, seed=0)
+    with pytest.raises(ValueError, match="n_latent must be nonnegative"):
+        random_linear_model(3, -1, 0.3, seed=0)
+    assert random_linear_model(1, 0, 0.3, seed=0).n_total == 1
+
+
 def test_model_is_acyclic_and_coefficients_in_range():
     rng = random.Random(0)
     for seed in range(10):

@@ -364,6 +364,57 @@ def test_holds_agrees_with_joint_from_snap():
     assert unassigned > 0
 
 
+def test_forced_queries_reuse_the_pool_exactly():
+    """After the base query, one engine answers every forced pin in a
+    shuffled order, each query seeded from the completions that the
+    queries before it accepted: every minimum is the fresh one, every
+    snapshot is an optimum under its pin, and a pin that a pooled
+    completion at the base minimum satisfies is answered without search."""
+    rng = random.Random(73)
+    from_pool = 0
+    for case in range(10):
+        n = 4 if case < 6 else 5
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        inputs = []
+        for _ in range(rng.randint(4, 8)):
+            x, y = rng.sample(range(n), 2)
+            others = [v for v in range(n) if v not in (x, y)]
+            cond = rng.sample(others, rng.randint(0, 2))
+            make = indep if rng.random() < 0.5 else dep
+            inputs.append(make(x, y, cond, W(rng.randint(1, 5000))))
+        for x, y in rng.sample(pairs, rng.randint(1, 3)):
+            make = causes if rng.random() < 0.5 else not_causes
+            inputs.append(make(x, y, W(rng.randint(1, 5000))))
+        if case % 3 == 0:
+            x, y = rng.choice(pairs)
+            inputs.append((causes if rng.random() < 0.5 else not_causes)(x, y))
+        engine = Engine(inputs, n)
+        floor = engine.query()[0]
+        assert engine.floor == floor
+        forced = [(x, y, hold) for x, y in pairs for hold in (True, False)]
+        rng.shuffle(forced)
+        for x, y, hold in forced:
+            feature = AncStatement(x, y, Ancestry.CAUSES)
+            pin = engine.pin(feature, hold)
+            at_floor = any(c == floor and engine.holds(s, pin) for c, s in engine.pool)
+            nodes = engine.nodes
+            best, snap = engine.query([pin])
+            if n == 4:
+                hard = (causes if hold else not_causes)(x, y)
+                want = brute_force_min_loss(inputs + [hard], n).min_loss
+            else:
+                options = SolveOptions(forced_features=((feature, hold),))
+                want = solve_min_loss(inputs, n, options, build_witness=False).min_loss
+            assert (Weight.hard() if best is None else W(best)) == want
+            if best is not None:
+                assert engine.holds(snap, pin)
+                assert loss(_joint_from_snap(engine, snap), inputs) == W(best)
+            if at_floor:
+                assert engine.nodes == nodes
+                from_pool += 1
+    assert from_pool > 0
+
+
 # -- invariants -------------------------------------------------------------------
 
 def test_uniform_scaling_scales_min_and_keeps_witness():
