@@ -125,13 +125,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.models < 1:
+        raise ValueError("models must be positive")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for m in range(args.models):
         scm = random_linear_model(
             args.n, args.latents, args.edge_prob, seed=[args.seed, m, 0]
         )
         data = sample_data(scm, args.samples, seed=[args.seed, m, 1])
+        # created once model 0 has passed the size checks, so a rejected
+        # call leaves no directory behind
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_scm(scm, out_dir / f"scm_{m}.txt")
         write_dataset(data, out_dir / f"data_{m}.csv")
         truth = true_ancestral_structure(scm)

@@ -53,6 +53,13 @@ incumbent for it, an upper bound on its minimum. Pins only remove
 completions, so the pinless query's minimum is a floor under every later
 one, and a query stops as soon as its incumbent reaches it.
 
+Branching is VSIDS (Moskewicz et al. 2001): each decision takes the
+undecided variable of highest conflict activity, ties to the lowest index,
+popped in O(log n) from a binary heap keyed by activity as in MiniSat.
+Activities only grow between rescales, so a bump pushes a fresh entry and
+leaves the old one stale instead of moving it; every unassigned decision
+variable keeps an entry at its current activity.
+
 Determinism: decision activities, value preferences and all tie-breaks are
 deterministic, so identical inputs and an identical sequence of queries
 produce identical results; every minimum is exact whatever the queries
@@ -71,6 +78,7 @@ consistency constraints.
 from __future__ import annotations
 
 import functools
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -277,6 +285,16 @@ class Engine:
     tokens, and the lower bound reads its cost-bearing tokens off it.
     ``pool`` holds the ``(cost, snapshot)`` of every completion that an
     optimization query accepted, and ``floor`` the pinless query's minimum.
+
+    Decision heap: ``heap`` holds ``(-activity, var)`` entries of the
+    variables that ``decidable`` marks (``order``, less those level 0
+    assigns), and ``queued`` marks each variable that holds an entry at its
+    current activity, so none is pushed twice. Invariant: every unassigned
+    decidable variable is queued. :meth:`_backjump` requeues the variables
+    it unassigns, :meth:`_bump` pushes a fresh entry for a queued variable
+    whose activity rose, a rescale rebuilds the heap, and
+    :meth:`_next_decision` discards stale entries and those of assigned
+    variables as it pops them.
     """
 
     def __init__(self, inputs: Sequence, n: int, options: Optional[SolveOptions] = None):
@@ -342,6 +360,10 @@ class Engine:
         self.infeasible = not (self._assert_hard_inputs() and self._flush())
         # level 0 never changes, so a variable it assigns is never decided
         self.order = [v for v in self.order if not self.assigned[v]]
+        self.decidable = bytearray(nvars)
+        for v in self.order:
+            self.decidable[v] = 1
+        self._rebuild_heap()
 
     # -- pins and snapshots -------------------------------------------------
 
@@ -544,8 +566,13 @@ class Engine:
         tlen, nlen, cost, residual = self.frames[target_level]
         del self.frames[target_level:]
         value = self.value
+        act, heap, decidable, queued = self.act, self.heap, self.decidable, self.queued
         for tok in self.trail[tlen:]:
             value[tok] = 0
+            var = tok >> 1
+            if decidable[var] and not queued[var]:
+                queued[var] = 1
+                heapq.heappush(heap, (-act[var], var))
         del self.trail[tlen:]
         fact_clauses = self.tables.fact_clauses
         cl_missing = self.cl_missing
@@ -653,15 +680,28 @@ class Engine:
         return keep, local
 
     def _bump(self, clause) -> None:
-        act = self.act
+        """Raise the activity of the clause's variables; a queued one gets
+        a fresh heap entry at its new activity, its old entry goes stale."""
+        act, heap, queued = self.act, self.heap, self.queued
         inc = self.act_inc
         for tok in clause:
-            act[tok >> 1] += inc
+            var = tok >> 1
+            act[var] += inc
+            if queued[var]:
+                heapq.heappush(heap, (-act[var], var))
         self.act_inc = inc * _ACT_DECAY
         if self.act_inc > _ACT_RESCALE:
             scale = 1.0 / _ACT_RESCALE
             self.act = [a * scale for a in act]
             self.act_inc *= scale
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One entry at its current activity for every decidable variable."""
+        act = self.act
+        self.heap = [(-act[v], v) for v in self.order]
+        heapq.heapify(self.heap)
+        self.queued = bytearray(self.decidable)
 
     def _learn(self, clause: list[int], assertion: int) -> bool:
         """Backjump to the assertion level, but no lower than the
@@ -711,19 +751,17 @@ class Engine:
 
     def _next_decision(self) -> Optional[int]:
         """Undecided variable with the highest conflict activity; ties fall
-        back to the static order."""
-        assigned = self.assigned
-        act = self.act
-        best = None
-        best_act = -1.0
-        for v in self.order:
-            if assigned[v]:
-                continue
-            a = act[v]
-            if a > best_act:
-                best_act = a
-                best = v
-        return best
+        back to the static order, which is ascending. Pops the heap until
+        its top is a current entry of an unassigned variable, discarding
+        stale entries and those of assigned variables on the way."""
+        heap, act, assigned, queued = self.heap, self.act, self.assigned, self.queued
+        while heap:
+            key, var = heapq.heappop(heap)
+            if key == -act[var]:
+                queued[var] = 0
+                if not assigned[var]:
+                    return var
+        return None
 
     def _preferred(self, var: int) -> int:
         """Cheapest value first, ties to false reachability and independent

@@ -385,13 +385,16 @@ def test_cmd_simulate_edge_prob_zero_truth_is_identity(tmp_path):
     [
         (["--n", "0"], "n_obs must be positive"),
         (["--n", "3", "--latents", "-1"], "n_latent must be nonnegative"),
+        (["--n", "3", "--edge-prob", "1.5"], "edge_prob must lie in [0, 1]"),
+        (["--n", "3", "--samples", "0"], "n_samples must be positive"),
+        (["--n", "3", "--models", "0"], "models must be positive"),
     ],
 )
 def test_cmd_simulate_rejects_empty_models(tmp_path, capsys, sizes, message):
     out = tmp_path / "sim"
     assert main(["simulate", *sizes, "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 def test_cmd_bench_writes_reports(tmp_path):

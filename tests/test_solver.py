@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ancestral import solver
 from ancestral.core import (
     AncestralStructure,
     Ancestry,
@@ -413,6 +414,78 @@ def test_forced_queries_reuse_the_pool_exactly():
                 assert engine.nodes == nodes
                 from_pool += 1
     assert from_pool > 0
+
+
+class ScanCheckedEngine(Engine):
+    """An engine whose every heap decision is checked against the linear
+    scan it replaces: the unassigned decision variable of highest activity,
+    ties to the lowest index. Counts decisions, rescales and restarts."""
+
+    def __init__(self, *args):
+        self.decisions = self.rescales = self.restarts = 0
+        self.learning = False
+        super().__init__(*args)
+
+    def _next_decision(self):
+        var = super()._next_decision()
+        free = [v for v in self.order if not self.assigned[v]]
+        assert var == min(free, key=lambda v: (-self.act[v], v), default=None)
+        self.decisions += 1
+        return var
+
+    def _bump(self, clause):
+        inc = self.act_inc
+        super()._bump(clause)
+        self.rescales += self.act_inc < inc
+
+    def _learn(self, clause, assertion):
+        self.learning = True
+        try:
+            return super()._learn(clause, assertion)
+        finally:
+            self.learning = False
+
+    def _backjump(self, target_level):
+        # a backjump to the assumption level outside learning is a restart
+        if target_level == 1 and len(self.frames) > 1 and not self.learning:
+            self.restarts += 1
+        super()._backjump(target_level)
+
+
+@pytest.mark.parametrize("rescale, restart_conflicts", [(None, None), (10.0, 1)])
+def test_decision_heap_matches_linear_scan(rescale, restart_conflicts, monkeypatch):
+    """Every decision of base, forced and lex-witness queries, on instances
+    with hard inputs, ancestral costs and forced features, is the scan's
+    choice; with a low rescale threshold and restart budget the heap is
+    rebuilt and restarts requeue what they unassign."""
+    if rescale is not None:
+        monkeypatch.setattr(solver, "_ACT_RESCALE", rescale)
+        monkeypatch.setattr(solver, "_RESTART_CONFLICTS", restart_conflicts)
+    rng = random.Random(5)
+    decisions = rescales = restarts = 0
+    for case in range(12):
+        n = 4 + case % 3
+        inputs = random_instance(rng, n, max_inputs=8 * n, anc_share=0.25)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        if case % 2:
+            x, y = rng.choice(pairs)
+            inputs.append((causes if rng.random() < 0.5 else not_causes)(x, y))
+        forced = ()
+        if case % 4 == 3:
+            x, y = rng.choice(pairs)
+            forced = ((AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5),)
+        engine = ScanCheckedEngine(inputs, n, SolveOptions(forced_features=forced))
+        best, snap = engine.query()
+        if best is not None:
+            _lex_witness(engine, best, snap)
+        for x, y in rng.sample(pairs, 4):
+            engine.query([engine.pin(AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5)])
+        decisions += engine.decisions
+        rescales += engine.rescales
+        restarts += engine.restarts
+    assert decisions > 0
+    if rescale is not None:
+        assert rescales > 0 and restarts > 0
 
 
 # -- invariants -------------------------------------------------------------------
