@@ -51,15 +51,15 @@ class PairScorer:
     """Scores features over one input list on one solver :class:`Engine`,
     which compiles the instance once and keeps what its searches learn.
 
-    With ``share_bounds`` the unconstrained optimum is solved first and
-    reused: a forced solve whose constraint the unconstrained witness
-    already satisfies must have the same minimum, so it is skipped, and the
-    other starts from that witness's values. The scores are identical to
-    the uncached path. Every forced solve starts from the cheapest
-    completion that an earlier solve of the engine accepted and that
-    satisfies its pin. Once the base minimum is known, which bounds every
-    forced solve from below, a forced solve stops when it reaches it, so a
-    side whose minimum is the base minimum needs no proof of optimality.
+    The unconstrained optimum is solved first. Its minimum bounds every
+    forced solve from below, so a forced solve stops when it reaches it,
+    and a side whose minimum is the base minimum needs no proof of
+    optimality. With ``share_bounds`` its witness is reused too: a forced
+    solve whose constraint the witness already satisfies must have the same
+    minimum, so it is skipped, and the other starts from the witness's
+    values. The scores are identical without it. Every forced solve starts
+    from the cheapest completion that an earlier solve of the engine
+    accepted and that satisfies its pin.
 
     The time limit of the options is one budget for the scorer's whole
     life, compile included: every search shares the engine's deadline, and
@@ -80,9 +80,9 @@ class PairScorer:
     def base_min_loss(self) -> Weight:
         """Minimum loss under the options' forced features alone,
         ``Weight.hard()`` when the hard inputs admit no assignment. Solved
-        once and shared by every later ``confidence`` with
-        ``share_bounds``; raises :class:`SolveTimeoutError` when the
-        scorer's time limit runs out first."""
+        once and shared by every later ``confidence``; raises
+        :class:`SolveTimeoutError` when the scorer's time limit runs out
+        first."""
         best = self._base_solve()[0]
         return Weight.hard() if best is None else Weight.finite(best)
 
@@ -90,13 +90,13 @@ class PairScorer:
         engine = self._engine
         pins = {hold: engine.pin(feature, hold) for hold in (True, False)}
         loss = {}
-        snap = None
-        if share_bounds:
-            base, snap = self._base_solve()
-            if base is not None:
-                for hold, pin in pins.items():
-                    if engine.holds(snap, pin):
-                        loss[hold] = base
+        base, snap = self._base_solve()
+        if not share_bounds:
+            snap = None
+        elif base is not None:
+            for hold, pin in pins.items():
+                if engine.holds(snap, pin):
+                    loss[hold] = base
         for hold, pin in pins.items():
             if hold not in loss:
                 loss[hold] = engine.query((pin,), phase=snap)[0]

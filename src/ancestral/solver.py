@@ -38,15 +38,15 @@ incremental engine, in which its hard inputs are asserted and propagated
 once at level 0.
 
 One engine answers every query of an instance: the base solve, each
-forced solve of the scores and each witness query. A query backjumps to
-level 0 and poses its pins (forced features, witness pins) as assumptions
-at level 1, below which the search never backjumps, in the manner of the
-MiniSat assumption interface. Logical learned clauses, those resolved from
-the rules, the hard inputs and other logical clauses alone, hold under any
-pins and persist across queries, as do decision activities. A clause
-resolved from a bound or incumbent nogood, or from the reason of a clause
-so derived, depends on one query's threshold: it is query-local and
-dropped when the next query starts. Optimization queries pool every
+forced solve of the scores and the witness. A query backjumps to level 0
+and poses its pins (forced features) as assumptions at level 1, below
+which the search never backjumps, in the manner of the MiniSat assumption
+interface. Logical learned clauses, those resolved from the rules, the
+hard inputs and other logical clauses alone, hold under any pins and
+persist across queries, as do decision activities. A clause resolved from
+a bound or incumbent nogood, or from the reason of a clause so derived,
+depends on one query's threshold: it is query-local and dropped when the
+next query or witness starts. Optimization queries pool every
 completion they accept: its cost does not depend on the pins, so the
 cheapest pooled completion that satisfies a query's pins is a feasible
 incumbent for it, an upper bound on its minimum. Pins only remove
@@ -65,10 +65,11 @@ deterministic, so identical inputs and an identical sequence of queries
 produce identical results; every minimum is exact whatever the queries
 before it. The reported witness is the lexicographically smallest optimum
 (row-major reachability bits, then polarity bits of the sorted input
-triples with independent < dependent), built by pinning variables one at a
-time. A pin that the current optimal completion already satisfies is
-taken without search; each other pin is decided by a bound-tight
-feasibility query.
+triples with independent < dependent), built on one trail by pinning
+variables one at a time at level 1. A pin that the current optimal
+completion already satisfies is asserted without search; each other pin is
+probed one level above by a search for a completion at the optimum, with
+the assumption level raised to 2, and then it or its negation is asserted.
 
 ``brute_force_min_loss`` is the independent oracle: exhaustive enumeration
 of all ancestral structures and polarity assignments filtered through the
@@ -251,7 +252,9 @@ _ACT_RESCALE = 1e100
 
 class _Local(list):
     """A learned clause, reason or conflict that depends on one query's
-    bound or incumbent; it is dropped when the next query starts."""
+    bound or incumbent; it is dropped when the next query or witness
+    starts. The probes of one witness share one threshold, so the clauses
+    of one probe are kept for the next."""
 
     __slots__ = ()
 
@@ -266,8 +269,9 @@ class Engine:
     the hard inputs once at level 0; ``infeasible`` is set when they
     contradict there. Level 0 never changes after that. Each
     :meth:`query` backjumps to it and asserts the options' forced features,
-    its own pins and the learned unit clauses at assumption level 1, which
-    the search never backjumps below.
+    its own pins and the learned unit clauses at level 1, the assumption
+    level ``root``, which the search never backjumps below; :meth:`witness`
+    raises ``root`` to 2 while it probes its pins.
 
     Token encoding: every engine variable has one number. Reachability
     ``var = x * n + y`` is variable ``var``, the polarity of input triple
@@ -357,6 +361,7 @@ class Engine:
         self.best_snap = None
         self.pool: list[tuple[int, bytes]] = []
         self.floor: Optional[int] = None
+        self.root = 1
         self.infeasible = not (self._assert_hard_inputs() and self._flush())
         # level 0 never changes, so a variable it assigns is never decided
         self.order = [v for v in self.order if not self.assigned[v]]
@@ -639,7 +644,7 @@ class Engine:
         expanded: set[int] = set()
         flat = {tok for tok in self._resolve(self.conflict, expanded) if level[tok >> 1] > 0}
         conflict_level = max((level[tok >> 1] for tok in flat), default=0)
-        if conflict_level <= 1:
+        if conflict_level <= self.root:
             return None
         seen: set[int] = set()
         lower: list[int] = []
@@ -710,7 +715,7 @@ class Engine:
         watches move; a logical unit clause is kept and asserted with the
         pins of every later query."""
         self._bump(clause)
-        self._backjump(max(1, assertion))
+        self._backjump(max(self.root, assertion))
         if len(clause) >= 2:
             level = self.level
             clause[1:] = sorted(clause[1:], key=lambda tok: -level[tok >> 1])
@@ -724,9 +729,10 @@ class Engine:
         return self._assign(clause[0], reason) and self._flush()
 
     def _drop_local_clauses(self) -> None:
-        """Keep the logical learned clauses only and watch them afresh. No
-        learned token is assigned at level 0, so the first two tokens of
-        every clause are valid watches there."""
+        """Keep the logical learned clauses only and watch them afresh, at
+        level 0 before a query or witness poses its assumptions. No learned
+        token is assigned at level 0, so the first two tokens of every
+        clause are valid watches there."""
         self.learned = [c for c in self.learned if type(c) is list]
         watches = self.watches = {}
         for ci, clause in enumerate(self.learned):
@@ -789,18 +795,8 @@ class Engine:
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeoutError("search exceeded the time limit", None)
-        self._backjump(0)
-        self._drop_local_clauses()
-        self.conflict = None
         self.phase = phase
-        self.best_cost = self.best_snap = None
-        if self.infeasible:
-            return None, None
-        self._push_frame()
-        for tok in (*self.units, *self.pins, *pins):
-            if not self._assign(tok, ()):
-                return None, None
-        if self._flush():
+        if self._assume(pins):
             if decision_bound is None:
                 # The pooled incumbent seeds the bound only; the phase stays
                 # the caller's. Following the seeded or each new incumbent's
@@ -814,6 +810,66 @@ class Engine:
                 self.floor = self.best_cost
         return self.best_cost, self.best_snap
 
+    def _assume(self, pins: Sequence[int]) -> bool:
+        """Backjump to level 0, drop the query-local clauses, and assert the
+        learned units, the options' forced features and ``pins`` at level 1;
+        False when they contradict."""
+        self._backjump(0)
+        self._drop_local_clauses()
+        self.conflict = None
+        self.best_cost = self.best_snap = None
+        if self.infeasible:
+            return False
+        self._push_frame()
+        toks = (*self.units, *self.pins, *pins)
+        return all(self._assign(tok, ()) for tok in toks) and self._flush()
+
+    def witness(self, best: int, cur: bytes) -> bytes:
+        """The lexicographically smallest optimum, from ``cur``, an optimal
+        snapshot of cost ``best``: every reachability in row-major order,
+        then every input triple's polarity, is pinned to its smaller value
+        (false, independent) when an optimum under the pins so far allows
+        it, else to the other.
+
+        Accepted pins accumulate at level 1. A pin that ``cur`` satisfies
+        is asserted there without search. Each other pin is probed at level
+        2, the assumption level meanwhile, by a search for a completion of
+        cost at most ``best``; that completion, optimal under every pin so
+        far, becomes ``cur``, and then the pin, or its negation when there
+        is none, is asserted at level 1. Every probe prunes at the
+        threshold ``best + 1``, so the clauses one probe learns hold in the
+        next. A clause learned with assertion level 1 is asserted at level
+        2 and, once the probe backjumps, keeps one false watch: it prunes
+        less but stays sound. Raises :class:`SolveTimeoutError` once the
+        deadline has passed, with the assumption level back at 1.
+        """
+        tab = self.tables
+        self._assume(())
+        self.root = 2
+        try:
+            for pin in [var * 2 + 1 for var in tab.lex_vars] + [
+                self.pol_base + t * 2 for t in range(len(tab.triples))
+            ]:
+                if not self.holds(cur, pin):
+                    self.phase = cur
+                    self.best_snap = None
+                    self._push_frame()
+                    if self._assign(pin, ()) and self._flush():
+                        self._search(best)
+                    self.conflict = None
+                    self._backjump(1)
+                    if self.best_snap is None:
+                        pin ^= 1
+                    else:
+                        cur = self.best_snap
+                # cur satisfies the pin and every clause learned so far, so
+                # asserting it at level 1 cannot conflict
+                committed = self._assign(pin, ()) and self._flush()
+                assert committed
+        finally:
+            self.root = 1
+        return cur
+
     def _search(self, decision_bound: Optional[int]) -> None:
         conflicts = 0
         restart_budget = _RESTART_CONFLICTS
@@ -825,7 +881,7 @@ class Engine:
             else:
                 over = self.best_cost is not None and projected >= self.best_cost
             if over:
-                if len(self.frames) == 1:
+                if len(self.frames) == self.root:
                     return
                 threshold = (
                     self.best_cost if decision_bound is None else decision_bound + 1
@@ -839,7 +895,7 @@ class Engine:
                     if decision_bound is not None:
                         return
                     self.pool.append((self.best_cost, self.best_snap))
-                    if len(self.frames) == 1 or self.best_cost == self.floor:
+                    if len(self.frames) == self.root or self.best_cost == self.floor:
                         return
                     self.conflict = self._bound_conflict(self.best_cost)
                 else:
@@ -853,13 +909,13 @@ class Engine:
                     return
                 self.conflict = None
                 self._learn(*analyzed)
-            if conflicts >= restart_budget and len(self.frames) > 1:
+            if conflicts >= restart_budget and len(self.frames) > self.root:
                 # geometric restart to the assumption level, keeping
                 # clauses and activities; the growing budget guarantees
                 # termination
                 conflicts = 0
                 restart_budget *= 2
-                self._backjump(1)
+                self._backjump(self.root)
 
 
 # ---------------------------------------------------------------------------
@@ -878,29 +934,6 @@ def _joint_from_snap(engine: Engine, snap) -> JointAssignment:
         t: (INDEP if snap[base + 2 * i] else DEP) for i, t in enumerate(engine.tables.triples)
     }
     return JointAssignment(AncestralStructure(n, tuple(rows)), CiAssignment(truth))
-
-
-def _lex_witness(engine: Engine, best: int, cur) -> JointAssignment:
-    """The lexicographically smallest optimum, from the optimal snapshot
-    ``cur``: every reachability in row-major order, then every input
-    triple's polarity, is pinned to its smaller value (false, independent)
-    when an optimum under the pins so far allows it, else to the other. A
-    pin that ``cur`` already satisfies needs no search; otherwise a
-    bound-tight decision query decides it, and its completion, optimal
-    under every pin so far, becomes ``cur``."""
-    tab = engine.tables
-    pins: list[int] = []
-    for pin in [var * 2 + 1 for var in tab.lex_vars] + [
-        engine.pol_base + t * 2 for t in range(len(tab.triples))
-    ]:
-        if not engine.holds(cur, pin):
-            snap = engine.query(pins + [pin], best, cur)[1]
-            if snap is None:
-                pin ^= 1
-            else:
-                cur = snap
-        pins.append(pin)
-    return _joint_from_snap(engine, cur)
 
 
 def solve_min_loss(
@@ -923,7 +956,7 @@ def solve_min_loss(
     if not build_witness:
         return SolveResult(Weight.finite(best), None)
     try:
-        witness = _lex_witness(engine, best, snap)
+        witness = _joint_from_snap(engine, engine.witness(best, snap))
     except SolveTimeoutError:
         raise SolveTimeoutError(
             "witness reconstruction exceeded the time limit", Weight.finite(best)

@@ -1,6 +1,8 @@
 """Shared test oracles: random DAGs, a path-enumeration d-separation
-checker, and brute-force structure enumeration. Everything here is kept
-independent of the library's own algorithms so tests cross-validate."""
+checker, brute-force structure enumeration and the per-query lex witness.
+Everything here is kept independent of the library's own algorithms so
+tests cross-validate, except the witness loop, which is the engine's
+earlier algorithm kept as the reference for its incremental one."""
 
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from ancestral.core import (
     not_causes,
 )
 from ancestral.simulate import d_separated
+from ancestral.solver import _joint_from_snap
 
 
 def random_dag(n_nodes: int, edge_prob: float, rng: random.Random) -> np.ndarray:
@@ -161,3 +164,24 @@ def level0_contradictions() -> list[list[WeightedInput]]:
         soft + [causes(0, 1), causes(1, 2), not_causes(0, 2)],
         soft + [causes(2, 3), causes(3, 2)],
     ]
+
+
+def reference_lex_witness(engine, best, cur):
+    """The lex-smallest optimum of ``engine``'s pinless query, of cost
+    ``best`` with optimal snapshot ``cur``, by one :meth:`Engine.query` per
+    pin: a pin that ``cur`` satisfies is taken without search; each other
+    is decided by a bound-tight decision query that re-poses every pin so
+    far, and its completion becomes ``cur``."""
+    tab = engine.tables
+    pins: list[int] = []
+    for pin in [var * 2 + 1 for var in tab.lex_vars] + [
+        engine.pol_base + t * 2 for t in range(len(tab.triples))
+    ]:
+        if not engine.holds(cur, pin):
+            snap = engine.query(pins + [pin], best, cur)[1]
+            if snap is None:
+                pin ^= 1
+            else:
+                cur = snap
+        pins.append(pin)
+    return _joint_from_snap(engine, cur)

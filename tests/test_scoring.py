@@ -193,6 +193,9 @@ def test_all_pairs_insensitive_to_input_order():
 
 
 def test_share_bounds_is_bit_identical():
+    """The scores are the same with and without ``share_bounds``, and
+    without it the first confidence still solves the base minimum, which
+    sets the engine's floor that stops every later forced solve."""
     rng = random.Random(41)
     for _ in range(6):
         inputs = []
@@ -204,9 +207,14 @@ def test_share_bounds_is_bit_identical():
             inputs.append(
                 indep(x, y, cond, w) if rng.random() < 0.5 else dep(x, y, cond, w)
             )
-        assert score_all_pairs(inputs, 4, share_bounds=True) == score_all_pairs(
-            inputs, 4, share_bounds=False
-        )
+        shared = score_all_pairs(inputs, 4, share_bounds=True)
+        assert shared == score_all_pairs(inputs, 4, share_bounds=False)
+        scorer = PairScorer(inputs, 4)
+        first = scorer.confidence(feat(0, 1), share_bounds=False)
+        base = solve_min_loss(inputs, 4, build_witness=False).min_loss
+        assert scorer._engine.floor == base.millis
+        assert first == next(p.score for p in shared if (p.cause, p.effect) == (0, 1))
+        assert scorer.all_pairs(share_bounds=False) == shared
 
 
 def _scores_or_error(inputs, share_bounds=True):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -25,7 +26,6 @@ from ancestral.solver import (
     SolveOptions,
     SolveTimeoutError,
     _joint_from_snap,
-    _lex_witness,
     _Tables,
     _tables,
     brute_force_min_loss,
@@ -36,6 +36,7 @@ from helpers import (
     dag_oracle_inputs,
     level0_contradictions,
     random_dag,
+    reference_lex_witness,
     shared_triple_inputs,
 )
 
@@ -315,7 +316,7 @@ def test_level0_state_is_restored_after_queries():
             for x, y in rng.sample([(x, y) for x in range(n) for y in range(n) if x != y], 3)
         ]
         queries = [lambda pin=pin: engine.query([pin]) for pin in pins]
-        queries.append(lambda: _lex_witness(engine, best, snap))
+        queries.append(lambda: engine.witness(best, snap))
         for run in queries:
             run()
             engine._backjump(0)
@@ -416,6 +417,154 @@ def test_forced_queries_reuse_the_pool_exactly():
     assert from_pool > 0
 
 
+def test_forced_queries_stop_at_the_base_minimum():
+    """A forced query whose minimum is the base minimum stops at its first
+    completion of that cost, even when no pooled completion reaches it.
+    Each forced query that no pooled completion at the floor answers runs
+    on an engine fresh from the base query and on its twin whose floor is
+    unset: the answers are equal, and the twins' summed nodes are higher."""
+    rng = random.Random(97)
+    nodes = {True: 0, False: 0}
+    stopped = 0
+    for case in range(10):
+        n = 4 + case % 2
+        inputs = random_instance(rng, n, max_inputs=4 * n, anc_share=0.3)
+        base = Engine(inputs, n)
+        floor = base.query()[0]
+        if floor is None:
+            continue
+        for x, y in [(x, y) for x in range(n) for y in range(n) if x != y]:
+            for hold in (True, False):
+                pin = base.pin(AncStatement(x, y, Ancestry.CAUSES), hold)
+                if any(c == floor and base.holds(s, pin) for c, s in base.pool):
+                    continue
+                answers = set()
+                for keep_floor in (True, False):
+                    engine = Engine(inputs, n)
+                    engine.query()
+                    if not keep_floor:
+                        engine.floor = None
+                    before = engine.nodes
+                    answers.add(engine.query([pin])[0])
+                    nodes[keep_floor] += engine.nodes - before
+                assert len(answers) == 1
+                stopped += answers == {floor}
+    assert stopped > 0
+    assert nodes[True] < nodes[False]
+
+
+# -- lex witness -------------------------------------------------------------------
+
+def witness_cases(rng, count):
+    """Seeded instances at n = 4..6 that mix hard inputs, ancestral costs
+    and forced features, each with its options; at n = 4 an instance has
+    at most 16 inputs once its forced features count."""
+    for case in range(count):
+        n = 4 + case % 3
+        inputs = random_instance(rng, n, max_inputs=3 * n, anc_share=0.3)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        if case % 2:
+            x, y = rng.choice(pairs)
+            inputs.append((causes if rng.random() < 0.5 else not_causes)(x, y))
+        forced = ()
+        if case % 4 >= 2:
+            x, y = rng.choice(pairs)
+            forced = ((AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5),)
+        yield n, inputs, SolveOptions(forced_features=forced)
+
+
+def test_witness_matches_the_per_query_reference():
+    """The witness built on one trail is the one that re-posing every pin
+    through ``Engine.query`` builds, and at n = 4 brute force's. It leaves
+    the assumption level at 1: forced queries after it keep their exact
+    minima, and a witness after them, started from any pooled optimum,
+    is the same."""
+    rng = random.Random(83)
+    probed = other_starts = 0
+    for n, inputs, options in witness_cases(rng, 24):
+        engine = Engine(inputs, n, options)
+        best, snap = engine.query()
+        if best is None:
+            continue
+        twin = Engine(inputs, n, options)
+        want = reference_lex_witness(twin, *twin.query())
+        nodes = engine.nodes
+        got = _joint_from_snap(engine, engine.witness(best, snap))
+        probed += engine.nodes > nodes
+        assert engine.root == 1
+        assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
+        assert loss(got, inputs) == W(best)
+        if n == 4:
+            hard = [
+                (causes if hold else not_causes)(f.cause, f.effect)
+                for f, hold in options.forced_features
+            ]
+            slow = brute_force_min_loss(inputs + hard, n)
+            assert slow.min_loss == W(best)
+            assert (got.structure, got.ci.truth) == (slow.witness.structure, slow.witness.ci.truth)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for x, y in rng.sample(pairs, 3):
+            pin = engine.pin(AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5)
+            assert engine.query([pin])[0] == Engine(inputs, n, options).query([pin])[0]
+        # a start that is not the lex-smallest optimum makes probes succeed
+        for start in [s for c, s in engine.pool if c == best]:
+            begun = _joint_from_snap(engine, start)
+            other_starts += (begun.structure, begun.ci.truth) != (got.structure, got.ci.truth)
+            again = _joint_from_snap(engine, engine.witness(best, start))
+            assert (again.structure, again.ci.truth) == (got.structure, got.ci.truth)
+    assert probed > 0 and other_starts > 0
+
+
+class _Clock:
+    """A monotonic clock that advances one second at each reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_witness_timeout_leaves_a_usable_engine(monkeypatch):
+    """A time limit that runs out inside the witness raises
+    :class:`SolveTimeoutError` carrying the minimum, and puts the
+    assumption level back at 1: the engine's next query has the same
+    minimum, and its next witness is the untimed one."""
+    # with one clock reading per node, the limit counts readings: one at
+    # compile, one at the base query's start, then one per node
+    monkeypatch.setattr(solver, "_TIMEOUT_CHECK_INTERVAL", 1)
+    monkeypatch.setattr(solver, "time", _Clock())
+    rng = random.Random(89)
+    timed_out = 0
+    for n, inputs, options in witness_cases(rng, 24):
+        engine = Engine(inputs, n, options)
+        best, snap = engine.query()
+        if best is None:
+            continue
+        base_nodes = engine.nodes
+        want = _joint_from_snap(engine, engine.witness(best, snap))
+        probe_nodes = engine.nodes - base_nodes
+        if probe_nodes < 2:
+            continue
+        timed = dataclasses.replace(options, time_limit=1 + base_nodes + probe_nodes // 2)
+        with pytest.raises(SolveTimeoutError) as exc:
+            solve_min_loss(inputs, n, timed)
+        assert exc.value.best_bound == W(best)
+        engine = Engine(inputs, n, timed)
+        assert engine.query() == (best, snap)
+        with pytest.raises(SolveTimeoutError):
+            engine.witness(best, snap)
+        assert len(engine.frames) >= 2 and engine.root == 1
+        engine.deadline = None
+        best, snap = engine.query()
+        assert best == exc.value.best_bound.millis
+        got = _joint_from_snap(engine, engine.witness(best, snap))
+        assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
+        timed_out += 1
+    assert timed_out > 0
+
+
 class ScanCheckedEngine(Engine):
     """An engine whose every heap decision is checked against the linear
     scan it replaces: the unassigned decision variable of highest activity,
@@ -477,7 +626,7 @@ def test_decision_heap_matches_linear_scan(rescale, restart_conflicts, monkeypat
         engine = ScanCheckedEngine(inputs, n, SolveOptions(forced_features=forced))
         best, snap = engine.query()
         if best is not None:
-            _lex_witness(engine, best, snap)
+            engine.witness(best, snap)
         for x, y in rng.sample(pairs, 4):
             engine.query([engine.pin(AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5)])
         decisions += engine.decisions
