@@ -354,6 +354,7 @@ class Engine:
         self.learned: list[list[int]] = []
         self.watches: dict[int, list[int]] = {}
         self.units: list[int] = []
+        self.below_root: list = []
         self.act = [0.0] * (n2 + len(triples))
         self.act_inc = 1.0
         self.phase = None
@@ -713,9 +714,13 @@ class Engine:
         assumption level, and assert the learned clause's first token. The
         clause keeps its two watched tokens first, swapped in place as the
         watches move; a logical unit clause is kept and asserted with the
-        pins of every later query."""
+        pins of every later query. A clause asserted above its assertion
+        level is also kept in ``below_root`` until the next query, for
+        :meth:`witness` to assert it again at level 1."""
         self._bump(clause)
         self._backjump(max(self.root, assertion))
+        if assertion < self.root:
+            self.below_root.append(clause)
         if len(clause) >= 2:
             level = self.level
             clause[1:] = sorted(clause[1:], key=lambda tok: -level[tok >> 1])
@@ -816,6 +821,7 @@ class Engine:
         False when they contradict."""
         self._backjump(0)
         self._drop_local_clauses()
+        self.below_root.clear()
         self.conflict = None
         self.best_cost = self.best_snap = None
         if self.infeasible:
@@ -838,10 +844,13 @@ class Engine:
         far, becomes ``cur``, and then the pin, or its negation when there
         is none, is asserted at level 1. Every probe prunes at the
         threshold ``best + 1``, so the clauses one probe learns hold in the
-        next. A clause learned with assertion level 1 is asserted at level
-        2 and, once the probe backjumps, keeps one false watch: it prunes
-        less but stays sound. Raises :class:`SolveTimeoutError` once the
-        deadline has passed, with the assumption level back at 1.
+        next. A clause that a probe learns with assertion level 0 or 1 is
+        asserted at level 2, the floor of its backjump; once the probe
+        backjumps to level 1 it is unit there but unpropagated (a unit
+        clause has no watches, a longer one keeps one false watch), so it
+        is asserted again at level 1 after the probe. Raises
+        :class:`SolveTimeoutError` once the deadline has passed, with the
+        assumption level back at 1.
         """
         tab = self.tables
         self._assume(())
@@ -858,12 +867,15 @@ class Engine:
                         self._search(best)
                     self.conflict = None
                     self._backjump(1)
+                    for clause in self.below_root:
+                        self._assign(clause[0], type(clause)(tok ^ 1 for tok in clause[1:]))
+                    self.below_root.clear()
                     if self.best_snap is None:
                         pin ^= 1
                     else:
                         cur = self.best_snap
                 # cur satisfies the pin and every clause learned so far, so
-                # asserting it at level 1 cannot conflict
+                # asserting them at level 1 cannot conflict
                 committed = self._assign(pin, ()) and self._flush()
                 assert committed
         finally:

@@ -4,9 +4,15 @@ weighted input statements.
 Conditional independence is tested with partial correlations and the
 Fisher z transform; two-sided p-values become weights via
 ``round(1000 * |ln p - ln alpha|)``, dependent below the threshold and
-independent above it. Ancestral statements come from a two-sided Welch
-test comparing each variable's interventional sample to its observational
-one.
+independent above it. :func:`ci_inputs_from_data` computes one
+correlation matrix per dataset and reads every test's partial correlation
+off it with the first-order recursion (Anderson, *An Introduction to
+Multivariate Statistical Analysis*, section 2.5), memoised across the
+tests, so each order-k coefficient reuses the order-(k-1) ones that other
+tests already computed. The residual method of :func:`partial_correlation`
+(regress and correlate the residuals) is the independent reference it is
+tested against. Ancestral statements come from a two-sided Welch test
+comparing each variable's interventional sample to its observational one.
 """
 
 from __future__ import annotations
@@ -96,8 +102,9 @@ class CiTestConfig:
 def load_dataset(path) -> Dataset:
     """Parse a CSV dataset: a header of variable names, then float rows.
 
-    Lines starting with '#' are ignored. Columns of constants are rejected
-    so every downstream correlation is well defined.
+    Lines starting with '#' are ignored. Non-finite cells (``nan``,
+    ``inf``) and columns of constants are rejected so every downstream
+    correlation is well defined.
     """
     names: Optional[tuple[str, ...]] = None
     rows: list[list[float]] = []
@@ -120,9 +127,13 @@ def load_dataset(path) -> Dataset:
                     f"line {lineno}: expected {len(names)} values, found {len(cells)}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
+            for name, cell, value in zip(names, cells, row):
+                if not math.isfinite(value):
+                    raise ParseError(f"line {lineno}: column {name!r}: non-finite value {cell!r}")
+            rows.append(row)
     if names is None:
         raise ParseError("empty dataset: no header line")
     if len(rows) < 2:
@@ -152,7 +163,9 @@ def partial_correlation(
     ``cond``, unclamped. ``method`` is 'residuals' (regress both endpoints
     on the conditioning block plus intercept and correlate the residuals)
     or 'recursion' (first-order recursion over the correlation matrix);
-    the two agree to float precision on nondegenerate data."""
+    the two agree to float precision on nondegenerate data. The residual
+    method is the reference; :func:`ci_inputs_from_data` reads every test
+    of a dataset off one correlation matrix with the memoised recursion."""
     if x == y:
         raise ValueError("x and y must differ")
     if (cond >> x) & 1 or (cond >> y) & 1:
@@ -164,27 +177,58 @@ def partial_correlation(
         return _partial_corr_residuals(data.values, x, y, ks)
     if method == "recursion":
         cols = (x, y) + ks
-        corr = np.corrcoef(data.values[:, cols], rowvar=False)
-        return _partial_corr_recursion(corr, 0, 1, tuple(range(2, 2 + len(ks))), {})
+        corr = _correlation_matrix(data.values[:, cols])
+        r = _partial_corr_recursion(corr, 0, 1, tuple(range(2, 2 + len(ks))), {})
+        if not math.isfinite(r):
+            raise SingularError(_VANISHED)
+        return r
     raise ValueError(f"unknown method {method!r}")
 
 
-def _partial_corr_residuals(values: np.ndarray, x: int, y: int, ks: Sequence[int]) -> float:
-    n_rows = values.shape[0]
-    design = np.column_stack([np.ones(n_rows)] + [values[:, k] for k in ks])
+_COLLINEAR = "conditioning columns are collinear"
+_VANISHED = "residual variance vanished under conditioning"
+
+
+def _design(values: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """The conditioning block plus an intercept column; raises
+    :class:`SingularError` when its columns are collinear."""
+    design = np.column_stack([np.ones(values.shape[0])] + [values[:, k] for k in ks])
     if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise SingularError("conditioning columns are collinear")
+        raise SingularError(_COLLINEAR)
+    return design
+
+
+def _partial_corr_residuals(values: np.ndarray, x: int, y: int, ks: Sequence[int]) -> float:
+    design = _design(values, ks)
     bx, *_ = np.linalg.lstsq(design, values[:, x], rcond=None)
     by, *_ = np.linalg.lstsq(design, values[:, y], rcond=None)
     rx = values[:, x] - design @ bx
     ry = values[:, y] - design @ by
     denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
     if denom == 0.0 or not math.isfinite(denom):
-        raise SingularError("residual variance vanished under conditioning")
+        raise SingularError(_VANISHED)
     return float(rx @ ry) / denom
 
 
+def _correlation_matrix(values: np.ndarray) -> np.ndarray:
+    """Pearson correlations of the columns. Each entry is the covariance
+    over the square root of the product of the two variances, so columns
+    that are exact copies correlate exactly 1. A constant column, whose
+    centred values need not come out exactly zero, gets variance 0; it and
+    a non-finite column give non-finite entries, without a warning."""
+    cov = np.atleast_2d(np.cov(values, rowvar=False))
+    var = np.where(np.ptp(values, axis=0) == 0.0, 0.0, np.diag(cov))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return cov / np.sqrt(np.outer(var, var))
+
+
 def _partial_corr_recursion(corr, i: int, j: int, ks: tuple[int, ...], memo: dict) -> float:
+    """Partial correlation of i and j given ``ks`` (ascending) off the
+    correlation matrix: r_ij.K = (r_ij.R - r_iz.R r_jz.R) /
+    sqrt((1 - r_iz.R^2)(1 - r_jz.R^2)) with z the last member of K and R
+    the rest. Every coefficient of order 1 and up is kept in ``memo``. NaN
+    when a denominator is not positive, as when i or j is a linear function
+    of z given R, or when a coefficient it needs is NaN."""
     if not ks:
         return float(corr[i, j])
     key = (min(i, j), max(i, j), ks)
@@ -196,9 +240,7 @@ def _partial_corr_recursion(corr, i: int, j: int, ks: tuple[int, ...], memo: dic
     r_iz = _partial_corr_recursion(corr, i, z, rest, memo)
     r_jz = _partial_corr_recursion(corr, j, z, rest, memo)
     denom_sq = (1.0 - r_iz * r_iz) * (1.0 - r_jz * r_jz)
-    if denom_sq <= 0.0:
-        raise SingularError("conditioning correlation reached unity")
-    out = (r_ij - r_iz * r_jz) / math.sqrt(denom_sq)
+    out = (r_ij - r_iz * r_jz) / math.sqrt(denom_sq) if denom_sq > 0.0 else math.nan
     memo[key] = out
     return out
 
@@ -239,19 +281,39 @@ def ci_inputs_from_data(
 ) -> list[WeightedInput]:
     """One weighted statement per canonical triple up to the configured
     order. Triples whose test fails are skipped with a warning (and
-    recorded in ``skipped`` when given) rather than aborting the run."""
+    recorded in ``skipped`` when given) rather than aborting the run.
+
+    The correlation matrix is computed once, and every partial correlation
+    is read off it with :func:`_partial_corr_recursion` through one memo
+    shared by all tests. Each distinct conditioning set gets one rank
+    check of its columns plus an intercept, as the residual method makes
+    per test; a collinear set skips its tests, and so does a partial
+    correlation that is not finite (a constant column, or an endpoint that
+    its conditioning set determines)."""
     n = data.n_vars
     if data.n_samples <= config.max_order + 3:
         raise ShapeError("need more than max_order + 3 samples")
+    values = data.values
+    corr = _correlation_matrix(values)
+    memo: dict = {}
+    rank_errors = {
+        cond: _rank_error(values, condset_members(cond))
+        for cond in condsets_up_to(range(n), min(config.max_order, n - 2))
+    }
     out: list[WeightedInput] = []
     for x in range(n):
         for y in range(x + 1, n):
             others = [v for v in range(n) if v != x and v != y]
             for cond in condsets_up_to(others, config.max_order):
+                ks = condset_members(cond)
                 try:
-                    r = clamp_correlation(partial_correlation(data, x, y, cond))
-                    p = fisher_z_pvalue(r, data.n_samples, cond.bit_count())
-                except (SingularError, ValueError) as exc:
+                    if rank_errors[cond] is not None:
+                        raise rank_errors[cond]
+                    r = _partial_corr_recursion(corr, x, y, ks, memo)
+                    if not math.isfinite(r):
+                        raise SingularError(_VANISHED)
+                    p = fisher_z_pvalue(clamp_correlation(r), data.n_samples, len(ks))
+                except ValueError as exc:
                     if skipped is not None:
                         skipped.append((x, y, cond, str(exc)))
                     warnings.warn(
@@ -261,6 +323,16 @@ def ci_inputs_from_data(
                 polarity, weight = frequentist_weight(p, config.alpha, config.log_p_floor)
                 out.append(WeightedInput(canonicalize(x, y, cond, polarity), weight))
     return out
+
+
+def _rank_error(values: np.ndarray, ks: Sequence[int]) -> Optional[ValueError]:
+    """What the rank check of :func:`_design` raises for ``ks``, or None.
+    ``numpy.linalg.LinAlgError`` is a ValueError."""
+    try:
+        _design(values, ks)
+    except ValueError as exc:
+        return exc
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,30 @@ def test_cmd_test_rejects_bad_alpha(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_cmd_rejects_non_finite_cells(tmp_path, capsys, cell):
+    """A dataset cell that parses to a non-finite float stops ``test`` and
+    ``intervene`` with exit 2 and an error naming its line and column,
+    and neither writes a fact file."""
+    data_path = tmp_path / "d.csv"
+    write_sample_dataset(data_path, n=3, rows=6)
+    lines = data_path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = cell
+    lines[3] = ",".join(cells)
+    data_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "facts.txt"
+    runs = (
+        ["test", "--data", str(data_path), "--max-order", "1"],
+        ["intervene", "--obs", str(data_path), "--int", str(data_path), "--target", "X0"],
+    )
+    for args in runs:
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"line 4: column 'X1': non-finite value '{cell}'" in err
+        assert not out.exists()
+
+
 def test_cmd_intervene_identical_files(tmp_path):
     data_path = tmp_path / "d.csv"
     write_sample_dataset(data_path, n=4)

@@ -565,6 +565,64 @@ def test_witness_timeout_leaves_a_usable_engine(monkeypatch):
     assert timed_out > 0
 
 
+class UnitCheckedEngine(Engine):
+    """An engine that keeps every clause the probes of its current witness
+    learn and, each time the witness commits a pin at level 1, checks that
+    none of them is unit there and unpropagated: each has a true token or
+    two open ones."""
+
+    def __init__(self, *args):
+        self.probe_clauses = []
+        self.commits = self.clauses = 0
+        super().__init__(*args)
+
+    def witness(self, best, cur):
+        # the next query drops the local clauses of the last witness
+        self.probe_clauses = []
+        return super().witness(best, cur)
+
+    def _learn(self, clause, assertion):
+        if self.root == 2:
+            self.probe_clauses.append(clause)
+            self.clauses += 1
+        return super()._learn(clause, assertion)
+
+    def _flush(self):
+        ok = super()._flush()
+        if ok and self.root == 2 and len(self.frames) == 2:
+            self.commits += 1
+            value = self.value
+            for clause in self.probe_clauses:
+                open_toks = [tok for tok in clause if not value[tok ^ 1]]
+                assert any(value[tok] for tok in open_toks) or len(open_toks) > 1
+        return ok
+
+
+def test_witness_keeps_probe_clauses_propagated():
+    """A clause that a probe learns with assertion level 0 or 1 is asserted
+    at level 2; after the probe it must be asserted again at level 1, or
+    the later probes lose its pruning. The witness itself is unchanged."""
+    rng = random.Random(97)
+    dense = []
+    for case in range(24):
+        n = 4 + case % 3
+        dense.append((n, random_instance(rng, n, max_inputs=8 * n), SolveOptions()))
+    commits = clauses = 0
+    for n, inputs, options in [*witness_cases(rng, 24), *dense]:
+        engine = UnitCheckedEngine(inputs, n, options)
+        best, snap = engine.query()
+        if best is None:
+            continue
+        twin = Engine(inputs, n, options)
+        want = _joint_from_snap(twin, twin.witness(*twin.query()))
+        for start in [snap] + [s for c, s in engine.pool if c == best]:
+            got = _joint_from_snap(engine, engine.witness(best, start))
+            assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
+        commits += engine.commits
+        clauses += engine.clauses
+    assert commits > 0 and clauses > 0
+
+
 class ScanCheckedEngine(Engine):
     """An engine whose every heap decision is checked against the linear
     scan it replaces: the unassigned decision variable of highest activity,

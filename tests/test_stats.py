@@ -1,12 +1,14 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from ancestral.core import Polarity, Weight
+from ancestral.core import Polarity, Weight, canonicalize, condsets_up_to
+from ancestral.simulate import random_linear_model, sample_data
 from ancestral.stats import (
     CiTestConfig,
     Dataset,
@@ -243,6 +245,129 @@ def test_statement_weights_match_pipeline():
         polarity, w = frequentist_weight(p, 0.05)
         assert item.statement.polarity is polarity
         assert item.weight == w
+
+
+def test_statements_match_the_residual_chain():
+    """The kernel reads every test off one correlation matrix through the
+    shared recursion memo; each outcome must equal, statement for
+    statement and weight for weight, the per-test chain partial_correlation
+    (residuals) -> fisher_z_pvalue -> frequentist_weight."""
+    checked = 0
+    for n in (4, 5, 6):
+        for order in range(min(3, n - 2) + 1):
+            for n_samples in (30, 200, 2000):
+                for seed in (0, 1):
+                    scm = random_linear_model(n, 1, 0.4, seed=[seed, n, order])
+                    d = sample_data(scm, n_samples, seed=[seed, n, n_samples])
+                    cfg = CiTestConfig(alpha=(0.01, 0.05, 0.2)[seed + order % 2], max_order=order)
+                    expected = []
+                    for x in range(n):
+                        for y in range(x + 1, n):
+                            others = [v for v in range(n) if v not in (x, y)]
+                            for cond in condsets_up_to(others, order):
+                                r = clamp_correlation(partial_correlation(d, x, y, cond))
+                                p = fisher_z_pvalue(r, n_samples, cond.bit_count())
+                                polarity, w = frequentist_weight(p, cfg.alpha)
+                                expected.append((canonicalize(x, y, cond, polarity), w))
+                    got = ci_inputs_from_data(d, cfg)
+                    assert [(i.statement, i.weight) for i in got] == expected
+                    checked += len(expected)
+    assert checked > 4000
+
+
+def _test_triples(n, max_order):
+    for x in range(n):
+        for y in range(x + 1, n):
+            for cond in condsets_up_to([v for v in range(n) if v not in (x, y)], max_order):
+                yield x, y, cond
+
+
+def _run_with_skips(values, max_order):
+    """Statements, skipped entries and the warnings of one call."""
+    skipped = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inputs = ci_inputs_from_data(make_dataset(values), CiTestConfig(max_order=max_order), skipped)
+    for (x, y, cond, message), warning in zip(skipped, caught):
+        assert warning.category is UserWarning
+        assert str(warning.message) == f"skipping test ({x}, {y} | {cond:#x}): {message}"
+    assert len(caught) == len(skipped)
+    assert len(inputs) + len(skipped) == len(list(_test_triples(values.shape[1], max_order)))
+    return inputs, skipped
+
+
+COLLINEAR = "conditioning columns are collinear"
+VANISHED = "residual variance vanished under conditioning"
+
+
+@pytest.mark.parametrize("constant", [0.0, 3.7])
+def test_ci_skips_a_constant_column(constant):
+    """A constant column in a directly built Dataset: every test that
+    conditions on it is skipped as collinear, every other test with it as
+    an endpoint as vanished residual variance."""
+    values = np.random.default_rng(0).normal(size=(64, 4))
+    values[:, 2] = constant
+    _, skipped = _run_with_skips(values, 2)
+    assert skipped == [
+        (x, y, cond, COLLINEAR if cond >> 2 & 1 else VANISHED)
+        for x, y, cond in _test_triples(4, 2)
+        if cond >> 2 & 1 or 2 in (x, y)
+    ]
+
+
+def test_ci_skips_a_duplicated_column():
+    """Column 1 is an exact copy of column 0. Conditioning on both is
+    collinear; an endpoint given its copy has no residual variance; the
+    pair itself correlates fully, so its statements are dependent at the
+    floor weight."""
+    values = np.random.default_rng(1).normal(size=(64, 4))
+    values[:, 1] = values[:, 0]
+    inputs, skipped = _run_with_skips(values, 2)
+    assert skipped == [
+        (x, y, cond, COLLINEAR if cond & 0b11 == 0b11 else VANISHED)
+        for x, y, cond in _test_triples(4, 2)
+        if cond & 0b11 == 0b11 or (x in (0, 1) and cond >> (1 - x) & 1)
+    ]
+    pair = [i for i in inputs if (i.statement.x, i.statement.y) == (0, 1)]
+    assert [i.statement.cond for i in pair] == [0, 0b100, 0b1000, 0b1100]
+    floor = frequentist_weight(0.0, 0.05)
+    assert all((i.statement.polarity, i.weight) == floor for i in pair)
+
+
+def test_ci_skips_a_collinear_conditioning_pair():
+    """Column 3 is -2 times column 2: at order 2 the set {2, 3} is
+    collinear, and an endpoint given the other column of the pair has no
+    residual variance, whatever else is conditioned on."""
+    values = np.random.default_rng(2).normal(size=(64, 5))
+    values[:, 3] = -2.0 * values[:, 2]
+    _, skipped = _run_with_skips(values, 2)
+    assert (0, 1, 0b1100, COLLINEAR) in skipped
+    assert skipped == [
+        (x, y, cond, COLLINEAR if cond & 0b1100 == 0b1100 else VANISHED)
+        for x, y, cond in _test_triples(5, 2)
+        if cond & 0b1100 == 0b1100
+        or ({x, y} & {2, 3} and cond & 0b1100)
+    ]
+
+
+def test_ci_skips_tests_on_a_non_finite_column():
+    """A NaN cell in a directly built Dataset makes its column's
+    correlations NaN: every test with it as an endpoint is skipped as
+    vanished residual variance, every test conditioning on it by the rank
+    check, and no other test is touched."""
+    values = np.random.default_rng(3).normal(size=(64, 4))
+    values[5, 1] = np.nan
+    _, skipped = _run_with_skips(values, 1)
+    assert [s[:3] for s in skipped] == [
+        t for t in _test_triples(4, 1) if 1 in t[:2] or t[2] >> 1 & 1
+    ]
+    assert all(msg == VANISHED for x, y, cond, msg in skipped if not cond >> 1 & 1)
+
+
+def test_ci_one_column_gives_no_statements():
+    """A single variable forms no pair: no statement, skip or warning."""
+    inputs, skipped = _run_with_skips(np.random.default_rng(9).normal(size=(20, 1)), 1)
+    assert inputs == [] and skipped == []
 
 
 # -- two-sample tests --------------------------------------------------------------------
