@@ -35,7 +35,7 @@ from ancestral.factfile import (
     parse_fact_files,
     write_fact_file,
 )
-from ancestral.scoring import BothInfeasibleError, PairScorer
+from ancestral.scoring import BothInfeasibleError, PairScorer, Prediction, ranked
 from ancestral.simulate import random_linear_model, sample_data, true_ancestral_structure, write_scm
 from ancestral.solver import SolveOptions, SolveTimeoutError
 from ancestral.stats import (
@@ -111,14 +111,12 @@ def cmd_solve(args) -> int:
                 score = None
                 timed_out = True
             rows.append((x, y, score))
-    done = sorted(
-        (r for r in rows if r[2] is not None), key=lambda r: (-r[2], r[0], r[1])
-    )
+    done = ranked(Prediction(*r) for r in rows if r[2] is not None)
     pending = [r for r in rows if r[2] is None]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("cause,effect,score_milli\n")
-        for x, y, score in done:
-            fh.write(f"{names[x]},{names[y]},{format_score(score)}\n")
+        for p in done:
+            fh.write(f"{names[p.cause]},{names[p.effect]},{format_score(p.score)}\n")
         for x, y, _ in pending:
             fh.write(f"{names[x]},{names[y]},na\n")
     return 3 if timed_out else 0

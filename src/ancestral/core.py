@@ -68,10 +68,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def condset_size(bits: int) -> int:
-    return bits.bit_count()
-
-
 def condsets_up_to(items: Sequence[int], max_order: int) -> list[int]:
     """Bitmasks of every subset of ``items`` with at most ``max_order``
     members: by size, then ascending within a size."""
@@ -192,9 +188,6 @@ class AncStatement:
         if not (0 <= self.cause < MAX_VARS and 0 <= self.effect < MAX_VARS):
             raise ValueError("variable index out of range")
 
-    def negated(self) -> "AncStatement":
-        return AncStatement(self.cause, self.effect, self.polarity.flipped())
-
 
 Statement = Union[CiStatement, AncStatement]
 
@@ -266,10 +259,6 @@ class AncestralStructure:
 
     def reach(self, x: int, y: int) -> bool:
         return bool((self.rows[x] >> y) & 1)
-
-    def exists_causes(self, z: int, cond: int) -> bool:
-        """True iff z reaches some member of the conditioning set."""
-        return bool(self.rows[z] & cond)
 
     def matrix(self) -> list[list[bool]]:
         return [[self.reach(x, y) for y in range(self.n)] for x in range(self.n)]

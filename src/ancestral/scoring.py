@@ -54,12 +54,10 @@ class PairScorer:
     The unconstrained optimum is solved first. Its minimum bounds every
     forced solve from below, so a forced solve stops when it reaches it,
     and a side whose minimum is the base minimum needs no proof of
-    optimality. With ``share_bounds`` its witness is reused too: a forced
-    solve whose constraint the witness already satisfies must have the same
-    minimum, so it is skipped, and the other starts from the witness's
-    values. The scores are identical without it. Every forced solve starts
-    from the cheapest completion that an earlier solve of the engine
-    accepted and that satisfies its pin.
+    optimality. Every forced solve starts from the cheapest completion that
+    an earlier solve of the engine accepted and that satisfies its pin, is
+    answered by it without search when it costs the base minimum, and
+    follows the base optimum's values in its decisions.
 
     The time limit of the options is one budget for the scorer's whole
     life, compile included: every search shares the engine's deadline, and
@@ -86,20 +84,13 @@ class PairScorer:
         best = self._base_solve()[0]
         return Weight.hard() if best is None else Weight.finite(best)
 
-    def confidence(self, feature: AncStatement, share_bounds: bool = True) -> Union[int, float]:
+    def confidence(self, feature: AncStatement) -> Union[int, float]:
         engine = self._engine
-        pins = {hold: engine.pin(feature, hold) for hold in (True, False)}
-        loss = {}
-        base, snap = self._base_solve()
-        if not share_bounds:
-            snap = None
-        elif base is not None:
-            for hold, pin in pins.items():
-                if engine.holds(snap, pin):
-                    loss[hold] = base
-        for hold, pin in pins.items():
-            if hold not in loss:
-                loss[hold] = engine.query((pin,), phase=snap)[0]
+        snap = self._base_solve()[1]
+        loss = {
+            hold: engine.query((engine.pin(feature, hold),), phase=snap)[0]
+            for hold in (True, False)
+        }
         if loss[True] is None and loss[False] is None:
             raise BothInfeasibleError(
                 "both forced solves are infeasible; the hard inputs contradict"
@@ -110,16 +101,19 @@ class PairScorer:
             return -math.inf
         return loss[False] - loss[True]
 
-    def all_pairs(self, share_bounds: bool = True) -> list[Prediction]:
-        preds = []
-        for x in range(self.n):
-            for y in range(self.n):
-                if x == y:
-                    continue
-                feature = AncStatement(x, y, Ancestry.CAUSES)
-                preds.append(Prediction(x, y, self.confidence(feature, share_bounds)))
-        preds.sort(key=lambda p: (-p.score, p.cause, p.effect))
-        return preds
+    def all_pairs(self) -> list[Prediction]:
+        return ranked(
+            Prediction(x, y, self.confidence(AncStatement(x, y, Ancestry.CAUSES)))
+            for x in range(self.n)
+            for y in range(self.n)
+            if x != y
+        )
+
+
+def ranked(predictions: Iterable[Prediction]) -> list[Prediction]:
+    """The predictions sorted by score descending, ties broken by (cause,
+    effect)."""
+    return sorted(predictions, key=lambda p: (-p.score, p.cause, p.effect))
 
 
 def confidence(
@@ -140,8 +134,11 @@ def score_all_pairs(
     share_bounds: bool = True,
 ) -> list[Prediction]:
     """One prediction per ordered pair, sorted by score descending with
-    ties broken by (cause, effect)."""
-    return PairScorer(inputs, n, options).all_pairs(share_bounds)
+    ties broken by (cause, effect). ``share_bounds`` admits ``True`` only,
+    the one way of scoring."""
+    if share_bounds is not True:
+        raise ValueError(f"share_bounds admits True only, not {share_bounds!r}")
+    return PairScorer(inputs, n, options).all_pairs()
 
 
 def identifiability_oracle(

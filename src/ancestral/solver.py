@@ -51,7 +51,7 @@ completion they accept: its cost does not depend on the pins, so the
 cheapest pooled completion that satisfies a query's pins is a feasible
 incumbent for it, an upper bound on its minimum. Pins only remove
 completions, so the pinless query's minimum is a floor under every later
-one, and a query stops as soon as its incumbent reaches it.
+one, and a query stops once its incumbent reaches it, a pooled one included.
 
 Branching is VSIDS (Moskewicz et al. 2001): each decision takes the
 undecided variable of highest conflict activity, ties to the lowest index,
@@ -795,11 +795,17 @@ class Engine:
         A snapshot is the ``value`` bytes of the reachability and polarity
         tokens; ``phase`` is one whose values decisions follow. Without a
         bound, the query's first incumbent is the cheapest pooled one that
-        satisfies ``pins``, and it returns once its incumbent is ``floor``.
-        Raises :class:`SolveTimeoutError` once the deadline has passed.
+        satisfies ``pins``, and it returns once its incumbent is ``floor``:
+        before it backjumps, when the pooled one is. Raises
+        :class:`SolveTimeoutError` once the deadline has passed.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeoutError("search exceeded the time limit", None)
+        if decision_bound is None:
+            fits = [e for e in self.pool if all(self.holds(e[1], p) for p in pins)]
+            pooled = min(fits, default=(None, None))
+            if self.floor is not None and pooled[0] == self.floor:
+                return pooled
         self.phase = phase
         if self._assume(pins):
             if decision_bound is None:
@@ -807,10 +813,8 @@ class Engine:
                 # the caller's. Following the seeded or each new incumbent's
                 # values took (6,1) models 0-5 from 55k to 81-93k nodes and
                 # from 2.9 to 5.3-5.6 s of scoring on a 2-core x86-64 host.
-                fits = [e for e in self.pool if all(self.holds(e[1], p) for p in pins)]
-                self.best_cost, self.best_snap = min(fits, default=(None, None))
-            if self.floor is None or self.best_cost != self.floor:
-                self._search(decision_bound)
+                self.best_cost, self.best_snap = pooled
+            self._search(decision_bound)
             if decision_bound is None and not pins:
                 self.floor = self.best_cost
         return self.best_cost, self.best_snap

@@ -187,6 +187,10 @@ def partial_correlation(
 
 _COLLINEAR = "conditioning columns are collinear"
 _VANISHED = "residual variance vanished under conditioning"
+# A residual sum of squares at most this share of its column's centred sum
+# of squares is rounding noise: an endpoint that is an exact linear function
+# of the conditioning columns leaves ~1e-31 of it.
+_VANISHED_SHARE = 1e-20
 
 
 def _design(values: np.ndarray, ks: Sequence[int]) -> np.ndarray:
@@ -198,16 +202,24 @@ def _design(values: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     return design
 
 
+def _residuals(design: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The residuals of ``col`` regressed on ``design``; raises
+    :class:`SingularError` when they are rounding noise: their sum of
+    squares is at most ``_VANISHED_SHARE`` of the column's centred one, the
+    column is constant, or either is not finite."""
+    b, *_ = np.linalg.lstsq(design, col, rcond=None)
+    r = col - design @ b
+    centred = col - col.mean()
+    if np.ptp(col) == 0.0 or not float(r @ r) > _VANISHED_SHARE * float(centred @ centred):
+        raise SingularError(_VANISHED)
+    return r
+
+
 def _partial_corr_residuals(values: np.ndarray, x: int, y: int, ks: Sequence[int]) -> float:
     design = _design(values, ks)
-    bx, *_ = np.linalg.lstsq(design, values[:, x], rcond=None)
-    by, *_ = np.linalg.lstsq(design, values[:, y], rcond=None)
-    rx = values[:, x] - design @ bx
-    ry = values[:, y] - design @ by
-    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
-    if denom == 0.0 or not math.isfinite(denom):
-        raise SingularError(_VANISHED)
-    return float(rx @ ry) / denom
+    rx = _residuals(design, values[:, x])
+    ry = _residuals(design, values[:, y])
+    return float(rx @ ry) / math.sqrt(float(rx @ rx) * float(ry @ ry))
 
 
 def _correlation_matrix(values: np.ndarray) -> np.ndarray:

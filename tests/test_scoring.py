@@ -192,10 +192,10 @@ def test_all_pairs_insensitive_to_input_order():
         assert score_all_pairs(shuffled, 3) == baseline
 
 
-def test_share_bounds_is_bit_identical():
-    """The scores are the same with and without ``share_bounds``, and
-    without it the first confidence still solves the base minimum, which
-    sets the engine's floor that stops every later forced solve."""
+def test_first_confidence_sets_the_floor():
+    """The first confidence solves the base minimum, which sets the
+    engine's floor that stops every later forced solve, and every score is
+    the one ``score_all_pairs`` gives."""
     rng = random.Random(41)
     for _ in range(6):
         inputs = []
@@ -207,19 +207,26 @@ def test_share_bounds_is_bit_identical():
             inputs.append(
                 indep(x, y, cond, w) if rng.random() < 0.5 else dep(x, y, cond, w)
             )
-        shared = score_all_pairs(inputs, 4, share_bounds=True)
-        assert shared == score_all_pairs(inputs, 4, share_bounds=False)
+        shared = score_all_pairs(inputs, 4)
         scorer = PairScorer(inputs, 4)
-        first = scorer.confidence(feat(0, 1), share_bounds=False)
+        first = scorer.confidence(feat(0, 1))
         base = solve_min_loss(inputs, 4, build_witness=False).min_loss
         assert scorer._engine.floor == base.millis
         assert first == next(p.score for p in shared if (p.cause, p.effect) == (0, 1))
-        assert scorer.all_pairs(share_bounds=False) == shared
+        assert scorer.all_pairs() == shared
 
 
-def _scores_or_error(inputs, share_bounds=True):
+def test_score_all_pairs_rejects_unshared_bounds():
+    """``share_bounds`` admits True only: there is one way of scoring."""
+    inputs = [dep(0, 1, (), W(100))]
+    assert score_all_pairs(inputs, 2, share_bounds=True) == score_all_pairs(inputs, 2)
+    with pytest.raises(ValueError, match="share_bounds"):
+        score_all_pairs(inputs, 2, share_bounds=False)
+
+
+def _scores_or_error(inputs):
     try:
-        return score_all_pairs(inputs, 4, share_bounds=share_bounds)
+        return score_all_pairs(inputs, 4)
     except BothInfeasibleError:
         return BothInfeasibleError
 
@@ -236,7 +243,6 @@ def test_score_all_pairs_is_identical_in_any_call_order():
     _tables.cache_clear()
     for i in rng.sample(range(len(cases)), len(cases)):
         assert _scores_or_error(cases[i]) == first[i]
-        assert _scores_or_error(cases[i], share_bounds=False) == first[i]
 
 
 def test_base_min_loss_matches_solve_min_loss():

@@ -417,6 +417,37 @@ def test_forced_queries_reuse_the_pool_exactly():
     assert from_pool > 0
 
 
+def test_floor_answers_leave_the_search_state_alone():
+    """A forced query that a pooled completion at the base minimum answers
+    returns that completion before it backjumps: the trail, the frames,
+    the learned clauses and their watches are unchanged, and it adds no
+    search node."""
+    rng = random.Random(89)
+    answered = 0
+    for case in range(8):
+        n = 4 + case % 2
+        inputs = random_instance(rng, n, max_inputs=3 * n, anc_share=0.3)
+        engine = Engine(inputs, n)
+        floor = engine.query()[0]
+        if floor is None:
+            continue
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        forced = [(x, y, hold) for x, y in pairs for hold in (True, False)]
+        rng.shuffle(forced)
+        for x, y, hold in forced:
+            pin = engine.pin(AncStatement(x, y, Ancestry.CAUSES), hold)
+            pooled = [s for c, s in engine.pool if c == floor and engine.holds(s, pin)]
+            state = copy.deepcopy((engine.trail, engine.frames, engine.learned, engine.watches))
+            nodes = engine.nodes
+            best, snap = engine.query([pin])
+            if pooled:
+                assert (best, snap) == (floor, min(pooled))
+                assert (engine.trail, engine.frames, engine.learned, engine.watches) == state
+                assert engine.nodes == nodes
+                answered += 1
+    assert answered > 0
+
+
 def test_forced_queries_stop_at_the_base_minimum():
     """A forced query whose minimum is the base minimum stops at its first
     completion of that cost, even when no pooled completion reaches it.

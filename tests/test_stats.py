@@ -134,6 +134,25 @@ def test_collinear_conditioning_is_singular():
         partial_correlation(d, 0, 1, 0b1100)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_residuals_of_a_determined_endpoint_vanish(seed):
+    """Column 1 is a copy of the +-1 column 0, so given column 1 the
+    residuals of column 0 are rounding noise: both methods raise instead of
+    correlating the noise, and a constant endpoint raises too."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(64, 4))
+    values[:, 0] = rng.choice([-1.0, 1.0], size=64)
+    values[:, 1] = values[:, 0]
+    d = make_dataset(values)
+    for method in ("residuals", "recursion"):
+        with pytest.raises(SingularError, match="vanished"):
+            partial_correlation(d, 0, 2, 0b10, method=method)
+    assert abs(partial_correlation(d, 0, 2, 0)) < 0.5
+    values[:, 3] = 3.7
+    with pytest.raises(SingularError, match="vanished"):
+        partial_correlation(make_dataset(values), 3, 2, 0)
+
+
 def test_independent_columns_have_small_correlation():
     rng = np.random.default_rng(5)
     d = make_dataset(rng.normal(size=(10000, 2)))
