@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ancestral.core import AncStatement, Ancestry
 from ancestral.evaluation import (
     BenchConfig,
     PrTask,
@@ -35,7 +34,7 @@ from ancestral.factfile import (
     parse_fact_files,
     write_fact_file,
 )
-from ancestral.scoring import BothInfeasibleError, PairScorer, Prediction, ranked
+from ancestral.scoring import BothInfeasibleError, PairScorer, Prediction, pair_features, ranked
 from ancestral.simulate import random_linear_model, sample_data, true_ancestral_structure, write_scm
 from ancestral.solver import SolveOptions, SolveTimeoutError
 from ancestral.stats import (
@@ -101,16 +100,13 @@ def cmd_solve(args) -> int:
     scorer = PairScorer(inputs, n, options)
     rows = []
     timed_out = False
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            try:
-                score = scorer.confidence(AncStatement(x, y, Ancestry.CAUSES))
-            except SolveTimeoutError:
-                score = None
-                timed_out = True
-            rows.append((x, y, score))
+    for feature in pair_features(n):
+        try:
+            score = scorer.confidence(feature)
+        except SolveTimeoutError:
+            score = None
+            timed_out = True
+        rows.append((feature.cause, feature.effect, score))
     done = ranked(Prediction(*r) for r in rows if r[2] is not None)
     pending = [r for r in rows if r[2] is None]
     with open(args.out, "w", encoding="utf-8") as fh:

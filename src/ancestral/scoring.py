@@ -103,11 +103,14 @@ class PairScorer:
 
     def all_pairs(self) -> list[Prediction]:
         return ranked(
-            Prediction(x, y, self.confidence(AncStatement(x, y, Ancestry.CAUSES)))
-            for x in range(self.n)
-            for y in range(self.n)
-            if x != y
+            Prediction(f.cause, f.effect, self.confidence(f)) for f in pair_features(self.n)
         )
+
+
+def pair_features(n: int) -> list[AncStatement]:
+    """The features scored for n variables: ``x`` causes ``y`` for every
+    ordered pair x != y, in row-major order."""
+    return [AncStatement(x, y, Ancestry.CAUSES) for x in range(n) for y in range(n) if x != y]
 
 
 def ranked(predictions: Iterable[Prediction]) -> list[Prediction]:

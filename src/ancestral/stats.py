@@ -13,6 +13,11 @@ tests already computed. The residual method of :func:`partial_correlation`
 (regress and correlate the residuals) is the independent reference it is
 tested against. Ancestral statements come from a two-sided Welch test
 comparing each variable's interventional sample to its observational one.
+Its p-value is the two-sided Student-t tail, the regularized incomplete
+beta function ``I_x(dof/2, 1/2)`` with ``x = dof/(dof + t^2)``, evaluated by
+its continued fraction with the modified Lentz method (Press et al.,
+*Numerical Recipes*, 3rd ed., section 6.4) and a prefactor whose large
+terms cancel analytically (DiDonato & Morris, ACM TOMS 18(3), 1992).
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from ancestral.core import (
     Polarity,
@@ -368,7 +372,99 @@ def welch_t_test(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     dof = (sa + sb) ** 2 / (
         (sa * sa / (a.size - 1)) + (sb * sb / (b.size - 1))
     )
-    return 2.0 * float(stdtr(dof, -abs(t)))
+    return _t_two_sided_tail(dof, t)
+
+
+def _t_two_sided_tail(dof: float, t: float) -> float:
+    """P(|T| >= |t|) for Student's t with ``dof`` degrees of freedom, which
+    is I_x(a, 1/2) with a = dof/2 and x = dof/(dof + t^2). From x = (a+1)/(a
+    + 5/2) on, where the continued fraction stops converging fast, it uses
+    I_x(a, b) = 1 - I_{1-x}(b, a), with 1 - x = t^2/(dof + t^2) computed
+    directly. Exactly 1.0 at t = 0; NaN for a NaN t or a dof that is not
+    positive and finite.
+
+    The relative error against 40-digit references is below 3e-13 up to
+    dof 5000. Beyond, it grows about as dof * 1e-16 just below the switch
+    (6e-10 at dof 1e7), where the fraction's first terms cancel."""
+    if math.isnan(t) or not 0.0 < dof < math.inf:
+        return math.nan
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    a = 0.5 * dof
+    if t2 == math.inf:
+        # |t| > 1.3e154: x is below 1e-308 dof, so 1 - x is 1 in doubles
+        log_x, x, y = math.log(dof) - 2.0 * math.log(abs(t)), 0.0, 1.0
+    else:
+        log_x, x, y = -math.log1p(t2 / dof), dof / (dof + t2), t2 / (dof + t2)
+    front = math.exp(a * log_x + 0.5 * math.log(y) - _log_beta_half(a))
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_fraction(a, 0.5, x) / a
+    return 1.0 - 2.0 * front * _beta_fraction(0.5, a, y)
+
+
+# Stirling's series of ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi)/2):
+# B_2k / (2k (2k - 1)) z^(1 - 2k) for k = 1..5; the next term is below
+# 2e-14 from z = 10 on.
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+
+
+def _stirling_remainder(z: float) -> float:
+    w = 1.0 / (z * z)
+    out = 0.0
+    for coeff in reversed(_STIRLING):
+        out = out * w + coeff
+    return out / z
+
+
+def _log_beta_half(a: float) -> float:
+    """ln B(a, 1/2). Below a = 10 from ``math.lgamma``; above it from
+    Stirling's series with the a ln a terms of ln Gamma(a) and ln Gamma(a
+    + 1/2) cancelled by hand, as rounding ln Gamma(a) alone would cost the
+    tail ~a * 1e-16 of relative accuracy (7.8e-12 at dof 2000)."""
+    if a < 10.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    return (
+        0.5 * math.log(math.pi / a)
+        + 0.5
+        - a * math.log1p(0.5 / a)
+        + _stirling_remainder(a)
+        - _stirling_remainder(a + 0.5)
+    )
+
+
+_FRACTION_EPS = 1e-15
+_FRACTION_TINY = 1e-300
+_FRACTION_MAX_TERMS = 1000
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) / (x^a (1-x)^b / (a B(a, b))),
+    by the modified Lentz method. It converges fast for x < (a+1)/(a+b+2):
+    the t tails take at most 78 terms on a fine grid of dof up to 1e9."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    if abs(d) < _FRACTION_TINY:
+        d = _FRACTION_TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _FRACTION_MAX_TERMS):
+        am = a + 2 * m
+        for step in (
+            m * (b - m) * x / ((am - 1.0) * am),
+            -(a + m) * (a + b + m) * x / (am * (am + 1.0)),
+        ):
+            d = 1.0 + step * d
+            if abs(d) < _FRACTION_TINY:
+                d = _FRACTION_TINY
+            d = 1.0 / d
+            c = 1.0 + step / c
+            if abs(c) < _FRACTION_TINY:
+                c = _FRACTION_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _FRACTION_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
 
 
 def ancestral_inputs_from_intervention(

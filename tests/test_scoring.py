@@ -23,6 +23,7 @@ from ancestral.scoring import (
     PairScorer,
     confidence,
     identifiability_oracle,
+    pair_features,
     score_all_pairs,
 )
 from ancestral import solver
@@ -155,6 +156,14 @@ def test_monotone_evidence():
 
 
 # -- score_all_pairs --------------------------------------------------------------
+
+def test_pair_features_row_major():
+    assert [(f.cause, f.effect) for f in pair_features(3)] == [
+        (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)
+    ]
+    assert {f.polarity for f in pair_features(3)} == {Ancestry.CAUSES}
+    assert pair_features(1) == []
+
 
 def test_all_pairs_with_no_inputs():
     preds = score_all_pairs([], 3)

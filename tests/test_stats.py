@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import stdtr
 from hypothesis import given, settings, strategies as st
 
 from ancestral.core import Polarity, Weight, canonicalize, condsets_up_to
@@ -27,6 +32,7 @@ from ancestral.stats import (
     welch_t_test,
     write_dataset,
     _partial_corr_recursion,
+    _t_two_sided_tail,
 )
 
 
@@ -425,6 +431,85 @@ def test_welch_guards():
         welch_t_test(np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         welch_t_test(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+
+
+# -- the Student-t tail of the Welch test ---------------------------------------------------
+
+def test_t_tail_closed_forms():
+    """dof 1 is the Cauchy tail and dof 2 has an algebraic one."""
+    for t in (1e-8, 1e-3, 0.1, 0.5, 1.0, 1.96, 3.0, 5.0, 20.0, 100.0):
+        for sign in (1.0, -1.0):
+            assert _t_two_sided_tail(1.0, sign * t) == pytest.approx(
+                1.0 - 2.0 / math.pi * math.atan(t), rel=1e-12
+            )
+            assert _t_two_sided_tail(2.0, sign * t) == pytest.approx(
+                1.0 - t / math.sqrt(2.0 + t * t), rel=1e-12
+            )
+
+
+def test_t_tail_is_exactly_one_at_zero():
+    for dof in (0.5, 1.0, 2.7, 10.0, 998.0, 1e6):
+        assert _t_two_sided_tail(dof, 0.0) == 1.0
+        assert _t_two_sided_tail(dof, -0.0) == 1.0
+
+
+def test_t_tail_decreases_in_abs_t():
+    ts = [float(t) for t in np.geomspace(1e-6, 60.0, 400)]
+    for dof in (1.0, 1.5, 2.7, 10.0, 99.5, 998.0, 5000.0):
+        tails = [_t_two_sided_tail(dof, t) for t in ts]
+        assert all(0.0 <= q <= 1.0 for q in tails)
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        assert all(a > b for a, b in zip(tails, tails[1:]) if b > 1e-300)
+
+
+def test_t_tail_extreme_and_invalid_arguments():
+    assert _t_two_sided_tail(3.0, math.inf) == 0.0
+    # t * t overflows; the dof 1 tail is 2 / (pi |t|)
+    assert _t_two_sided_tail(1.0, 1e200) == pytest.approx(2.0 / math.pi * 1e-200, rel=1e-12)
+    for dof, t in ((3.0, math.nan), (math.nan, 1.0), (0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0)):
+        assert math.isnan(_t_two_sided_tail(dof, t))
+
+
+def test_t_tail_agrees_with_stdtr():
+    """scipy's tail is the reference, except at dof 1 and |t| = 1e-8, where
+    stdtr itself misses the Cauchy closed form by 3.1e-9 relative; the
+    closed-form test covers that point."""
+    for dof in (1.0, 1.5, 2.7, 10.0, 99.5, 998.0, 5000.0):
+        for t in (1e-8, 0.5, 1.96, 5.0, 20.0, 40.0):
+            want = 2.0 * float(stdtr(dof, -t))
+            if want > 1e-300 and (dof, t) != (1.0, 1e-8):
+                assert _t_two_sided_tail(dof, t) == pytest.approx(want, rel=1e-10)
+                assert _t_two_sided_tail(dof, -t) == pytest.approx(want, rel=1e-10)
+
+
+def test_t_tail_weights_match_stdtr():
+    """Polarity and milli weight agree with the scipy tail on seeded draws,
+    among them tails below exp(log_p_floor), where the floor clamps both."""
+    rng = random.Random(15)
+    clamped = 0
+    for _ in range(20000):
+        dof = math.exp(rng.uniform(0.0, math.log(5000.0)))
+        t = math.exp(rng.uniform(math.log(1e-4), math.log(200.0)))
+        want = 2.0 * float(stdtr(dof, -t))
+        clamped += want < math.exp(-700.0)
+        for alpha in (0.01, 0.05):
+            assert frequentist_weight(_t_two_sided_tail(dof, t), alpha) == frequentist_weight(
+                want, alpha
+            ), (dof, t, alpha)
+    assert clamped > 100
+
+
+def test_package_imports_no_scipy():
+    """scipy is a test dependency only: importing the package pulls none of it in."""
+    code = (
+        "import sys\n"
+        "import ancestral, ancestral.cli, ancestral.stats, ancestral.simulate, ancestral.evaluation\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # -- intervention statements ----------------------------------------------------------------
