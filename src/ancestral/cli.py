@@ -18,47 +18,26 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ancestral.evaluation import (
-    BenchConfig,
-    PrTask,
-    format_reference_comparison,
-    format_score,
-    pooled_pr_curve,
-    run_benchmark,
-    write_bench_csv,
-    write_pr_csv,
-)
 from ancestral.factfile import (
     FactFileError,
     parse_fact_file,
     parse_fact_files,
     write_fact_file,
 )
-from ancestral.scoring import BothInfeasibleError, PairScorer, Prediction, pair_features, ranked
-from ancestral.simulate import random_linear_model, sample_data, true_ancestral_structure, write_scm
+from ancestral.scoring import (
+    BothInfeasibleError,
+    PairScorer,
+    Prediction,
+    format_score,
+    pair_features,
+    ranked,
+)
 from ancestral.solver import SolveOptions, SolveTimeoutError
-from ancestral.stats import (
-    CiTestConfig,
-    DatasetMismatchError,
-    DegenerateColumnError,
-    ParseError,
-    ShapeError,
-    ancestral_inputs_from_intervention,
-    ci_inputs_from_data,
-    load_dataset,
-    write_dataset,
-)
 
-_USAGE_ERRORS = (
-    FactFileError,
-    ParseError,
-    ShapeError,
-    DegenerateColumnError,
-    DatasetMismatchError,
-    KeyError,
-    ValueError,
-    OSError,
-)
+# The data commands import numpy through ``stats``, ``simulate`` and
+# ``evaluation``; ``solve`` needs none of them, so each command imports
+# them itself. Their errors are ValueErrors.
+_USAGE_ERRORS = (FactFileError, KeyError, ValueError, OSError)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -67,6 +46,8 @@ def _check_alpha(alpha: float) -> None:
 
 
 def cmd_test(args) -> int:
+    from ancestral.stats import CiTestConfig, ci_inputs_from_data, load_dataset
+
     _check_alpha(args.alpha)
     data = load_dataset(args.data)
     config = CiTestConfig(alpha=args.alpha, max_order=args.max_order)
@@ -76,6 +57,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_intervene(args) -> int:
+    from ancestral.stats import CiTestConfig, ancestral_inputs_from_intervention, load_dataset
+
     _check_alpha(args.alpha)
     obs = load_dataset(args.obs)
     interv = load_dataset(args.interv)
@@ -119,6 +102,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from ancestral.simulate import (
+        random_linear_model,
+        sample_data,
+        true_ancestral_structure,
+        write_scm,
+    )
+    from ancestral.stats import write_dataset
+
     if args.models < 1:
         raise ValueError("models must be positive")
     out_dir = Path(args.out_dir)
@@ -140,6 +131,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from ancestral.evaluation import (
+        BenchConfig,
+        PrTask,
+        format_reference_comparison,
+        pooled_pr_curve,
+        run_benchmark,
+        write_bench_csv,
+        write_pr_csv,
+    )
+
     config = BenchConfig(
         n_obs=args.n,
         models=args.models,

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
 from ancestral.core import AncestralStructure
-from ancestral.scoring import Prediction, score_all_pairs
+from ancestral.scoring import Prediction, format_score, score_all_pairs
 from ancestral.simulate import (
     oracle_inputs,
     random_linear_model,
@@ -201,14 +201,6 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
             )
         )
     return BenchmarkReport(config, tuple(records))
-
-
-def format_score(score: Union[int, float]) -> str:
-    if score == float("inf"):
-        return "inf"
-    if score == float("-inf"):
-        return "-inf"
-    return str(int(score))
 
 
 def write_pr_csv(points: Sequence[PrPoint], path) -> None:

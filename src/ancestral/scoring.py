@@ -57,7 +57,11 @@ class PairScorer:
     optimality. Every forced solve starts from the cheapest completion that
     an earlier solve of the engine accepted and that satisfies its pin, is
     answered by it without search when it costs the base minimum, and
-    follows the base optimum's values in its decisions.
+    follows the base optimum's values in its decisions. A forced solve
+    that no such completion serves starts under a guessed cost threshold,
+    the base minimum plus twice the largest gap above it that an earlier
+    forced minimum showed, and is posed again without one when its
+    minimum lies above the guess.
 
     The time limit of the options is one budget for the scorer's whole
     life, compile included: every search shares the engine's deadline, and
@@ -105,6 +109,16 @@ class PairScorer:
         return ranked(
             Prediction(f.cause, f.effect, self.confidence(f)) for f in pair_features(self.n)
         )
+
+
+def format_score(score: Union[int, float]) -> str:
+    """A score as the CSV writers print it: milli units, or ``inf`` and
+    ``-inf``."""
+    if score == math.inf:
+        return "inf"
+    if score == -math.inf:
+        return "-inf"
+    return str(int(score))
 
 
 def pair_features(n: int) -> list[AncStatement]:

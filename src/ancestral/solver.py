@@ -52,6 +52,14 @@ cheapest pooled completion that satisfies a query's pins is a feasible
 incumbent for it, an upper bound on its minimum. Pins only remove
 completions, so the pinless query's minimum is a floor under every later
 one, and a query stops once its incumbent reaches it, a pooled one included.
+A pinned query that no pooled completion satisfies starts instead under a
+guessed threshold, as in progression-based MaxSAT (Ignatiev et al. 2014):
+a virtual incumbent of cost ``floor + 2 * excess + 1`` and no completion,
+where ``excess`` is the largest gap between a finished pinned minimum and
+the floor. Thresholds only fall, so a completion found under the guess
+continues the same search. When the search exhausts, the minimum is at
+least the guess, which becomes the query's lower bound ``lo`` in place of
+the floor, and the query is posed again without a threshold.
 
 Branching is VSIDS (Moskewicz et al. 2001): each decision takes the
 undecided variable of highest conflict activity, ties to the lowest index,
@@ -288,7 +296,9 @@ class Engine:
     hold one entry per variable; ``trail`` is the one undo log of assigned
     tokens, and the lower bound reads its cost-bearing tokens off it.
     ``pool`` holds the ``(cost, snapshot)`` of every completion that an
-    optimization query accepted, and ``floor`` the pinless query's minimum.
+    optimization query accepted, ``floor`` the pinless query's minimum, and
+    ``excess`` the largest ``minimum - floor`` of the pinned optimization
+    queries finished so far; while it is 0, no query guesses a threshold.
 
     Decision heap: ``heap`` holds ``(-activity, var)`` entries of the
     variables that ``decidable`` marks (``order``, less those level 0
@@ -362,6 +372,7 @@ class Engine:
         self.best_snap = None
         self.pool: list[tuple[int, bytes]] = []
         self.floor: Optional[int] = None
+        self.excess = 0
         self.root = 1
         self.infeasible = not (self._assert_hard_inputs() and self._flush())
         # level 0 never changes, so a variable it assigns is never decided
@@ -757,7 +768,7 @@ class Engine:
         self.nodes += 1
         if self.deadline is not None and self.nodes % _TIMEOUT_CHECK_INTERVAL == 0:
             if time.monotonic() > self.deadline:
-                bound = None if self.best_cost is None else Weight.finite(self.best_cost)
+                bound = None if self.best_snap is None else Weight.finite(self.best_cost)
                 raise SolveTimeoutError("search exceeded the time limit", bound)
 
     def _next_decision(self) -> Optional[int]:
@@ -796,8 +807,10 @@ class Engine:
         tokens; ``phase`` is one whose values decisions follow. Without a
         bound, the query's first incumbent is the cheapest pooled one that
         satisfies ``pins``, and it returns once its incumbent is ``floor``:
-        before it backjumps, when the pooled one is. Raises
-        :class:`SolveTimeoutError` once the deadline has passed.
+        before it backjumps, when the pooled one is. With pins and no such
+        completion, the first incumbent is the guess (module docstring).
+        Raises :class:`SolveTimeoutError` once the deadline has passed; its
+        bound is the cost of a completion found, never the guess.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeoutError("search exceeded the time limit", None)
@@ -807,6 +820,7 @@ class Engine:
             if self.floor is not None and pooled[0] == self.floor:
                 return pooled
         self.phase = phase
+        guess = None
         if self._assume(pins):
             if decision_bound is None:
                 # The pooled incumbent seeds the bound only; the phase stays
@@ -814,9 +828,16 @@ class Engine:
                 # values took (6,1) models 0-5 from 55k to 81-93k nodes and
                 # from 2.9 to 5.3-5.6 s of scoring on a 2-core x86-64 host.
                 self.best_cost, self.best_snap = pooled
-            self._search(decision_bound)
-            if decision_bound is None and not pins:
-                self.floor = self.best_cost
+                if pins and pooled[0] is None and self.excess:
+                    guess = self.best_cost = self.floor + 2 * self.excess + 1
+            self._search(decision_bound, self.floor)
+            if guess is not None and self.best_snap is None and self._assume(pins):
+                self._search(None, guess)
+            if decision_bound is None:
+                if not pins:
+                    self.floor = self.best_cost
+                elif self.best_cost is not None and self.floor is not None:
+                    self.excess = max(self.excess, self.best_cost - self.floor)
         return self.best_cost, self.best_snap
 
     def _assume(self, pins: Sequence[int]) -> bool:
@@ -868,7 +889,7 @@ class Engine:
                     self.best_snap = None
                     self._push_frame()
                     if self._assign(pin, ()) and self._flush():
-                        self._search(best)
+                        self._search(best, None)
                     self.conflict = None
                     self._backjump(1)
                     for clause in self.below_root:
@@ -886,7 +907,7 @@ class Engine:
             self.root = 1
         return cur
 
-    def _search(self, decision_bound: Optional[int]) -> None:
+    def _search(self, decision_bound: Optional[int], lo: Optional[int]) -> None:
         conflicts = 0
         restart_budget = _RESTART_CONFLICTS
         while True:
@@ -911,7 +932,7 @@ class Engine:
                     if decision_bound is not None:
                         return
                     self.pool.append((self.best_cost, self.best_snap))
-                    if len(self.frames) == self.root or self.best_cost == self.floor:
+                    if len(self.frames) == self.root or self.best_cost == lo:
                         return
                     self.conflict = self._bound_conflict(self.best_cost)
                 else:

@@ -1,8 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +31,7 @@ from ancestral.factfile import (
     write_fact_file,
 )
 from ancestral.simulate import random_linear_model, sample_data
-from ancestral.stats import CiTestConfig, ci_inputs_from_data, write_dataset
+from ancestral.stats import CiTestConfig, Dataset, ci_inputs_from_data, write_dataset
 
 W = Weight.finite
 
@@ -295,6 +299,48 @@ def test_cmd_intervene_unknown_target(tmp_path, capsys):
         ]
     )
     assert rc == 2
+
+
+def test_cmd_intervene_at_extreme_scales(tmp_path, capsys):
+    """Samples scaled by 1e-100, whose squared variances of the mean
+    underflow, give the statements of the unscaled samples. Scaled by
+    1e200, their variances overflow: the run exits 2 with a message and
+    writes no file."""
+    rng = np.random.default_rng(21)
+    obs, interv = rng.normal(size=(50, 3)), rng.normal(0.5, 1, size=(50, 3))
+    outs = {}
+    for scale in (1.0, 1e-100, 1e200):
+        paths = []
+        for name, values in (("obs", obs), ("int", interv)):
+            paths.append(tmp_path / f"{name}-{scale}.csv")
+            write_dataset(Dataset(("X0", "X1", "X2"), values * scale), paths[-1])
+        out = outs[scale] = tmp_path / f"anc-{scale}.facts"
+        args = ["intervene", "--obs", str(paths[0]), "--int", str(paths[1]), "--target", "X0"]
+        rc = main(args + ["--out", str(out)])
+        if scale == 1e200:
+            assert rc == 2
+            assert "degrees of freedom are not finite" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert rc == 0
+    assert outs[1e-100].read_text() == outs[1.0].read_text()
+
+
+def test_cmd_solve_imports_no_numpy(tmp_path):
+    """``solve`` needs no numpy: in a fresh interpreter, scoring a fact
+    file through the CLI leaves it unimported."""
+    facts = tmp_path / "f.facts"
+    facts.write_text("vars A B C\ncauses A B : 3000\nindep A C | B : 500\n")
+    code = (
+        "import sys\n"
+        "from ancestral import cli\n"
+        f"rc = cli.main(['solve', '--facts', {str(facts)!r}, '--out', {str(tmp_path / 's.csv')!r}])\n"
+        "print(rc, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_cmd_solve_scores_csv(tmp_path):

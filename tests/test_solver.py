@@ -484,6 +484,150 @@ def test_forced_queries_stop_at_the_base_minimum():
     assert nodes[True] < nodes[False]
 
 
+# -- guessed thresholds ------------------------------------------------------------
+
+class GuessTrackingEngine(Engine):
+    """An engine that records, for each search that starts under a guessed
+    threshold (an incumbent cost without a completion), whether it found a
+    completion under the guess and how many nodes it took."""
+
+    def __init__(self, *args):
+        self.guesses = []
+        super().__init__(*args)
+
+    def _search(self, decision_bound, lo):
+        guessed = decision_bound is None and self.best_snap is None and self.best_cost is not None
+        nodes = self.nodes
+        super()._search(decision_bound, lo)
+        if guessed:
+            self.guesses.append((self.best_snap is not None, self.nodes - nodes))
+
+
+def assert_forced_minimum(engine, inputs, n, forced, best, snap):
+    """``(best, snap)`` is brute force's minimum under the forced features
+    ``((x, y, hold), ...)`` of ``x`` causes ``y``, and an optimum under them."""
+    hard = [(causes if hold else not_causes)(x, y) for x, y, hold in forced]
+    want = brute_force_min_loss(inputs + hard, n).min_loss
+    assert (Weight.hard() if best is None else W(best)) == want
+    if best is not None:
+        for x, y, hold in forced:
+            assert engine.holds(snap, engine.pin(AncStatement(x, y, Ancestry.CAUSES), hold))
+        assert loss(_joint_from_snap(engine, snap), inputs) == W(best)
+
+
+def all_forced(n):
+    """Every forced feature ``(x, y, hold)`` of ``x`` causes ``y`` at n."""
+    return [(x, y, hold) for x in range(n) for y in range(n) if x != y for hold in (True, False)]
+
+
+def forced_pins(engine, forced):
+    return [engine.pin(AncStatement(x, y, Ancestry.CAUSES), hold) for x, y, hold in forced]
+
+
+@st.composite
+def pin_sequences(draw):
+    """An instance at n = 3..4 of at most 12 inputs, CI statements up to
+    order 1 and ancestral statements, a few of them hard, and a sequence
+    of queries of 0 to 2 forced features each."""
+    n = draw(st.integers(3, 4))
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    weights = st.integers(-1, 5000).map(lambda w: Weight.hard() if w < 0 else W(w))
+    inputs = []
+    for _ in range(draw(st.integers(1, 12))):
+        x, y = draw(st.sampled_from(pairs))
+        if draw(st.booleans()):
+            make = draw(st.sampled_from((causes, not_causes)))
+            inputs.append(make(x, y, draw(weights)))
+        else:
+            others = [v for v in range(n) if v not in (x, y)]
+            cond = draw(st.lists(st.sampled_from(others), unique=True, max_size=1))
+            make = draw(st.sampled_from((indep, dep)))
+            inputs.append(make(x, y, cond, draw(weights)))
+    forced = st.tuples(st.sampled_from(pairs), st.booleans()).map(lambda p: (*p[0], p[1]))
+    queries = draw(st.lists(st.lists(forced, max_size=2), min_size=1, max_size=10))
+    return n, inputs, queries
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pin_sequences())
+def test_guessed_thresholds_match_brute_force(case):
+    """One engine answers a random sequence of queries; every forced
+    minimum, whether its search started under a guessed threshold or not,
+    is brute force's, and every optimum satisfies its pins."""
+    n, inputs, queries = case
+    engine = Engine(inputs, n)
+    for forced in queries:
+        best, snap = engine.query(forced_pins(engine, forced))
+        assert_forced_minimum(engine, inputs, n, forced, best, snap)
+
+
+def test_guessed_thresholds_hold_and_fail():
+    """Forced queries on seeded n = 4 instances start under guessed
+    thresholds that a completion beats and thresholds that the minimum
+    exceeds, so the search is posed again; every minimum is brute force's
+    either way, and a guess fires only once a pinned minimum above the
+    floor has raised ``excess``."""
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for case in range(20):
+        inputs = random_instance(rng, 4, max_inputs=10, anc_share=0.4)
+        engine = GuessTrackingEngine(inputs, 4)
+        if engine.query()[0] is None:
+            continue
+        forced = all_forced(4)
+        rng.shuffle(forced)
+        for feature in forced:
+            excess, guesses = engine.excess, len(engine.guesses)
+            best, snap = engine.query(forced_pins(engine, [feature]))
+            assert_forced_minimum(engine, inputs, 4, [feature], best, snap)
+            assert excess > 0 or len(engine.guesses) == guesses
+        for found, _ in engine.guesses:
+            outcomes[found] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_timeout_under_a_guess_reports_only_found_completions(monkeypatch):
+    """A deadline that passes while a forced query searches under its
+    guessed threshold raises :class:`SolveTimeoutError` whose bound is the
+    cost of the cheapest completion that the query found, or None when it
+    found none: never the guess. The engine then answers the query
+    exactly."""
+    monkeypatch.setattr(solver, "_TIMEOUT_CHECK_INTERVAL", 1)
+    clock = _Clock()
+    monkeypatch.setattr(solver, "time", clock)
+    rng = random.Random(31)
+    bounds = {True: 0, False: 0}
+    for case in range(12):
+        n = 4 + case % 2
+        inputs = random_instance(rng, n, max_inputs=3 * n, anc_share=0.4)
+        reference = GuessTrackingEngine(inputs, n)
+        if reference.query()[0] is None:
+            continue
+        pins = forced_pins(reference, rng.sample(all_forced(n), 12))
+        for i, pin in enumerate(pins):
+            guesses = len(reference.guesses)
+            want = reference.query([pin])
+            if len(reference.guesses) == guesses:
+                continue
+            guess_nodes = reference.guesses[-1][1]
+            for stop in sorted({1, (guess_nodes + 1) // 2, guess_nodes}):
+                engine = Engine(inputs, n)
+                for earlier in [(), *([p] for p in pins[:i])]:
+                    engine.query(earlier)
+                # one clock reading at the query's start, then one per node:
+                # the deadline passes at its node ``stop``
+                engine.deadline = clock.now + stop
+                pooled = len(engine.pool)
+                with pytest.raises(SolveTimeoutError) as exc:
+                    engine.query([pin])
+                found = [c for c, _ in engine.pool[pooled:]]
+                assert exc.value.best_bound == (W(min(found)) if found else None)
+                bounds[bool(found)] += 1
+                engine.deadline = None
+                assert engine.query([pin])[0] == want[0]
+    assert bounds[True] > 0 and bounds[False] > 0
+
+
 # -- lex witness -------------------------------------------------------------------
 
 def witness_cases(rng, count):

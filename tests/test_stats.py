@@ -431,6 +431,20 @@ def test_welch_guards():
         welch_t_test(np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         welch_t_test(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+    # the variances overflow, so the degrees of freedom are not finite
+    rng = np.random.default_rng(17)
+    with pytest.raises(ValueError, match="not finite"):
+        welch_t_test(rng.normal(0, 1e200, 50), rng.normal(0, 1e200, 50))
+
+
+def test_welch_is_scale_free_where_squared_variances_underflow():
+    """Scaled by 1e-100, the squared variances of the means fall below the
+    smallest double; the degrees of freedom come from the variances
+    rescaled by the larger one, so the p-value is the unscaled one."""
+    rng = np.random.default_rng(16)
+    a, b = rng.normal(0, 1, 50), rng.normal(0.3, 1.5, 60)
+    assert (a.var(ddof=1) * 1e-200 / 50) ** 2 == 0.0
+    assert welch_t_test(a * 1e-100, b * 1e-100) == pytest.approx(welch_t_test(a, b), rel=1e-12)
 
 
 # -- the Student-t tail of the Welch test ---------------------------------------------------
@@ -480,6 +494,23 @@ def test_t_tail_agrees_with_stdtr():
             if want > 1e-300 and (dof, t) != (1.0, 1e-8):
                 assert _t_two_sided_tail(dof, t) == pytest.approx(want, rel=1e-10)
                 assert _t_two_sided_tail(dof, -t) == pytest.approx(want, rel=1e-10)
+
+
+def test_t_tail_accuracy_just_below_the_fraction_switch():
+    """From dof 1e5 to 1e7, just below x = (a+1)/(a+5/2), where the
+    continued fraction's first terms cancel, the relative error against
+    stdtr (itself within 3e-14 there) stays within the documented
+    dof * 1e-16."""
+    for dof in np.geomspace(1e5, 1e7, 9):
+        dof = float(dof)
+        a = 0.5 * dof
+        switch = (a + 1.0) / (a + 2.5)
+        for gap in (1e-12, 1e-9, 1e-6, 1e-4):
+            x = switch * (1.0 - gap)
+            t = math.sqrt(dof * (1.0 - x) / x)
+            assert dof / (dof + t * t) < switch
+            want = 2.0 * float(stdtr(dof, -t))
+            assert _t_two_sided_tail(dof, t) == pytest.approx(want, rel=dof * 1e-16), (dof, gap)
 
 
 def test_t_tail_weights_match_stdtr():
