@@ -18,7 +18,6 @@ from ancestral.core import (
     AncStatement,
     Ancestry,
     CiStatement,
-    Weight,
     enumerate_ancestral_structures,
 )
 from ancestral.rules import clause_holds, ground
@@ -74,23 +73,11 @@ class PairScorer:
         self._engine = Engine(inputs, n, self.options)
         self._base = None
 
-    def _base_solve(self):
-        if self._base is None:
-            self._base = self._engine.query()
-        return self._base
-
-    def base_min_loss(self) -> Weight:
-        """Minimum loss under the options' forced features alone,
-        ``Weight.hard()`` when the hard inputs admit no assignment. Solved
-        once and shared by every later ``confidence``; raises
-        :class:`SolveTimeoutError` when the scorer's time limit runs out
-        first."""
-        best = self._base_solve()[0]
-        return Weight.hard() if best is None else Weight.finite(best)
-
     def confidence(self, feature: AncStatement) -> Union[int, float]:
         engine = self._engine
-        snap = self._base_solve()[1]
+        if self._base is None:
+            self._base = engine.query()
+        snap = self._base[1]
         loss = {
             hold: engine.query((engine.pin(feature, hold),), phase=snap)[0]
             for hold in (True, False)

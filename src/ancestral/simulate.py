@@ -48,12 +48,6 @@ class Scm:
         return self.n_obs + self.n_latent
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    ancestral: AncestralStructure
-    adj: np.ndarray
-
-
 def random_linear_model(
     n_obs: int,
     n_latent: int = DEFAULT_N_LATENT,
@@ -163,10 +157,6 @@ def true_ancestral_structure(scm: Scm) -> AncestralStructure:
                 mask |= 1 << y
         obs_rows.append(mask)
     return AncestralStructure(scm.n_obs, tuple(obs_rows))
-
-
-def ground_truth(scm: Scm) -> GroundTruth:
-    return GroundTruth(true_ancestral_structure(scm), scm.adj.copy())
 
 
 def oracle_inputs(scm: Scm, max_order: int) -> list[WeightedInput]:

@@ -46,9 +46,13 @@ hard inputs and other logical clauses alone, hold under any pins and
 persist across queries, as do decision activities. A clause resolved from
 a bound or incumbent nogood, or from the reason of a clause so derived,
 depends on one query's threshold: it is query-local and dropped when the
-next query or witness starts. Optimization queries pool every
-completion they accept: its cost does not depend on the pins, so the
-cheapest pooled completion that satisfies a query's pins is a feasible
+next query or witness starts.
+
+Every search runs in one mode: it prunes each node whose lower bound
+reaches the incumbent's cost, which may be virtual, a cost threshold with
+no completion behind it; each completion it reaches becomes the incumbent
+and enters the pool. A completion's cost does not depend on the pins, so
+the cheapest pooled completion that satisfies a query's pins is a feasible
 incumbent for it, an upper bound on its minimum. Pins only remove
 completions, so the pinless query's minimum is a floor under every later
 one, and a query stops once its incumbent reaches it, a pooled one included.
@@ -76,8 +80,9 @@ before it. The reported witness is the lexicographically smallest optimum
 triples with independent < dependent), built on one trail by pinning
 variables one at a time at level 1. A pin that the current optimal
 completion already satisfies is asserted without search; each other pin is
-probed one level above by a search for a completion at the optimum, with
-the assumption level raised to 2, and then it or its negation is asserted.
+probed one level above, with the assumption level raised to 2, by a search
+under the virtual incumbent ``best + 1``, which stops at its first
+completion, one at the optimum; then the pin or its negation is asserted.
 
 ``brute_force_min_loss`` is the independent oracle: exhaustive enumeration
 of all ancestral structures and polarity assignments filtered through the
@@ -295,8 +300,8 @@ class Engine:
     byte per token, set while the token is true; ``level`` and ``reason``
     hold one entry per variable; ``trail`` is the one undo log of assigned
     tokens, and the lower bound reads its cost-bearing tokens off it.
-    ``pool`` holds the ``(cost, snapshot)`` of every completion that an
-    optimization query accepted, ``floor`` the pinless query's minimum, and
+    ``pool`` holds the ``(cost, snapshot)`` of every completion that a
+    search accepted, ``floor`` the pinless query's minimum, and
     ``excess`` the largest ``minimum - floor`` of the pinned optimization
     queries finished so far; while it is 0, no query guesses a threshold.
 
@@ -797,47 +802,42 @@ class Engine:
             return tok if tok >= self.pol_base else tok + 1
         return tok if c_true < c_false else tok + 1
 
-    def query(self, pins: Sequence[int] = (), decision_bound: Optional[int] = None, phase=None):
-        """One query under the options' forced features and ``pins``.
-
-        Without ``decision_bound`` it returns the exact minimum cost and
-        one optimal snapshot; with it, the first completion whose cost is
-        at most the bound. Either is ``(None, None)`` when there is none.
-        A snapshot is the ``value`` bytes of the reachability and polarity
-        tokens; ``phase`` is one whose values decisions follow. Without a
-        bound, the query's first incumbent is the cheapest pooled one that
-        satisfies ``pins``, and it returns once its incumbent is ``floor``:
-        before it backjumps, when the pooled one is. With pins and no such
-        completion, the first incumbent is the guess (module docstring).
-        Raises :class:`SolveTimeoutError` once the deadline has passed; its
-        bound is the cost of a completion found, never the guess.
+    def query(self, pins: Sequence[int] = (), phase=None):
+        """The exact minimum cost under the options' forced features and
+        ``pins``, and one optimal snapshot; ``(None, None)`` when no
+        completion satisfies them. A snapshot is the ``value`` bytes of the
+        reachability and polarity tokens; ``phase`` is one whose values
+        decisions follow. The query's first incumbent is the cheapest pooled
+        completion that satisfies ``pins``, and it returns once its
+        incumbent is ``floor``: before it backjumps, when the pooled one is.
+        With pins and no such completion, the first incumbent is the guess
+        (module docstring). Raises :class:`SolveTimeoutError` once the
+        deadline has passed; its bound is the cost of a completion found,
+        never the guess.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeoutError("search exceeded the time limit", None)
-        if decision_bound is None:
-            fits = [e for e in self.pool if all(self.holds(e[1], p) for p in pins)]
-            pooled = min(fits, default=(None, None))
-            if self.floor is not None and pooled[0] == self.floor:
-                return pooled
+        fits = [e for e in self.pool if all(self.holds(e[1], p) for p in pins)]
+        pooled = min(fits, default=(None, None))
+        if self.floor is not None and pooled[0] == self.floor:
+            return pooled
         self.phase = phase
         guess = None
         if self._assume(pins):
-            if decision_bound is None:
-                # The pooled incumbent seeds the bound only; the phase stays
-                # the caller's. Following the seeded or each new incumbent's
-                # values took (6,1) models 0-5 from 55k to 81-93k nodes and
-                # from 2.9 to 5.3-5.6 s of scoring on a 2-core x86-64 host.
-                self.best_cost, self.best_snap = pooled
-                if pins and pooled[0] is None and self.excess:
-                    guess = self.best_cost = self.floor + 2 * self.excess + 1
-            self._search(decision_bound, self.floor)
+            # The pooled incumbent seeds the bound only; the phase stays the
+            # caller's. Following the seeded or each new incumbent's values
+            # took (6,1) models 0-5 from 55k to 81-93k nodes and from 2.9 to
+            # 5.3-5.6 s of scoring on a 2-core x86-64 host.
+            self.best_cost, self.best_snap = pooled
+            if pins and pooled[0] is None and self.excess:
+                guess = self.best_cost = self.floor + 2 * self.excess + 1
+            self._search(self.floor)
             if guess is not None and self.best_snap is None and self._assume(pins):
-                self._search(None, guess)
-            if decision_bound is None:
-                if not pins:
-                    self.floor = self.best_cost
-                elif self.best_cost is not None and self.floor is not None:
-                    self.excess = max(self.excess, self.best_cost - self.floor)
+                self._search(guess)
+            if not pins:
+                self.floor = self.best_cost
+            elif self.best_cost is not None and self.floor is not None:
+                self.excess = max(self.excess, self.best_cost - self.floor)
         return self.best_cost, self.best_snap
 
     def _assume(self, pins: Sequence[int]) -> bool:
@@ -864,10 +864,11 @@ class Engine:
 
         Accepted pins accumulate at level 1. A pin that ``cur`` satisfies
         is asserted there without search. Each other pin is probed at level
-        2, the assumption level meanwhile, by a search for a completion of
-        cost at most ``best``; that completion, optimal under every pin so
-        far, becomes ``cur``, and then the pin, or its negation when there
-        is none, is asserted at level 1. Every probe prunes at the
+        2, the assumption level meanwhile, by a search under the virtual
+        incumbent ``best + 1``. Every completion it reaches costs ``best``,
+        so it stops at the first, which, optimal under every pin so far,
+        enters ``pool`` and becomes ``cur``; then the pin, or its negation
+        when there is none, is asserted at level 1. Every probe has the one
         threshold ``best + 1``, so the clauses one probe learns hold in the
         next. A clause that a probe learns with assertion level 0 or 1 is
         asserted at level 2, the floor of its backjump; once the probe
@@ -886,10 +887,10 @@ class Engine:
             ]:
                 if not self.holds(cur, pin):
                     self.phase = cur
-                    self.best_snap = None
+                    self.best_cost, self.best_snap = best + 1, None
                     self._push_frame()
                     if self._assign(pin, ()) and self._flush():
-                        self._search(best, None)
+                        self._search(best)
                     self.conflict = None
                     self._backjump(1)
                     for clause in self.below_root:
@@ -907,30 +908,23 @@ class Engine:
             self.root = 1
         return cur
 
-    def _search(self, decision_bound: Optional[int], lo: Optional[int]) -> None:
+    def _search(self, lo: Optional[int]) -> None:
+        """Search under the incumbent ``best_cost``, if any, down to the
+        lower bound ``lo``: return at a completion found at the assumption
+        level or of cost ``lo``, or when the search exhausts."""
         conflicts = 0
         restart_budget = _RESTART_CONFLICTS
         while True:
             self._check_time()
-            projected = self.cost + self.residual
-            if decision_bound is not None:
-                over = projected > decision_bound
-            else:
-                over = self.best_cost is not None and projected >= self.best_cost
-            if over:
+            if self.best_cost is not None and self.cost + self.residual >= self.best_cost:
                 if len(self.frames) == self.root:
                     return
-                threshold = (
-                    self.best_cost if decision_bound is None else decision_bound + 1
-                )
-                self.conflict = self._bound_conflict(threshold)
+                self.conflict = self._bound_conflict(self.best_cost)
             else:
                 var = self._next_decision()
                 if var is None:
                     self.best_cost = self.cost
                     self.best_snap = bytes(self.value[: self.fact_base])
-                    if decision_bound is not None:
-                        return
                     self.pool.append((self.best_cost, self.best_snap))
                     if len(self.frames) == self.root or self.best_cost == lo:
                         return

@@ -41,6 +41,8 @@ from ancestral.core import (
 )
 
 CLAMP_EPS = 1e-12
+# ln p is clamped from below at this value, so a p-value of 0 gets a finite weight
+LOG_P_FLOOR = -700.0
 
 
 class ParseError(ValueError):
@@ -94,7 +96,6 @@ class Dataset:
 class CiTestConfig:
     alpha: float = 0.05
     max_order: int = 1
-    log_p_floor: float = -700.0
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
@@ -229,9 +230,14 @@ def _partial_corr_residuals(values: np.ndarray, x: int, y: int, ks: Sequence[int
 def _correlation_matrix(values: np.ndarray) -> np.ndarray:
     """Pearson correlations of the columns. Each entry is the covariance
     over the square root of the product of the two variances, so columns
-    that are exact copies correlate exactly 1. A constant column, whose
-    centred values need not come out exactly zero, gets variance 0; it and
-    a non-finite column give non-finite entries, without a warning."""
+    that are exact copies correlate exactly 1. Each column is first scaled
+    by the power of two that brings its largest magnitude into [0.5, 1),
+    which is exact, so tiny or huge columns neither underflow nor overflow
+    in the products. A constant column, whose centred values need not come
+    out exactly zero, gets variance 0; it and a non-finite column give
+    non-finite entries, without a warning."""
+    _, exponent = np.frexp(np.max(np.abs(values), axis=0))
+    values = np.ldexp(values, -exponent)
     cov = np.atleast_2d(np.cov(values, rowvar=False))
     var = np.where(np.ptp(values, axis=0) == 0.0, 0.0, np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -277,15 +283,16 @@ def fisher_z_pvalue(r: float, n_samples: int, order: int) -> float:
     return math.erfc(abs(stat) / math.sqrt(2.0))
 
 
-def frequentist_weight(p: float, alpha: float, log_p_floor: float = -700.0) -> tuple[Polarity, Weight]:
+def frequentist_weight(p: float, alpha: float) -> tuple[Polarity, Weight]:
     """Polarity and weight for a test outcome: dependent when p < alpha,
-    weight round(1000 * |ln p - ln alpha|) with ln p clamped from below."""
+    weight round(1000 * |ln p - ln alpha|) with ln p clamped from below at
+    ``LOG_P_FLOOR``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     polarity = Polarity.DEPENDENT if p < alpha else Polarity.INDEPENDENT
-    log_p = log_p_floor if p == 0.0 else max(math.log(p), log_p_floor)
+    log_p = LOG_P_FLOOR if p == 0.0 else max(math.log(p), LOG_P_FLOOR)
     millis = round(1000.0 * abs(log_p - math.log(alpha)))
     return polarity, Weight.finite(millis)
 
@@ -336,7 +343,7 @@ def ci_inputs_from_data(
                         f"skipping test ({x}, {y} | {cond:#x}): {exc}", stacklevel=2
                     )
                     continue
-                polarity, weight = frequentist_weight(p, config.alpha, config.log_p_floor)
+                polarity, weight = frequentist_weight(p, config.alpha)
                 out.append(WeightedInput(canonicalize(x, y, cond, polarity), weight))
     return out
 
@@ -490,7 +497,7 @@ def ancestral_inputs_from_intervention(
         if y == target:
             continue
         p = welch_t_test(obs.column(y), interv.column(y))
-        polarity, weight = frequentist_weight(p, config.alpha, config.log_p_floor)
+        polarity, weight = frequentist_weight(p, config.alpha)
         if polarity is Polarity.DEPENDENT:
             out.append(causes(target, y, weight))
         else:

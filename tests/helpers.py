@@ -170,18 +170,18 @@ def reference_lex_witness(engine, best, cur):
     """The lex-smallest optimum of ``engine``'s pinless query, of cost
     ``best`` with optimal snapshot ``cur``, by one :meth:`Engine.query` per
     pin: a pin that ``cur`` satisfies is taken without search; each other
-    is decided by a bound-tight decision query that re-poses every pin so
-    far, and its completion becomes ``cur``."""
+    is decided by an optimization query that re-poses every pin so far,
+    taken when its minimum is ``best``, whose optimum becomes ``cur``."""
     tab = engine.tables
     pins: list[int] = []
     for pin in [var * 2 + 1 for var in tab.lex_vars] + [
         engine.pol_base + t * 2 for t in range(len(tab.triples))
     ]:
         if not engine.holds(cur, pin):
-            snap = engine.query(pins + [pin], best, cur)[1]
-            if snap is None:
-                pin ^= 1
-            else:
+            cost, snap = engine.query(pins + [pin], cur)
+            if cost == best:
                 cur = snap
+            else:
+                pin ^= 1
         pins.append(pin)
     return _joint_from_snap(engine, cur)

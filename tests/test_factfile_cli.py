@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,26 @@ def test_cmd_intervene_at_extreme_scales(tmp_path, capsys):
         else:
             assert rc == 0
     assert outs[1e-100].read_text() == outs[1.0].read_text()
+
+
+def test_cmd_test_at_extreme_scales(tmp_path):
+    """Samples scaled by 1e-100 or by 1e200 give the unscaled samples'
+    statement, with the same polarity and weight and no warning: their
+    products neither underflow nor overflow in the correlations."""
+    rng = np.random.default_rng(22)
+    x0 = rng.normal(size=50)
+    values = np.column_stack([x0, 0.5 * x0 + rng.normal(size=50)])
+    outs = {}
+    for scale in (1.0, 1e-100, 1e200):
+        data = tmp_path / f"d-{scale}.csv"
+        write_dataset(Dataset(("X0", "X1"), values * scale), data)
+        out = outs[scale] = tmp_path / f"ci-{scale}.facts"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["test", "--data", str(data), "--max-order", "0", "--out", str(out)]) == 0
+        assert not caught
+    assert "dep X0 X1" in outs[1.0].read_text()
+    assert outs[1e-100].read_text() == outs[1.0].read_text() == outs[1e200].read_text()
 
 
 def test_cmd_solve_imports_no_numpy(tmp_path):

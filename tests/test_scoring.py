@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from ancestral.core import (
     Ancestry,
     AncStatement,
+    CiStatement,
     Weight,
+    WeightedInput,
+    canonicalize,
     causes,
+    condset_members,
     dep,
     indep,
     not_causes,
@@ -254,25 +258,15 @@ def test_score_all_pairs_is_identical_in_any_call_order():
         assert _scores_or_error(cases[i]) == first[i]
 
 
-def test_base_min_loss_matches_solve_min_loss():
-    rng = random.Random(606)
-    forced = ((feat(0, 2), True), (feat(3, 1, wanted=False), False))
-    for inputs in [shared_triple_inputs(rng) for _ in range(4)] + level0_contradictions():
-        for options in (SolveOptions(), SolveOptions(forced_features=forced)):
-            want = solve_min_loss(inputs, 4, options, build_witness=False).min_loss
-            assert PairScorer(inputs, 4, options).base_min_loss() == want
-
-
 def test_level0_contradictions_with_warm_tables(tmp_path):
     rng = random.Random(707)
     feasible = shared_triple_inputs(rng, hard_share=0.0)
     expected = score_all_pairs(feasible, 4)
     names = ("A", "B", "C", "D")
     for k, inputs in enumerate(level0_contradictions()):
-        scorer = PairScorer(inputs, 4)
-        assert scorer.base_min_loss() == Weight.hard()
+        assert solve_min_loss(inputs, 4, build_witness=False).min_loss == Weight.hard()
         with pytest.raises(BothInfeasibleError):
-            scorer.confidence(feat(0, 1))
+            PairScorer(inputs, 4).confidence(feat(0, 1))
         with pytest.raises(BothInfeasibleError):
             score_all_pairs(inputs, 4)
         facts = tmp_path / f"bad{k}.facts"
@@ -318,6 +312,70 @@ def test_incremental_scores_match_fresh_forced_solves(n, m, hard, monkeypatch):
         scorer = PairScorer(inputs, n)
         for f in reversed(features):
             assert scorer.confidence(f) == want[(f.cause, f.effect)]
+
+
+# -- metamorphic relations --------------------------------------------------------
+
+def _relabeled(inputs, perm):
+    """The inputs with variable ``v`` renamed ``perm[v]``."""
+    out = []
+    for item in inputs:
+        stmt = item.statement
+        if isinstance(stmt, CiStatement):
+            cond = sum(1 << perm[v] for v in condset_members(stmt.cond))
+            stmt = canonicalize(perm[stmt.x], perm[stmt.y], cond, stmt.polarity)
+        else:
+            stmt = AncStatement(perm[stmt.cause], perm[stmt.effect], stmt.polarity)
+        out.append(WeightedInput(stmt, item.weight))
+    return out
+
+
+def _answers(inputs, n):
+    """Every pair's score, the minimum and the lex-smallest witness."""
+    scores = {(p.cause, p.effect): p.score for p in score_all_pairs(inputs, n)}
+    result = solve_min_loss(inputs, n)
+    return scores, result.min_loss, (result.witness.structure, result.witness.ci.truth)
+
+
+@pytest.mark.parametrize(
+    "n, c, m",
+    [(5, 1, m) for m in range(6)] + [(5, 2, m) for m in range(3)] + [(6, 1, m) for m in range(3)],
+)
+def test_metamorphic_relations(n, c, m):
+    """Three exact relations on seeded models, one hard and one soft
+    ancestral statement added: relabeling the variables permutes every
+    score and keeps the minimum; doubling every finite weight doubles every
+    finite score and the minimum, keeps +-inf and keeps the lex witness;
+    shuffling the input list changes no answer. Each poses the same
+    problem in another token, triple or input order, so the pool, the
+    floor, the guessed thresholds and the query-local clauses all meet it
+    from another direction."""
+    scm = random_linear_model(n, 1, 0.3, seed=[0, m, 0])
+    data = sample_data(scm, 500, seed=[0, m, 1])
+    inputs = ci_inputs_from_data(data, CiTestConfig(max_order=c))
+    inputs += [causes(0, n - 1), not_causes(1, 2, W(1500))]
+    scores, best, witness = _answers(inputs, n)
+    assert {-math.inf, math.inf} <= set(scores.values())
+    rng = random.Random(m)
+
+    perm = list(range(n))
+    rng.shuffle(perm)
+    got, got_best, _ = _answers(_relabeled(inputs, perm), n)
+    assert got == {(perm[x], perm[y]): s for (x, y), s in scores.items()}
+    assert got_best == best
+
+    doubled = [
+        i if i.weight.is_hard else WeightedInput(i.statement, W(2 * i.weight.millis))
+        for i in inputs
+    ]
+    got, got_best, got_witness = _answers(doubled, n)
+    assert got == {k: s if math.isinf(s) else 2 * s for k, s in scores.items()}
+    assert got_best == W(2 * best.millis)
+    assert got_witness == witness
+
+    shuffled = inputs[:]
+    rng.shuffle(shuffled)
+    assert _answers(shuffled, n) == (scores, best, witness)
 
 
 # -- identifiability oracle -----------------------------------------------------------

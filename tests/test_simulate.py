@@ -10,7 +10,6 @@ from ancestral.simulate import (
     Scm,
     d_separated,
     dump_scm,
-    ground_truth,
     oracle_inputs,
     random_linear_model,
     sample_data,
@@ -173,8 +172,6 @@ def test_truth_is_always_a_valid_structure():
         scm = random_linear_model(5, 2, 0.5, seed=seed)
         truth = true_ancestral_structure(scm)
         assert is_ancestral_structure(truth.matrix())
-        gt = ground_truth(scm)
-        assert gt.ancestral == truth
 
 
 def test_truth_equals_projected_closure():

@@ -21,6 +21,7 @@ from ancestral.core import (
 )
 from ancestral.rules import DEP, INDEP, check_consistency, ground, loss
 from ancestral.scoring import BothInfeasibleError, score_all_pairs
+from ancestral.simulate import random_linear_model, sample_data
 from ancestral.solver import (
     Engine,
     SolveOptions,
@@ -31,6 +32,7 @@ from ancestral.solver import (
     brute_force_min_loss,
     solve_min_loss,
 )
+from ancestral.stats import CiTestConfig, ci_inputs_from_data
 
 from helpers import (
     dag_oracle_inputs,
@@ -489,16 +491,17 @@ def test_forced_queries_stop_at_the_base_minimum():
 class GuessTrackingEngine(Engine):
     """An engine that records, for each search that starts under a guessed
     threshold (an incumbent cost without a completion), whether it found a
-    completion under the guess and how many nodes it took."""
+    completion under the guess and how many nodes it took. It is only
+    queried: a witness probe also starts under a virtual incumbent."""
 
     def __init__(self, *args):
         self.guesses = []
         super().__init__(*args)
 
-    def _search(self, decision_bound, lo):
-        guessed = decision_bound is None and self.best_snap is None and self.best_cost is not None
+    def _search(self, lo):
+        guessed = self.best_snap is None and self.best_cost is not None
         nodes = self.nodes
-        super()._search(decision_bound, lo)
+        super()._search(lo)
         if guessed:
             self.guesses.append((self.best_snap is not None, self.nodes - nodes))
 
@@ -688,6 +691,39 @@ def test_witness_matches_the_per_query_reference():
             again = _joint_from_snap(engine, engine.witness(best, start))
             assert (again.structure, again.ci.truth) == (got.structure, got.ci.truth)
     assert probed > 0 and other_starts > 0
+
+
+def test_pool_holds_valid_completions():
+    """Every completion in ``Engine.pool``, whether a base, forced or
+    witness search accepted it, is consistent, costs what the pool records
+    and satisfies the options' forced features, so it is a feasible
+    incumbent for every later query whose pins it satisfies."""
+    rng = random.Random(61)
+    cases = list(witness_cases(rng, 24))
+    for n in (5, 6):
+        for m in range(6):
+            scm = random_linear_model(n, 1, 0.3, seed=[0, m, 0])
+            data = sample_data(scm, 500, seed=[0, m, 1])
+            cases.append((n, ci_inputs_from_data(data, CiTestConfig(max_order=1)), SolveOptions()))
+    from_witness = 0
+    for n, inputs, options in cases:
+        engine = Engine(inputs, n, options)
+        best, snap = engine.query()
+        if best is None:
+            continue
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for x, y in rng.sample(pairs, 4):
+            engine.query([engine.pin(AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5)])
+        pooled = len(engine.pool)
+        engine.witness(best, snap)
+        from_witness += len(engine.pool) - pooled
+        for cost, completion in engine.pool:
+            joint = _joint_from_snap(engine, completion)
+            assert check_consistency(joint.structure, joint.ci)
+            assert loss(joint, inputs) == W(cost)
+            for feature, hold in options.forced_features:
+                assert engine.holds(completion, engine.pin(feature, hold))
+    assert from_witness > 0
 
 
 class _Clock:

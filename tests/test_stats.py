@@ -515,7 +515,7 @@ def test_t_tail_accuracy_just_below_the_fraction_switch():
 
 def test_t_tail_weights_match_stdtr():
     """Polarity and milli weight agree with the scipy tail on seeded draws,
-    among them tails below exp(log_p_floor), where the floor clamps both."""
+    among them tails below exp(LOG_P_FLOOR), where the floor clamps both."""
     rng = random.Random(15)
     clamped = 0
     for _ in range(20000):
