@@ -6,10 +6,9 @@ clause, and bound prunes and accepted solutions are turned into cost-core
 nogoods (the cost-bearing assignments that already force the total to the
 threshold), so every dead end backjumps with a recorded clause and is never
 re-refuted. Learned clauses range over structure and polarity assignment
-tokens only: one resolution walk, shared by conflict analysis and clause
-minimization, resolves every other derived fact away through the gated
-clause that derived it. Nogoods learned under one incumbent stay valid as
-the incumbent tightens, so the minimum is exact.
+tokens only: conflict analysis resolves every other derived fact away
+through the gated clause that derived it. Nogoods learned under one
+incumbent stay valid as the incumbent tightens, so the minimum is exact.
 
 Reachability, polarity and derived-fact variables share one numbering, so
 the assignment state is kept once, in MiniSat's layout (Een & Sorensson
@@ -24,18 +23,23 @@ instance is a clause gated by its premises whose one literal is its
 conclusion fact, a structural constraint one over reachability variables.
 Transitivity and antisymmetry are kept closed after every structure
 assignment. Learned clauses propagate through two watched tokens, swapped
-in place as the watches move. The lower bound is the cost already paid
-plus the unavoidable minima of undecided ancestral-cost variables;
-undecided polarities are treated optimistically, so the bound is
-admissible.
+in place as the watches move. The lower bound is the running cost alone:
+compilation pays each reachability variable's cheaper allowed value into a
+constant ``offset``, so each value costs only its excess over that (the
+unary cost shift of weighted CSP, Cooper & Schiex 2004), and the running
+cost, ``offset`` plus the reduced costs assigned so far, bounds every
+completion below the node; undecided polarities are treated
+optimistically, so the bound is admissible.
 
 Compilation has two layers. The grounding of n variables and a triple set
 (fact universe, one gated-clause table and its indexes) does not depend
 on weights or polarities, so it is memoised per (n, triple set) and shared
 by every input list over that set, as when many models are scored at one
 (n, max order). Each input list adds its costs, its decision order and one
-incremental engine, in which its hard inputs are asserted and propagated
-once at level 0.
+incremental engine. A hard input forbids one value of its variable: the
+engine asserts the other value at level 0 and propagates it once there, so
+two contradicting hard inputs conflict like any two assignments, and the
+forbidden value, never taken, costs 0.
 
 One engine answers every query of an instance: the base solve, each
 forced solve of the scores and the witness. A query backjumps to level 0
@@ -187,10 +191,6 @@ def _input_costs(inputs, n):
     return triples, [tuple(tri_costs[t]) for t in triples], cost_true, cost_false
 
 
-def _pair_min(a, b):
-    return min((c for c in (a, b) if c is not None), default=None)
-
-
 class _Tables:
     """Input-independent grounding for n variables and a sorted triple
     set, all tuples: the fact universe (both polarities of every triple)
@@ -278,8 +278,9 @@ class Engine:
     on one incremental conflict-driven search.
 
     Compile looks up the shared grounding of the instance's (n, triple set),
-    adds the input costs and the decision order, and asserts and propagates
-    the hard inputs once at level 0; ``infeasible`` is set when they
+    adds the reduced input costs, their ``offset`` and the decision order,
+    and asserts the value each hard input requires at level 0, in token
+    order, and propagates them once there; ``infeasible`` is set when they
     contradict there. Level 0 never changes after that. Each
     :meth:`query` backjumps to it and asserts the options' forced features,
     its own pins and the learned unit clauses at level 1, the assumption
@@ -299,7 +300,9 @@ class Engine:
     clauses. A pin is a reachability or polarity token. ``value`` holds one
     byte per token, set while the token is true; ``level`` and ``reason``
     hold one entry per variable; ``trail`` is the one undo log of assigned
-    tokens, and the lower bound reads its cost-bearing tokens off it.
+    tokens. ``cost`` is the running cost, ``offset`` plus the reduced costs
+    of the trail's tokens and the search's only lower bound; bound nogoods
+    read its cost-bearing tokens off the trail.
     ``pool`` holds the ``(cost, snapshot)`` of every completion that a
     search accepted, ``floor`` the pinless query's minimum, and
     ``excess`` the largest ``minimum - floor`` of the pinned optimization
@@ -337,10 +340,18 @@ class Engine:
         nvars = n2 + len(triples) + tab.nfacts
         self.pol_base = tab.pol_base
         self.fact_base = tab.fact_base
-        # the cost of making a token true; None marks a forbidden value
-        self.cost_of: list = [c for v in range(n2) for c in (cost_true[v], cost_false[v])]
-        self.cost_of += [c for cc in tri_cost for c in cc] + [0] * (2 * tab.nfacts)
-        self.var_min = [_pair_min(cost_true[v], cost_false[v]) for v in range(n2)]
+        # the cost of making a token true, None for a value that a hard
+        # input forbids; each reachability variable pays its cheaper allowed
+        # value into ``offset``, and its tokens keep the excess over that
+        full = [c for v in range(n2) for c in (cost_true[v], cost_false[v])]
+        full += [c for cc in tri_cost for c in cc]
+        shift = [
+            min((c for c in cc if c is not None), default=0) for cc in zip(cost_true, cost_false)
+        ]
+        shift += [0] * len(triples)
+        self.offset = sum(shift)
+        self.cost_of = [0 if c is None else c - shift[tok >> 1] for tok, c in enumerate(full)]
+        self.cost_of += [0] * (2 * tab.nfacts)
         self.order = [
             v
             for v in range(n2)
@@ -362,8 +373,7 @@ class Engine:
         self.qf: list[int] = []
         self.qr: list[int] = []
         self.qw: list[int] = []
-        self.cost = 0
-        self.residual = sum(m for v, m in enumerate(self.var_min) if m and v // n != v % n)
+        self.cost = self.offset
         self.nodes = 0
         self.conflict = None
         self.learned: list[list[int]] = []
@@ -379,7 +389,8 @@ class Engine:
         self.floor: Optional[int] = None
         self.excess = 0
         self.root = 1
-        self.infeasible = not (self._assert_hard_inputs() and self._flush())
+        required = [tok ^ 1 for tok, c in enumerate(full) if c is None]
+        self.infeasible = not (all(self._assign(tok, ()) for tok in required) and self._flush())
         # level 0 never changes, so a variable it assigns is never decided
         self.order = [v for v in self.order if not self.assigned[v]]
         self.decidable = bytearray(nvars)
@@ -413,11 +424,6 @@ class Engine:
         if value[tok ^ 1]:
             self.conflict = type(reason)([*reason, tok ^ 1])
             return False
-        c = self.cost_of[tok]
-        if c is None:
-            # forbidden by a hard input: level-0 knowledge, reason suffices
-            self.conflict = reason
-            return False
         value[tok] = 1
         var = tok >> 1
         self.level[var] = len(self.frames)
@@ -426,14 +432,11 @@ class Engine:
         if tok >= self.fact_base:
             self.qf.append(tok)
             return True
-        self.cost += c
+        self.cost += self.cost_of[tok]
         self.qw.append(tok ^ 1)
         if tok >= self.pol_base:
             self.qf.append(tok)
             return True
-        m = self.var_min[var]
-        if m:
-            self.residual -= m
         self.qr.append(var)
         return True
 
@@ -563,9 +566,9 @@ class Engine:
     def _bound_conflict(self, threshold: int) -> _Local:
         """Assigned tokens whose conjunction forces every completion to
         cost at least ``threshold``: a greedy cover by the costliest
-        cost-bearing assignments. The per-variable minima of unassigned
-        variables hold unconditionally and need no tokens."""
-        need = threshold - self.residual
+        cost-bearing assignments. The ``offset`` holds unconditionally and
+        needs no tokens."""
+        need = threshold - self.offset
         cost_of = self.cost_of
         total = 0
         out: list[int] = []
@@ -579,13 +582,13 @@ class Engine:
     # -- frames / backjumping -------------------------------------------------
 
     def _push_frame(self) -> None:
-        self.frames.append((len(self.trail), len(self.counted), self.cost, self.residual))
+        self.frames.append((len(self.trail), len(self.counted), self.cost))
 
     def _backjump(self, target_level: int) -> None:
         """Undo every level above ``target_level`` in one pass."""
         if len(self.frames) <= target_level:
             return
-        tlen, nlen, cost, residual = self.frames[target_level]
+        tlen, nlen, cost = self.frames[target_level]
         del self.frames[target_level:]
         value = self.value
         act, heap, decidable, queued = self.act, self.heap, self.decidable, self.queued
@@ -603,7 +606,6 @@ class Engine:
                 cl_missing[c] += 1
         del self.counted[nlen:]
         self.cost = cost
-        self.residual = residual
         self.qf.clear()
         self.qr.clear()
         self.qw.clear()
@@ -676,30 +678,8 @@ class Engine:
             reason = self.reason[uip >> 1]
             local = local or type(reason) is _Local
             counter += self._collect(self._resolve(reason, expanded), seen, lower, conflict_level)
-        lower, local = self._minimize(lower, local)
         assertion = max((level[tok >> 1] for tok in lower), default=0)
         return (_Local if local else list)([uip ^ 1, *lower]), assertion
-
-    def _minimize(self, lower: list[int], local: bool) -> tuple[list[int], bool]:
-        """Drop clause literals whose assignment reasons are covered by the
-        other clause literals (standard local clause minimization). A
-        dropped literal's reason is resolved into the clause, so its
-        query-local tag carries over."""
-        if len(lower) < 2:
-            return lower, local
-        level = self.level
-        clause_set = set(lower)
-        keep = []
-        for tok in lower:
-            reason = self.reason[tok >> 1]
-            if reason and all(
-                (r ^ 1) in clause_set or level[r >> 1] == 0
-                for r in self._resolve(reason, set())
-            ):
-                local = local or type(reason) is _Local
-            else:
-                keep.append(tok)
-        return keep, local
 
     def _bump(self, clause) -> None:
         """Raise the activity of the clause's variables; a queued one gets
@@ -761,13 +741,6 @@ class Engine:
             watches.setdefault(clause[1], []).append(ci)
 
     # -- top level ----------------------------------------------------------------
-
-    def _assert_hard_inputs(self) -> bool:
-        """Assert at level 0 the values that hard inputs leave open."""
-        for tok in range(self.fact_base):
-            if self.cost_of[tok] is None and not self._assign(tok ^ 1, ()):
-                return False
-        return True
 
     def _check_time(self) -> None:
         self.nodes += 1
@@ -876,7 +849,9 @@ class Engine:
         clause has no watches, a longer one keeps one false watch), so it
         is asserted again at level 1 after the probe. Raises
         :class:`SolveTimeoutError` once the deadline has passed, with the
-        assumption level back at 1.
+        assumption level back at 1, and ``RuntimeError`` when a pin
+        conflicts at level 1, which a ``best`` that is the minimum rules
+        out.
         """
         tab = self.tables
         self._assume(())
@@ -901,9 +876,10 @@ class Engine:
                     else:
                         cur = self.best_snap
                 # cur satisfies the pin and every clause learned so far, so
-                # asserting them at level 1 cannot conflict
-                committed = self._assign(pin, ()) and self._flush()
-                assert committed
+                # asserting them at level 1 conflicts only when ``best`` is
+                # not the minimum
+                if not (self._assign(pin, ()) and self._flush()):
+                    raise RuntimeError(f"witness pin {pin} conflicts: {best} is not the minimum")
         finally:
             self.root = 1
         return cur
@@ -916,7 +892,7 @@ class Engine:
         restart_budget = _RESTART_CONFLICTS
         while True:
             self._check_time()
-            if self.best_cost is not None and self.cost + self.residual >= self.best_cost:
+            if self.best_cost is not None and self.cost >= self.best_cost:
                 if len(self.frames) == self.root:
                     return
                 self.conflict = self._bound_conflict(self.best_cost)

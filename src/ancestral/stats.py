@@ -200,8 +200,13 @@ _VANISHED_SHARE = 1e-20
 
 def _design(values: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     """The conditioning block plus an intercept column; raises
-    :class:`SingularError` when its columns are collinear."""
-    design = np.column_stack([np.ones(values.shape[0])] + [values[:, k] for k in ks])
+    :class:`SingularError` when its columns are collinear. Each conditioning
+    column is scaled by the power of two that brings its largest magnitude
+    into [0.5, 1), as in :func:`_correlation_matrix`, so the rank check
+    does not depend on the data's scale."""
+    block = values[:, list(ks)]
+    _, exponent = np.frexp(np.max(np.abs(block), axis=0))
+    design = np.column_stack([np.ones(values.shape[0]), np.ldexp(block, -exponent)])
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise SingularError(_COLLINEAR)
     return design

@@ -342,14 +342,19 @@ def _answers(inputs, n):
     [(5, 1, m) for m in range(6)] + [(5, 2, m) for m in range(3)] + [(6, 1, m) for m in range(3)],
 )
 def test_metamorphic_relations(n, c, m):
-    """Three exact relations on seeded models, one hard and one soft
+    """Five exact relations on seeded models, one hard and one soft
     ancestral statement added: relabeling the variables permutes every
     score and keeps the minimum; doubling every finite weight doubles every
     finite score and the minimum, keeps +-inf and keeps the lex witness;
-    shuffling the input list changes no answer. Each poses the same
-    problem in another token, triple or input order, so the pool, the
-    floor, the guessed thresholds and the query-local clauses all meet it
-    from another direction."""
+    shuffling the input list changes no answer; soft ``causes`` and
+    ``notcauses`` of one weight k on one pair, which every completion pays
+    once and the engine's ``offset`` carries, raise the minimum by k and
+    keep every score and the lex witness; a zero-weight statement on a
+    triple outside the inputs, which enlarges the grounding, changes no
+    score and not the minimum. Each poses the same problem in another
+    token, triple or input order, so the pool, the floor, the guessed
+    thresholds and the query-local clauses all meet it from another
+    direction."""
     scm = random_linear_model(n, 1, 0.3, seed=[0, m, 0])
     data = sample_data(scm, 500, seed=[0, m, 1])
     inputs = ci_inputs_from_data(data, CiTestConfig(max_order=c))
@@ -376,6 +381,19 @@ def test_metamorphic_relations(n, c, m):
     shuffled = inputs[:]
     rng.shuffle(shuffled)
     assert _answers(shuffled, n) == (scores, best, witness)
+
+    x, y = rng.sample(range(n), 2)
+    k = rng.randint(1, 3000)
+    assert _answers(inputs + [causes(x, y, W(k)), not_causes(x, y, W(k))], n) == (
+        scores,
+        W(best.millis + k),
+        witness,
+    )
+
+    free = indep(0, 1, range(2, n), W(0))
+    assert len(condset_members(free.statement.cond)) > c
+    got, got_best, _ = _answers(inputs + [free], n)
+    assert (got, got_best) == (scores, best)
 
 
 # -- identifiability oracle -----------------------------------------------------------

@@ -131,8 +131,10 @@ def test_matches_brute_force_with_hard_inputs():
 @st.composite
 def forced_instances(draw):
     """At most 4 variables, CI statements up to order 2 (so a pair's
-    statements span up to 4 triples), ancestral statements and forced
-    features, hard or soft, 16 inputs at most once forced features count."""
+    statements span up to 4 triples), ancestral statements, sometimes a
+    soft pair of both polarities on one ordered pair (so the engine's
+    ``offset`` is positive), and forced features, hard or soft, 16 inputs
+    at most once forced features count."""
     n = draw(st.integers(2, 4))
     pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
     weights = st.one_of(st.just(Weight.hard()), st.integers(0, 5000).map(W))
@@ -147,6 +149,10 @@ def forced_instances(draw):
         x, y = draw(st.sampled_from(pairs))
         make = draw(st.sampled_from((causes, not_causes)))
         inputs.append(make(x, y, draw(weights)))
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(pairs))
+        soft = st.integers(1, 5000).map(W)
+        inputs += [causes(x, y, draw(soft)), not_causes(x, y, draw(soft))]
     forced = []
     for _ in range(draw(st.integers(0, 2))):
         x, y = draw(st.sampled_from(pairs))
@@ -327,12 +333,7 @@ def test_level0_state_is_restored_after_queries():
             on_trail = set(trail)
             for c, gate in enumerate(engine.tables.cl_gate_toks):
                 assert engine.cl_missing[c] == sum(tok not in on_trail for tok in gate)
-            assert engine.cost == sum(engine.cost_of[tok] for tok in trail)
-            assert engine.residual == sum(
-                m
-                for v, m in enumerate(engine.var_min)
-                if m and v // n != v % n and not engine.assigned[v]
-            )
+            assert engine.cost == engine.offset + sum(engine.cost_of[tok] for tok in trail)
             checked += 1
     assert checked > 0
 
@@ -691,6 +692,32 @@ def test_witness_matches_the_per_query_reference():
             again = _joint_from_snap(engine, engine.witness(best, start))
             assert (again.structure, again.ci.truth) == (got.structure, got.ci.truth)
     assert probed > 0 and other_starts > 0
+
+
+def test_witness_rejects_a_best_that_is_not_the_minimum():
+    """A ``best`` one below or above the minimum makes some accepted pin
+    conflict at level 1 on some models; the witness then raises
+    ``RuntimeError`` under ``python -O`` too, with the assumption level
+    back at 1, and the engine still builds the true witness afterwards."""
+    tripped = {-1: 0, 1: 0}
+    for m in range(12):
+        scm = random_linear_model(6, 1, 0.3, seed=[0, m, 0])
+        data = sample_data(scm, 500, seed=[0, m, 1])
+        inputs = ci_inputs_from_data(data, CiTestConfig(max_order=1))
+        engine = Engine(inputs, 6)
+        best, snap = engine.query()
+        if best == 0:
+            continue
+        for delta in tripped:
+            try:
+                engine.witness(best + delta, snap)
+            except RuntimeError:
+                tripped[delta] += 1
+            assert engine.root == 1
+        got = _joint_from_snap(engine, engine.witness(best, snap))
+        want = solve_min_loss(inputs, 6).witness
+        assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
+    assert tripped[-1] > 0 and tripped[1] > 0
 
 
 def test_pool_holds_valid_completions():

@@ -389,6 +389,18 @@ def test_ci_skips_tests_on_a_non_finite_column():
     assert all(msg == VANISHED for x, y, cond, msg in skipped if not cond >> 1 & 1)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e200])
+def test_ci_rank_check_is_scale_free(scale):
+    """A 50-row chain X0 -> X1 -> X2 scaled by 1e-100 or by 1e200 gives the
+    unscaled data's six statements up to order 1 and skips none: the rank
+    check of a conditioning column does not see its scale."""
+    rng = np.random.default_rng(5)
+    values = np.cumsum(rng.normal(size=(50, 3)), axis=1)
+    want, skipped = _run_with_skips(values, 1)
+    assert len(want) == 6 and skipped == []
+    assert _run_with_skips(values * scale, 1) == (want, [])
+
+
 def test_ci_one_column_gives_no_statements():
     """A single variable forms no pair: no statement, skip or warning."""
     inputs, skipped = _run_with_skips(np.random.default_rng(9).normal(size=(20, 1)), 1)
