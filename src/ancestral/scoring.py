@@ -53,14 +53,14 @@ class PairScorer:
     The unconstrained optimum is solved first. Its minimum bounds every
     forced solve from below, so a forced solve stops when it reaches it,
     and a side whose minimum is the base minimum needs no proof of
-    optimality. Every forced solve starts from the cheapest completion that
-    an earlier solve of the engine accepted and that satisfies its pin, is
-    answered by it without search when it costs the base minimum, and
-    follows the base optimum's values in its decisions. A forced solve
-    that no such completion serves starts under a guessed cost threshold,
-    the base minimum plus twice the largest gap above it that an earlier
-    forced minimum showed, and is posed again without one when its
-    minimum lies above the guess.
+    optimality; the engine keeps its optimum as the phase of every forced
+    solve's decisions. Every forced solve starts from the cheapest
+    completion that an earlier solve of the engine accepted and that
+    satisfies its pin, and is answered by it without search when it costs
+    the base minimum. A forced solve that no such completion serves starts
+    under a guessed cost threshold, the base minimum plus twice the largest
+    gap above it that an earlier forced minimum showed, and is posed again
+    without one when its minimum lies above the guess.
 
     The time limit of the options is one budget for the scorer's whole
     life, compile included: every search shares the engine's deadline, and
@@ -77,11 +77,7 @@ class PairScorer:
         engine = self._engine
         if self._base is None:
             self._base = engine.query()
-        snap = self._base[1]
-        loss = {
-            hold: engine.query((engine.pin(feature, hold),), phase=snap)[0]
-            for hold in (True, False)
-        }
+        loss = {hold: engine.query((engine.pin(feature, hold),))[0] for hold in (True, False)}
         if loss[True] is None and loss[False] is None:
             raise BothInfeasibleError(
                 "both forced solves are infeasible; the hard inputs contradict"

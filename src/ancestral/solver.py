@@ -69,12 +69,12 @@ continues the same search. When the search exhausts, the minimum is at
 least the guess, which becomes the query's lower bound ``lo`` in place of
 the floor, and the query is posed again without a threshold.
 
-Branching is VSIDS (Moskewicz et al. 2001): each decision takes the
-undecided variable of highest conflict activity, ties to the lowest index,
-popped in O(log n) from a binary heap keyed by activity as in MiniSat.
-Activities only grow between rescales, so a bump pushes a fresh entry and
-leaves the old one stale instead of moving it; every unassigned decision
-variable keeps an entry at its current activity.
+Branching is VSIDS (Moskewicz et al. 2001): each decision takes the open
+reachability or polarity variable of highest conflict activity, ties to
+the lowest index, popped from a binary heap as in MiniSat, so every
+completion assigns every such variable. Its value is the phase's (the
+pinless optimum on a pinned query, the current optimum on a witness
+probe), else the cheaper one, ties to false. The search never restarts.
 
 Determinism: decision activities, value preferences and all tie-breaks are
 deterministic, so identical inputs and an identical sequence of queries
@@ -257,8 +257,6 @@ def _tables(n: int, triples: tuple[Triple, ...]) -> _Tables:
 # ---------------------------------------------------------------------------
 # Search engine
 
-_TIMEOUT_CHECK_INTERVAL = 64
-_RESTART_CONFLICTS = 4000
 _ACT_DECAY = 1.0 / 0.95
 _ACT_RESCALE = 1e100
 
@@ -304,19 +302,20 @@ class Engine:
     of the trail's tokens and the search's only lower bound; bound nogoods
     read its cost-bearing tokens off the trail.
     ``pool`` holds the ``(cost, snapshot)`` of every completion that a
-    search accepted, ``floor`` the pinless query's minimum, and
-    ``excess`` the largest ``minimum - floor`` of the pinned optimization
-    queries finished so far; while it is 0, no query guesses a threshold.
+    search accepted, ``floor`` and ``floor_snap`` the pinless query's
+    minimum and optimum, and ``excess`` the largest ``minimum - floor`` of
+    the pinned optimization queries finished so far; while it is 0, no
+    query guesses a threshold.
 
     Decision heap: ``heap`` holds ``(-activity, var)`` entries of the
-    variables that ``decidable`` marks (``order``, less those level 0
-    assigns), and ``queued`` marks each variable that holds an entry at its
-    current activity, so none is pushed twice. Invariant: every unassigned
-    decidable variable is queued. :meth:`_backjump` requeues the variables
-    it unassigns, :meth:`_bump` pushes a fresh entry for a queued variable
-    whose activity rose, a rescale rebuilds the heap, and
-    :meth:`_next_decision` discards stale entries and those of assigned
-    variables as it pops them.
+    variables of ``order``, every reachability and polarity variable that
+    level 0 leaves open, and ``queued`` marks each variable that holds an
+    entry at its current activity, so none is pushed twice. Invariant:
+    every unassigned reachability or polarity variable is queued.
+    :meth:`_backjump` requeues the variables it unassigns, :meth:`_bump`
+    pushes a fresh entry for a queued variable whose activity rose, a
+    rescale rebuilds the heap, and :meth:`_next_decision` discards stale
+    entries and those of assigned variables as it pops them.
     """
 
     def __init__(self, inputs: Sequence, n: int, options: Optional[SolveOptions] = None):
@@ -352,12 +351,6 @@ class Engine:
         self.offset = sum(shift)
         self.cost_of = [0 if c is None else c - shift[tok >> 1] for tok, c in enumerate(full)]
         self.cost_of += [0] * (2 * tab.nfacts)
-        self.order = [
-            v
-            for v in range(n2)
-            if v // n != v % n
-            and (tab.var_clauses[v] or cost_true[v] != 0 or cost_false[v] != 0)
-        ] + list(range(n2, n2 + len(triples)))
 
         self.value = bytearray(2 * nvars)
         # both tokens of variable v as one word: zero while v is unassigned
@@ -387,15 +380,14 @@ class Engine:
         self.best_snap = None
         self.pool: list[tuple[int, bytes]] = []
         self.floor: Optional[int] = None
+        self.floor_snap = None
         self.excess = 0
         self.root = 1
         required = [tok ^ 1 for tok, c in enumerate(full) if c is None]
         self.infeasible = not (all(self._assign(tok, ()) for tok in required) and self._flush())
         # level 0 never changes, so a variable it assigns is never decided
-        self.order = [v for v in self.order if not self.assigned[v]]
-        self.decidable = bytearray(nvars)
-        for v in self.order:
-            self.decidable[v] = 1
+        decided = (*tab.lex_vars, *range(n2, n2 + len(triples)))
+        self.order = [v for v in decided if not self.assigned[v]]
         self._rebuild_heap()
 
     # -- pins and snapshots -------------------------------------------------
@@ -409,10 +401,23 @@ class Engine:
         return (feature.cause * n + feature.effect) * 2 + (0 if want_reach else 1)
 
     def holds(self, snap, pin: int) -> bool:
-        """Whether the pin holds in the snapshot as its witness reads it:
-        a false token holds unless its variable is true, so an unassigned
-        reachability reads as false."""
-        return not snap[pin ^ 1] if pin & 1 else snap[pin] == 1
+        """Whether the pin holds in the snapshot, a completion, which
+        assigns every reachability and polarity variable."""
+        return snap[pin] == 1
+
+    def joint(self, snap) -> JointAssignment:
+        """The joint assignment that a snapshot encodes."""
+        n = self.n
+        rows = [1 << x for x in range(n)]
+        for x in range(n):
+            for y in range(n):
+                if x != y and snap[(x * n + y) * 2]:
+                    rows[x] |= 1 << y
+        base = self.pol_base
+        truth = {
+            t: (INDEP if snap[base + 2 * i] else DEP) for i, t in enumerate(self.tables.triples)
+        }
+        return JointAssignment(AncestralStructure(n, tuple(rows)), CiAssignment(truth))
 
     # -- state updates (queue consequences; conflicts set self.conflict) ----
 
@@ -591,11 +596,11 @@ class Engine:
         tlen, nlen, cost = self.frames[target_level]
         del self.frames[target_level:]
         value = self.value
-        act, heap, decidable, queued = self.act, self.heap, self.decidable, self.queued
+        act, heap, queued, fbase = self.act, self.heap, self.queued, self.fact_base
         for tok in self.trail[tlen:]:
             value[tok] = 0
             var = tok >> 1
-            if decidable[var] and not queued[var]:
+            if tok < fbase and not queued[var]:
                 queued[var] = 1
                 heapq.heappush(heap, (-act[var], var))
         del self.trail[tlen:]
@@ -699,13 +704,15 @@ class Engine:
             self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        """One entry at its current activity for every decidable variable."""
+        """One entry at its current activity for every variable of ``order``."""
         act = self.act
         self.heap = [(-act[v], v) for v in self.order]
         heapq.heapify(self.heap)
-        self.queued = bytearray(self.decidable)
+        self.queued = bytearray(len(self.level))
+        for v in self.order:
+            self.queued[v] = 1
 
-    def _learn(self, clause: list[int], assertion: int) -> bool:
+    def _learn(self, clause: list[int], assertion: int) -> None:
         """Backjump to the assertion level, but no lower than the
         assumption level, and assert the learned clause's first token. The
         clause keeps its two watched tokens first, swapped in place as the
@@ -726,8 +733,8 @@ class Engine:
             self.watches.setdefault(clause[1], []).append(ci)
         elif type(clause) is list:
             self.units.append(clause[0])
-        reason = type(clause)(tok ^ 1 for tok in clause[1:])
-        return self._assign(clause[0], reason) and self._flush()
+        if self._assign(clause[0], type(clause)(tok ^ 1 for tok in clause[1:])):
+            self._flush()
 
     def _drop_local_clauses(self) -> None:
         """Keep the logical learned clauses only and watch them afresh, at
@@ -744,10 +751,9 @@ class Engine:
 
     def _check_time(self) -> None:
         self.nodes += 1
-        if self.deadline is not None and self.nodes % _TIMEOUT_CHECK_INTERVAL == 0:
-            if time.monotonic() > self.deadline:
-                bound = None if self.best_snap is None else Weight.finite(self.best_cost)
-                raise SolveTimeoutError("search exceeded the time limit", bound)
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            bound = None if self.best_snap is None else Weight.finite(self.best_cost)
+            raise SolveTimeoutError("search exceeded the time limit", bound)
 
     def _next_decision(self) -> Optional[int]:
         """Undecided variable with the highest conflict activity; ties fall
@@ -764,29 +770,26 @@ class Engine:
         return None
 
     def _preferred(self, var: int) -> int:
-        """Cheapest value first, ties to false reachability and independent
-        polarity; with a phase hint, the hint's value. Level 0 has assigned
-        every variable with a forbidden value, so both values are allowed."""
+        """The phase's value, else the cheaper value, ties to false. Level 0
+        has assigned every variable with a forbidden value, so both values
+        are allowed."""
         tok = var * 2
         if self.phase is not None:
             return tok if self.phase[tok] else tok + 1
-        c_true, c_false = self.cost_of[tok], self.cost_of[tok + 1]
-        if c_true == c_false:
-            return tok if tok >= self.pol_base else tok + 1
-        return tok if c_true < c_false else tok + 1
+        return tok if self.cost_of[tok] < self.cost_of[tok + 1] else tok + 1
 
-    def query(self, pins: Sequence[int] = (), phase=None):
+    def query(self, pins: Sequence[int] = ()):
         """The exact minimum cost under the options' forced features and
         ``pins``, and one optimal snapshot; ``(None, None)`` when no
         completion satisfies them. A snapshot is the ``value`` bytes of the
-        reachability and polarity tokens; ``phase`` is one whose values
-        decisions follow. The query's first incumbent is the cheapest pooled
-        completion that satisfies ``pins``, and it returns once its
-        incumbent is ``floor``: before it backjumps, when the pooled one is.
-        With pins and no such completion, the first incumbent is the guess
-        (module docstring). Raises :class:`SolveTimeoutError` once the
-        deadline has passed; its bound is the cost of a completion found,
-        never the guess.
+        reachability and polarity tokens. A pinned query's decisions follow
+        the phase ``floor_snap``, a pinless one's none. The first incumbent
+        is the cheapest pooled completion that satisfies ``pins``, and the
+        query returns once its incumbent is ``floor``: before it backjumps,
+        when the pooled one is. With pins and no such completion, the first
+        incumbent is the guess (module docstring). Raises
+        :class:`SolveTimeoutError` once the deadline has passed; its bound
+        is the cost of a completion found, never the guess.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeoutError("search exceeded the time limit", None)
@@ -794,13 +797,13 @@ class Engine:
         pooled = min(fits, default=(None, None))
         if self.floor is not None and pooled[0] == self.floor:
             return pooled
-        self.phase = phase
+        self.phase = self.floor_snap if pins else None
         guess = None
         if self._assume(pins):
             # The pooled incumbent seeds the bound only; the phase stays the
-            # caller's. Following the seeded or each new incumbent's values
-            # took (6,1) models 0-5 from 55k to 81-93k nodes and from 2.9 to
-            # 5.3-5.6 s of scoring on a 2-core x86-64 host.
+            # floor optimum's. Following the seeded or each new incumbent's
+            # values took (6,1) models 0-5 from 55k to 81-93k nodes and from
+            # 2.9 to 5.3-5.6 s of scoring on a 2-core x86-64 host.
             self.best_cost, self.best_snap = pooled
             if pins and pooled[0] is None and self.excess:
                 guess = self.best_cost = self.floor + 2 * self.excess + 1
@@ -808,7 +811,7 @@ class Engine:
             if guess is not None and self.best_snap is None and self._assume(pins):
                 self._search(guess)
             if not pins:
-                self.floor = self.best_cost
+                self.floor, self.floor_snap = self.best_cost, self.best_snap
             elif self.best_cost is not None and self.floor is not None:
                 self.excess = max(self.excess, self.best_cost - self.floor)
         return self.best_cost, self.best_snap
@@ -887,9 +890,9 @@ class Engine:
     def _search(self, lo: Optional[int]) -> None:
         """Search under the incumbent ``best_cost``, if any, down to the
         lower bound ``lo``: return at a completion found at the assumption
-        level or of cost ``lo``, or when the search exhausts."""
-        conflicts = 0
-        restart_budget = _RESTART_CONFLICTS
+        level or of cost ``lo``, or when the search exhausts. Every conflict
+        learns an asserting clause, and no clause is deleted within one
+        search, so it terminates."""
         while True:
             self._check_time()
             if self.best_cost is not None and self.cost >= self.best_cost:
@@ -910,37 +913,15 @@ class Engine:
                     if self._assign(self._preferred(var), None) and self._flush():
                         continue
             while self.conflict is not None:
-                conflicts += 1
                 analyzed = self._analyze()
                 if analyzed is None:
                     return
                 self.conflict = None
                 self._learn(*analyzed)
-            if conflicts >= restart_budget and len(self.frames) > self.root:
-                # geometric restart to the assumption level, keeping
-                # clauses and activities; the growing budget guarantees
-                # termination
-                conflicts = 0
-                restart_budget *= 2
-                self._backjump(self.root)
 
 
 # ---------------------------------------------------------------------------
 # Public API
-
-
-def _joint_from_snap(engine: Engine, snap) -> JointAssignment:
-    n = engine.n
-    rows = [1 << x for x in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if x != y and snap[(x * n + y) * 2]:
-                rows[x] |= 1 << y
-    base = engine.pol_base
-    truth = {
-        t: (INDEP if snap[base + 2 * i] else DEP) for i, t in enumerate(engine.tables.triples)
-    }
-    return JointAssignment(AncestralStructure(n, tuple(rows)), CiAssignment(truth))
 
 
 def solve_min_loss(
@@ -963,7 +944,7 @@ def solve_min_loss(
     if not build_witness:
         return SolveResult(Weight.finite(best), None)
     try:
-        witness = _joint_from_snap(engine, engine.witness(best, snap))
+        witness = engine.joint(engine.witness(best, snap))
     except SolveTimeoutError:
         raise SolveTimeoutError(
             "witness reconstruction exceeded the time limit", Weight.finite(best)

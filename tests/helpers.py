@@ -23,7 +23,6 @@ from ancestral.core import (
     not_causes,
 )
 from ancestral.simulate import d_separated
-from ancestral.solver import _joint_from_snap
 
 
 def random_dag(n_nodes: int, edge_prob: float, rng: random.Random) -> np.ndarray:
@@ -178,10 +177,10 @@ def reference_lex_witness(engine, best, cur):
         engine.pol_base + t * 2 for t in range(len(tab.triples))
     ]:
         if not engine.holds(cur, pin):
-            cost, snap = engine.query(pins + [pin], cur)
+            cost, snap = engine.query(pins + [pin])
             if cost == best:
                 cur = snap
             else:
                 pin ^= 1
         pins.append(pin)
-    return _joint_from_snap(engine, cur)
+    return engine.joint(cur)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ancestral.core import (
@@ -30,7 +30,6 @@ from ancestral.scoring import (
     pair_features,
     score_all_pairs,
 )
-from ancestral import solver
 from ancestral.simulate import random_linear_model, sample_data
 from ancestral.solver import SolveOptions, _tables, solve_min_loss
 from ancestral.stats import CiTestConfig, ci_inputs_from_data
@@ -295,23 +294,20 @@ def _fresh_score(inputs, n, feature):
     "n, m, hard",
     [(5, 0, ()), (5, 1, (causes(0, 1), not_causes(3, 2))), (6, 0, ()), (6, 2, ())],
 )
-def test_incremental_scores_match_fresh_forced_solves(n, m, hard, monkeypatch):
+def test_incremental_scores_match_fresh_forced_solves(n, m, hard):
     # One engine answers every query of a scorer and keeps the logical
     # clauses it learns; a clause leaked from a bound or incumbent nogood,
-    # or a backjump below the pins, changes some minimum. Restarting after
-    # every few conflicts runs the restart path on these small instances.
+    # or a backjump below the pins, changes some minimum.
     scm = random_linear_model(n, 1, 0.3, seed=[0, m, 0])
     data = sample_data(scm, 500, seed=[0, m, 1])
     inputs = ci_inputs_from_data(data, CiTestConfig(max_order=1)) + list(hard)
     features = [feat(x, y) for x in range(n) for y in range(n) if x != y]
     want = {(f.cause, f.effect): _fresh_score(inputs, n, f) for f in features}
-    for restart_conflicts in (solver._RESTART_CONFLICTS, 1):
-        monkeypatch.setattr(solver, "_RESTART_CONFLICTS", restart_conflicts)
-        got = {(p.cause, p.effect): p.score for p in score_all_pairs(inputs, n)}
-        assert got == want
-        scorer = PairScorer(inputs, n)
-        for f in reversed(features):
-            assert scorer.confidence(f) == want[(f.cause, f.effect)]
+    got = {(p.cause, p.effect): p.score for p in score_all_pairs(inputs, n)}
+    assert got == want
+    scorer = PairScorer(inputs, n)
+    for f in reversed(features):
+        assert scorer.confidence(f) == want[(f.cause, f.effect)]
 
 
 # -- metamorphic relations --------------------------------------------------------
@@ -394,6 +390,70 @@ def test_metamorphic_relations(n, c, m):
     assert len(condset_members(free.statement.cond)) > c
     got, got_best, _ = _answers(inputs + [free], n)
     assert (got, got_best) == (scores, best)
+
+
+@st.composite
+def sparse_instances(draw):
+    """At n = 5..6, 3 to 15 distinct order-<=1 triples with random
+    polarities, plus 0 to 3 ``causes``/``notcauses`` statements, all with
+    weights 0..5000, so that ties occur and most ordered pairs are in no
+    input; with a relabeling of the variables and an order of the inputs."""
+    n = draw(st.sampled_from((5, 6)))
+    triples = [
+        (x, y, cond)
+        for x in range(n)
+        for y in range(x + 1, n)
+        for cond in [(), *((z,) for z in range(n) if z not in (x, y))]
+    ]
+    weights = st.integers(0, 5000).map(W)
+    chosen = draw(st.lists(st.sampled_from(triples), min_size=3, max_size=15, unique=True))
+    inputs = [
+        draw(st.sampled_from((indep, dep)))(x, y, cond, draw(weights)) for x, y, cond in chosen
+    ]
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.sampled_from(pairs))
+        inputs.append(draw(st.sampled_from((causes, not_causes)))(x, y, draw(weights)))
+    perm = draw(st.permutations(range(n)))
+    order = draw(st.permutations(range(len(inputs))))
+    return n, inputs, perm, order
+
+
+# variable 4 is in no input, and one statement weighs 0
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example(
+    (
+        5,
+        [
+            indep(0, 1, (), W(0)),
+            dep(1, 2, (0,), W(1200)),
+            indep(0, 2, (), W(300)),
+            causes(2, 3, W(700)),
+        ],
+        [4, 2, 0, 3, 1],
+        [3, 1, 0, 2],
+    )
+)
+@given(sparse_instances())
+def test_metamorphic_relations_on_sparse_instances(case):
+    """Relabeling, doubling and shuffling on random sparse weighted inputs,
+    as in :func:`test_metamorphic_relations`: the inputs that leave
+    unconstrained reachability to the search's decisions and that give
+    decisions equal costs to tie on."""
+    n, inputs, perm, order = case
+    scores, best, witness = _answers(inputs, n)
+
+    got, got_best, _ = _answers(_relabeled(inputs, perm), n)
+    assert got == {(perm[x], perm[y]): s for (x, y), s in scores.items()}
+    assert got_best == best
+
+    doubled = [WeightedInput(i.statement, W(2 * i.weight.millis)) for i in inputs]
+    got, got_best, got_witness = _answers(doubled, n)
+    assert got == {k: s if math.isinf(s) else 2 * s for k, s in scores.items()}
+    assert got_best == W(2 * best.millis)
+    assert got_witness == witness
+
+    assert _answers([inputs[i] for i in order], n) == (scores, best, witness)
 
 
 # -- identifiability oracle -----------------------------------------------------------

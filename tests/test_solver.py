@@ -26,7 +26,6 @@ from ancestral.solver import (
     Engine,
     SolveOptions,
     SolveTimeoutError,
-    _joint_from_snap,
     _Tables,
     _tables,
     brute_force_min_loss,
@@ -349,7 +348,7 @@ def test_holds_agrees_with_joint_from_snap():
         snap = engine.query()[1]
         if snap is None:
             continue
-        joint = _joint_from_snap(engine, snap)
+        joint = engine.joint(snap)
         for x in range(n):
             for y in range(n):
                 if x == y:
@@ -364,9 +363,8 @@ def test_holds_agrees_with_joint_from_snap():
             indep_holds = joint.ci.truth[t] is INDEP
             assert engine.holds(snap, tok) == indep_holds
             assert engine.holds(snap, tok + 1) == (not indep_holds)
-    # unassigned reachability must occur, or the rule that it reads false
-    # would go untested
-    assert unassigned > 0
+    # every completion assigns every reachability variable, constrained or not
+    assert unassigned == 0
 
 
 def test_forced_queries_reuse_the_pool_exactly():
@@ -413,7 +411,7 @@ def test_forced_queries_reuse_the_pool_exactly():
             assert (Weight.hard() if best is None else W(best)) == want
             if best is not None:
                 assert engine.holds(snap, pin)
-                assert loss(_joint_from_snap(engine, snap), inputs) == W(best)
+                assert loss(engine.joint(snap), inputs) == W(best)
             if at_floor:
                 assert engine.nodes == nodes
                 from_pool += 1
@@ -516,7 +514,7 @@ def assert_forced_minimum(engine, inputs, n, forced, best, snap):
     if best is not None:
         for x, y, hold in forced:
             assert engine.holds(snap, engine.pin(AncStatement(x, y, Ancestry.CAUSES), hold))
-        assert loss(_joint_from_snap(engine, snap), inputs) == W(best)
+        assert loss(engine.joint(snap), inputs) == W(best)
 
 
 def all_forced(n):
@@ -596,7 +594,6 @@ def test_timeout_under_a_guess_reports_only_found_completions(monkeypatch):
     cost of the cheapest completion that the query found, or None when it
     found none: never the guess. The engine then answers the query
     exactly."""
-    monkeypatch.setattr(solver, "_TIMEOUT_CHECK_INTERVAL", 1)
     clock = _Clock()
     monkeypatch.setattr(solver, "time", clock)
     rng = random.Random(31)
@@ -668,7 +665,7 @@ def test_witness_matches_the_per_query_reference():
         twin = Engine(inputs, n, options)
         want = reference_lex_witness(twin, *twin.query())
         nodes = engine.nodes
-        got = _joint_from_snap(engine, engine.witness(best, snap))
+        got = engine.joint(engine.witness(best, snap))
         probed += engine.nodes > nodes
         assert engine.root == 1
         assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
@@ -687,9 +684,9 @@ def test_witness_matches_the_per_query_reference():
             assert engine.query([pin])[0] == Engine(inputs, n, options).query([pin])[0]
         # a start that is not the lex-smallest optimum makes probes succeed
         for start in [s for c, s in engine.pool if c == best]:
-            begun = _joint_from_snap(engine, start)
+            begun = engine.joint(start)
             other_starts += (begun.structure, begun.ci.truth) != (got.structure, got.ci.truth)
-            again = _joint_from_snap(engine, engine.witness(best, start))
+            again = engine.joint(engine.witness(best, start))
             assert (again.structure, again.ci.truth) == (got.structure, got.ci.truth)
     assert probed > 0 and other_starts > 0
 
@@ -714,7 +711,7 @@ def test_witness_rejects_a_best_that_is_not_the_minimum():
             except RuntimeError:
                 tripped[delta] += 1
             assert engine.root == 1
-        got = _joint_from_snap(engine, engine.witness(best, snap))
+        got = engine.joint(engine.witness(best, snap))
         want = solve_min_loss(inputs, 6).witness
         assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
     assert tripped[-1] > 0 and tripped[1] > 0
@@ -724,7 +721,10 @@ def test_pool_holds_valid_completions():
     """Every completion in ``Engine.pool``, whether a base, forced or
     witness search accepted it, is consistent, costs what the pool records
     and satisfies the options' forced features, so it is a feasible
-    incumbent for every later query whose pins it satisfies."""
+    incumbent for every later query whose pins it satisfies. It is a full
+    assignment: it sets exactly one token of every off-diagonal
+    reachability variable and of every polarity variable, also on sparse
+    instances where some ordered pairs are in no input."""
     rng = random.Random(61)
     cases = list(witness_cases(rng, 24))
     for n in (5, 6):
@@ -732,6 +732,9 @@ def test_pool_holds_valid_completions():
             scm = random_linear_model(n, 1, 0.3, seed=[0, m, 0])
             data = sample_data(scm, 500, seed=[0, m, 1])
             cases.append((n, ci_inputs_from_data(data, CiTestConfig(max_order=1)), SolveOptions()))
+    for case in range(12):
+        n = 4 + case % 3
+        cases.append((n, random_instance(rng, n, max_inputs=4, anc_share=0.3), SolveOptions()))
     from_witness = 0
     for n, inputs, options in cases:
         engine = Engine(inputs, n, options)
@@ -744,8 +747,10 @@ def test_pool_holds_valid_completions():
         pooled = len(engine.pool)
         engine.witness(best, snap)
         from_witness += len(engine.pool) - pooled
+        variables = [*engine.tables.lex_vars, *range(engine.pol_base // 2, engine.fact_base // 2)]
         for cost, completion in engine.pool:
-            joint = _joint_from_snap(engine, completion)
+            assert all(completion[2 * v] + completion[2 * v + 1] == 1 for v in variables)
+            joint = engine.joint(completion)
             assert check_consistency(joint.structure, joint.ci)
             assert loss(joint, inputs) == W(cost)
             for feature, hold in options.forced_features:
@@ -771,7 +776,6 @@ def test_witness_timeout_leaves_a_usable_engine(monkeypatch):
     minimum, and its next witness is the untimed one."""
     # with one clock reading per node, the limit counts readings: one at
     # compile, one at the base query's start, then one per node
-    monkeypatch.setattr(solver, "_TIMEOUT_CHECK_INTERVAL", 1)
     monkeypatch.setattr(solver, "time", _Clock())
     rng = random.Random(89)
     timed_out = 0
@@ -781,7 +785,7 @@ def test_witness_timeout_leaves_a_usable_engine(monkeypatch):
         if best is None:
             continue
         base_nodes = engine.nodes
-        want = _joint_from_snap(engine, engine.witness(best, snap))
+        want = engine.joint(engine.witness(best, snap))
         probe_nodes = engine.nodes - base_nodes
         if probe_nodes < 2:
             continue
@@ -797,7 +801,7 @@ def test_witness_timeout_leaves_a_usable_engine(monkeypatch):
         engine.deadline = None
         best, snap = engine.query()
         assert best == exc.value.best_bound.millis
-        got = _joint_from_snap(engine, engine.witness(best, snap))
+        got = engine.joint(engine.witness(best, snap))
         assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
         timed_out += 1
     assert timed_out > 0
@@ -852,9 +856,9 @@ def test_witness_keeps_probe_clauses_propagated():
         if best is None:
             continue
         twin = Engine(inputs, n, options)
-        want = _joint_from_snap(twin, twin.witness(*twin.query()))
+        want = twin.joint(twin.witness(*twin.query()))
         for start in [snap] + [s for c, s in engine.pool if c == best]:
-            got = _joint_from_snap(engine, engine.witness(best, start))
+            got = engine.joint(engine.witness(best, start))
             assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
         commits += engine.commits
         clauses += engine.clauses
@@ -864,11 +868,10 @@ def test_witness_keeps_probe_clauses_propagated():
 class ScanCheckedEngine(Engine):
     """An engine whose every heap decision is checked against the linear
     scan it replaces: the unassigned decision variable of highest activity,
-    ties to the lowest index. Counts decisions, rescales and restarts."""
+    ties to the lowest index. Counts decisions and rescales."""
 
     def __init__(self, *args):
-        self.decisions = self.rescales = self.restarts = 0
-        self.learning = False
+        self.decisions = self.rescales = 0
         super().__init__(*args)
 
     def _next_decision(self):
@@ -883,31 +886,16 @@ class ScanCheckedEngine(Engine):
         super()._bump(clause)
         self.rescales += self.act_inc < inc
 
-    def _learn(self, clause, assertion):
-        self.learning = True
-        try:
-            return super()._learn(clause, assertion)
-        finally:
-            self.learning = False
 
-    def _backjump(self, target_level):
-        # a backjump to the assumption level outside learning is a restart
-        if target_level == 1 and len(self.frames) > 1 and not self.learning:
-            self.restarts += 1
-        super()._backjump(target_level)
-
-
-@pytest.mark.parametrize("rescale, restart_conflicts", [(None, None), (10.0, 1)])
-def test_decision_heap_matches_linear_scan(rescale, restart_conflicts, monkeypatch):
+@pytest.mark.parametrize("rescale", [None, 10.0])
+def test_decision_heap_matches_linear_scan(rescale, monkeypatch):
     """Every decision of base, forced and lex-witness queries, on instances
     with hard inputs, ancestral costs and forced features, is the scan's
-    choice; with a low rescale threshold and restart budget the heap is
-    rebuilt and restarts requeue what they unassign."""
+    choice; with a low rescale threshold the heap is rebuilt."""
     if rescale is not None:
         monkeypatch.setattr(solver, "_ACT_RESCALE", rescale)
-        monkeypatch.setattr(solver, "_RESTART_CONFLICTS", restart_conflicts)
     rng = random.Random(5)
-    decisions = rescales = restarts = 0
+    decisions = rescales = 0
     for case in range(12):
         n = 4 + case % 3
         inputs = random_instance(rng, n, max_inputs=8 * n, anc_share=0.25)
@@ -927,10 +915,9 @@ def test_decision_heap_matches_linear_scan(rescale, restart_conflicts, monkeypat
             engine.query([engine.pin(AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5)])
         decisions += engine.decisions
         rescales += engine.rescales
-        restarts += engine.restarts
     assert decisions > 0
     if rescale is not None:
-        assert rescales > 0 and restarts > 0
+        assert rescales > 0
 
 
 # -- invariants -------------------------------------------------------------------
