@@ -71,12 +71,11 @@ class PairScorer:
         self.options = options or SolveOptions()
         self.n = n
         self._engine = Engine(inputs, n, self.options)
-        self._base = None
 
     def confidence(self, feature: AncStatement) -> Union[int, float]:
         engine = self._engine
-        if self._base is None:
-            self._base = engine.query()
+        if engine.floor is None:
+            engine.query()
         loss = {hold: engine.query((engine.pin(feature, hold),))[0] for hold in (True, False)}
         if loss[True] is None and loss[False] is None:
             raise BothInfeasibleError(

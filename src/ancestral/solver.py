@@ -17,7 +17,7 @@ and one trail that undoes them all. Each fact has one variable: the two
 facts of an input triple are the two values of its polarity variable, and
 only the facts of other triples get fact variables of their own.
 
-Propagation interleaves three mechanisms. One table of gated clauses
+Propagation interleaves four mechanisms. One table of gated clauses
 unit-propagates each clause once all its gate facts are present: a rule
 instance is a clause gated by its premises whose one literal is its
 conclusion fact, a structural constraint one over reachability variables.
@@ -29,7 +29,12 @@ constant ``offset``, so each value costs only its excess over that (the
 unary cost shift of weighted CSP, Cooper & Schiex 2004), and the running
 cost, ``offset`` plus the reduced costs assigned so far, bounds every
 completion below the node; undecided polarities are treated
-optimistically, so the bound is admissible.
+optimistically, so the bound is admissible. It also propagates: under an
+incumbent, every open token whose reduced cost reaches the slack, the
+incumbent's cost less the running cost, is set false: the hardening of
+weighted MaxSAT (Ansotegui et al. 2012), applied at every node. Its reason
+is the bound cover of the cost-bearing tokens in front of it on the trail,
+which is query-local and built only when conflict analysis resolves it.
 
 Compilation has two layers. The grounding of n variables and a triple set
 (fact universe, one gated-clause table and its indexes) does not depend
@@ -48,9 +53,9 @@ which the search never backjumps, in the manner of the MiniSat assumption
 interface. Logical learned clauses, those resolved from the rules, the
 hard inputs and other logical clauses alone, hold under any pins and
 persist across queries, as do decision activities. A clause resolved from
-a bound or incumbent nogood, or from the reason of a clause so derived,
-depends on one query's threshold: it is query-local and dropped when the
-next query or witness starts.
+a bound or incumbent nogood, from a hardened token's reason, or from the
+reason of a clause so derived, depends on one query's threshold: it is
+query-local and dropped when the next query or witness starts.
 
 Every search runs in one mode: it prunes each node whose lower bound
 reaches the incumbent's cost, which may be virtual, a cost threshold with
@@ -270,6 +275,14 @@ class _Local(list):
     __slots__ = ()
 
 
+class _Hardened(tuple):
+    """The lazy reason ``(threshold, end)`` of a token that objective
+    propagation set false: the cover (:meth:`Engine._cover`) of
+    ``trail[:end]`` reaching ``threshold``, built when analysis needs it."""
+
+    __slots__ = ()
+
+
 class Engine:
     """The exact solver for one input list: it validates and compiles the
     instance, fixes one deadline for its whole life and answers every query
@@ -301,6 +314,11 @@ class Engine:
     tokens. ``cost`` is the running cost, ``offset`` plus the reduced costs
     of the trail's tokens and the search's only lower bound; bound nogoods
     read its cost-bearing tokens off the trail.
+
+    ``costly`` lists the cost-bearing tokens by ``(-cost_of, token)``, and
+    every token in front of ``scanned`` is assigned; each frame saves
+    ``scanned``, so a pass of :meth:`_harden` scans only the tokens that
+    the slack newly reaches.
     ``pool`` holds the ``(cost, snapshot)`` of every completion that a
     search accepted, ``floor`` and ``floor_snap`` the pinless query's
     minimum and optimum, and ``excess`` the largest ``minimum - floor`` of
@@ -351,6 +369,8 @@ class Engine:
         self.offset = sum(shift)
         self.cost_of = [0 if c is None else c - shift[tok >> 1] for tok, c in enumerate(full)]
         self.cost_of += [0] * (2 * tab.nfacts)
+        self.costly = [t for _, t in sorted((-c, t) for t, c in enumerate(self.cost_of) if c)]
+        self.scanned = 0
 
         self.value = bytearray(2 * nvars)
         # both tokens of variable v as one word: zero while v is unassigned
@@ -568,32 +588,55 @@ class Engine:
                 return False
         return True
 
-    def _bound_conflict(self, threshold: int) -> _Local:
-        """Assigned tokens whose conjunction forces every completion to
-        cost at least ``threshold``: a greedy cover by the costliest
-        cost-bearing assignments. The ``offset`` holds unconditionally and
-        needs no tokens."""
+    def _cover(self, threshold: int, end: int) -> _Local:
+        """Tokens of ``trail[:end]`` whose conjunction forces every
+        completion to cost at least ``threshold``: a greedy cover by the
+        costliest cost-bearing ones. The ``offset`` holds unconditionally
+        and needs no tokens. A bound conflict is the cover of the whole
+        trail, a hardened token's reason that of the trail in front of it."""
         need = threshold - self.offset
         cost_of = self.cost_of
         total = 0
         out: list[int] = []
-        for tok in sorted((t for t in self.trail if cost_of[t]), key=lambda t: (-cost_of[t], t)):
+        costs = (t for t in self.trail[:end] if cost_of[t])
+        for tok in sorted(costs, key=lambda t: (-cost_of[t], t)):
             total += cost_of[tok]
             out.append(tok)
             if total >= need:
                 break
         return _Local(sorted(out))
 
+    def _harden(self) -> bool:
+        """Objective propagation under the incumbent: set false and
+        propagate, costliest first from ``scanned``, every open token of
+        ``costly`` whose reduced cost reaches the slack ``best_cost -
+        cost``, until the slack reaches no open token or is gone. False on
+        a conflict."""
+        costly, cost_of, assigned = self.costly, self.cost_of, self.assigned
+        best = self.best_cost
+        i = self.scanned
+        while i < len(costly) and self.cost < best:
+            tok = costly[i]
+            if not assigned[tok >> 1]:
+                if cost_of[tok] < best - self.cost:
+                    break
+                self._assign(tok ^ 1, _Hardened((best - cost_of[tok], len(self.trail))))
+                if not self._flush():
+                    return False
+            i += 1
+        self.scanned = i
+        return True
+
     # -- frames / backjumping -------------------------------------------------
 
     def _push_frame(self) -> None:
-        self.frames.append((len(self.trail), len(self.counted), self.cost))
+        self.frames.append((len(self.trail), len(self.counted), self.cost, self.scanned))
 
     def _backjump(self, target_level: int) -> None:
         """Undo every level above ``target_level`` in one pass."""
         if len(self.frames) <= target_level:
             return
-        tlen, nlen, cost = self.frames[target_level]
+        tlen, nlen, cost, self.scanned = self.frames[target_level]
         del self.frames[target_level:]
         value = self.value
         act, heap, queued, fbase = self.act, self.heap, self.queued, self.fact_base
@@ -681,6 +724,8 @@ class Engine:
             counter -= 1
             seen.discard(uip)
             reason = self.reason[uip >> 1]
+            if type(reason) is _Hardened:
+                reason = self._cover(*reason)
             local = local or type(reason) is _Local
             counter += self._collect(self._resolve(reason, expanded), seen, lower, conflict_level)
         assertion = max((level[tok >> 1] for tok in lower), default=0)
@@ -852,10 +897,12 @@ class Engine:
         clause has no watches, a longer one keeps one false watch), so it
         is asserted again at level 1 after the probe. Raises
         :class:`SolveTimeoutError` once the deadline has passed, with the
-        assumption level back at 1, and ``RuntimeError`` when a pin
-        conflicts at level 1, which a ``best`` that is the minimum rules
-        out.
+        assumption level back at 1, and ``RuntimeError`` when ``best`` is
+        not the minimum: ``cur`` does not cost it, a probe's completion costs
+        less, or a pin conflicts at level 1.
         """
+        if self.offset + sum(self.cost_of[t] for t in range(self.fact_base) if cur[t]) != best:
+            raise RuntimeError(f"the witness start does not cost {best}")
         tab = self.tables
         self._assume(())
         self.root = 2
@@ -876,6 +923,8 @@ class Engine:
                     self.below_root.clear()
                     if self.best_snap is None:
                         pin ^= 1
+                    elif self.best_cost < best:
+                        raise RuntimeError(f"a witness probe costs {self.best_cost}, below {best}")
                     else:
                         cur = self.best_snap
                 # cur satisfies the pin and every clause learned so far, so
@@ -890,15 +939,19 @@ class Engine:
     def _search(self, lo: Optional[int]) -> None:
         """Search under the incumbent ``best_cost``, if any, down to the
         lower bound ``lo``: return at a completion found at the assumption
-        level or of cost ``lo``, or when the search exhausts. Every conflict
-        learns an asserting clause, and no clause is deleted within one
-        search, so it terminates."""
+        level or of cost ``lo``, or when the search exhausts. Under an
+        incumbent, each node first hardens, then bound-conflicts once its
+        running cost reaches the incumbent's. Every conflict learns an
+        asserting clause, and no clause is deleted within one search, so it
+        terminates."""
         while True:
             self._check_time()
-            if self.best_cost is not None and self.cost >= self.best_cost:
+            if self.best_cost is not None and not self._harden():
+                pass  # the conflict is analyzed below
+            elif self.best_cost is not None and self.cost >= self.best_cost:
                 if len(self.frames) == self.root:
                     return
-                self.conflict = self._bound_conflict(self.best_cost)
+                self.conflict = self._cover(self.best_cost, len(self.trail))
             else:
                 var = self._next_decision()
                 if var is None:
@@ -907,7 +960,7 @@ class Engine:
                     self.pool.append((self.best_cost, self.best_snap))
                     if len(self.frames) == self.root or self.best_cost == lo:
                         return
-                    self.conflict = self._bound_conflict(self.best_cost)
+                    self.conflict = self._cover(self.best_cost, len(self.trail))
                 else:
                     self._push_frame()
                     if self._assign(self._preferred(var), None) and self._flush():

@@ -527,13 +527,14 @@ def forced_pins(engine, forced):
 
 
 @st.composite
-def pin_sequences(draw):
+def pin_sequences(
+    draw, weights=st.integers(-1, 5000).map(lambda w: Weight.hard() if w < 0 else W(w))
+):
     """An instance at n = 3..4 of at most 12 inputs, CI statements up to
-    order 1 and ancestral statements, a few of them hard, and a sequence
-    of queries of 0 to 2 forced features each."""
+    order 1 and ancestral statements, of ``weights`` (by default a few of
+    them hard), and a sequence of queries of 0 to 2 forced features each."""
     n = draw(st.integers(3, 4))
     pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
-    weights = st.integers(-1, 5000).map(lambda w: Weight.hard() if w < 0 else W(w))
     inputs = []
     for _ in range(draw(st.integers(1, 12))):
         x, y = draw(st.sampled_from(pairs))
@@ -561,6 +562,55 @@ def test_guessed_thresholds_match_brute_force(case):
     for forced in queries:
         best, snap = engine.query(forced_pins(engine, forced))
         assert_forced_minimum(engine, inputs, n, forced, best, snap)
+
+
+class HardeningCountEngine(Engine):
+    """An engine that counts the tokens objective propagation sets false."""
+
+    def __init__(self, *args):
+        self.hardened = 0
+        super().__init__(*args)
+
+    def _assign(self, tok, reason):
+        self.hardened += type(reason) is solver._Hardened
+        return super()._assign(tok, reason)
+
+
+def test_hardened_minima_match_brute_force():
+    """One engine answers a random sequence of queries on soft and hard
+    inputs, then builds the lex witness from every pooled optimum: every
+    minimum, searched with objective propagation under pooled, guessed or
+    found incumbents, is brute force's, and so is every witness, whose
+    probes propagate under ``best + 1``. Weights of 1 to 3 make a reduced
+    cost meet the slack exactly, large ones make covers pick among many
+    tokens. Some instances harden tokens."""
+    hardened = []
+    weights = st.one_of(
+        st.just(Weight.hard()),
+        st.just(W(1)),
+        st.integers(1, 3).map(W),
+        st.integers(0, 5000).map(W),
+    )
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(pin_sequences(weights))
+    def check(case):
+        n, inputs, queries = case
+        engine = HardeningCountEngine(inputs, n)
+        for forced in queries:
+            best, snap = engine.query(forced_pins(engine, forced))
+            assert_forced_minimum(engine, inputs, n, forced, best, snap)
+        best, snap = engine.query()
+        assert_forced_minimum(engine, inputs, n, [], best, snap)
+        if best is not None:
+            want = brute_force_min_loss(inputs, n).witness
+            for start in [snap] + [s for c, s in engine.pool if c == best]:
+                got = engine.joint(engine.witness(best, start))
+                assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
+        hardened.append(engine.hardened)
+
+    check()
+    assert any(hardened)
 
 
 def test_guessed_thresholds_hold_and_fail():
@@ -918,6 +968,82 @@ def test_decision_heap_matches_linear_scan(rescale, monkeypatch):
     assert decisions > 0
     if rescale is not None:
         assert rescales > 0
+
+
+class HardeningCheckedEngine(Engine):
+    """An engine that checks objective propagation after every hardening
+    pass and every backjump: every token of ``costly`` in front of
+    ``scanned`` is assigned, and the reason of every hardened token on the
+    trail, built as conflict analysis builds it, is made of trail tokens in
+    front of it whose reduced costs, with that of the token set false,
+    reach the incumbent it was hardened under, less ``offset``. Counts the
+    hardened tokens per assumption level, and the reasons checked."""
+
+    def __init__(self, *args):
+        self.under = {}
+        self.hardened = {1: 0, 2: 0}
+        self.reasons = 0
+        super().__init__(*args)
+
+    def _assign(self, tok, reason):
+        if type(reason) is solver._Hardened:
+            self.under[tok >> 1] = self.best_cost
+            self.hardened[self.root] += 1
+        return super()._assign(tok, reason)
+
+    def _harden(self):
+        ok = super()._harden()
+        self._check_hardening()
+        return ok
+
+    def _backjump(self, target_level):
+        super()._backjump(target_level)
+        self._check_hardening()
+
+    def _check_hardening(self):
+        assert all(self.assigned[tok >> 1] for tok in self.costly[: self.scanned])
+        for pos, tok in enumerate(self.trail):
+            reason = self.reason[tok >> 1]
+            if type(reason) is solver._Hardened:
+                cover = self._cover(*reason)
+                assert set(cover) <= set(self.trail[:pos])
+                total = sum(self.cost_of[t] for t in cover) + self.cost_of[tok ^ 1]
+                assert total >= self.under[tok >> 1] - self.offset
+                self.reasons += 1
+
+
+def test_hardening_keeps_its_pointer_and_reasons():
+    """Base, forced and lex-witness queries, on instances with hard inputs,
+    ancestral costs and forced features, keep the hardening pointer behind
+    the assigned prefix of ``costly`` and build every lazy reason from the
+    trail in front of its token; tokens harden in queries and in witness
+    probes. Half the instances have weights below 10, so that reduced costs
+    often meet the slack exactly."""
+    rng = random.Random(7)
+    hardened = {1: 0, 2: 0}
+    reasons = 0
+    for case in range(16):
+        n = 4 + case % 3
+        max_weight = 9 if case % 8 < 4 else 5000
+        inputs = random_instance(rng, n, max_inputs=6 * n, max_weight=max_weight, anc_share=0.3)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        if case % 2:
+            x, y = rng.choice(pairs)
+            inputs.append((causes if rng.random() < 0.5 else not_causes)(x, y))
+        forced = ()
+        if case % 4 == 3:
+            x, y = rng.choice(pairs)
+            forced = ((AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5),)
+        engine = HardeningCheckedEngine(inputs, n, SolveOptions(forced_features=forced))
+        best, snap = engine.query()
+        for x, y in rng.sample(pairs, 4):
+            engine.query([engine.pin(AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5)])
+        if best is not None:
+            engine.witness(best, snap)
+        for root in hardened:
+            hardened[root] += engine.hardened[root]
+        reasons += engine.reasons
+    assert hardened[1] > 0 and hardened[2] > 0 and reasons > 0
 
 
 # -- invariants -------------------------------------------------------------------
