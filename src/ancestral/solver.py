@@ -13,9 +13,10 @@ incumbent stay valid as the incumbent tightens, so the minimum is exact.
 Reachability, polarity and derived-fact variables share one numbering, so
 the assignment state is kept once, in MiniSat's layout (Een & Sorensson
 2003): one value byte per token, one level and one reason per variable,
-and one trail that undoes them all. Each fact has one variable: the two
-facts of an input triple are the two values of its polarity variable, and
-only the facts of other triples get fact variables of their own.
+and one trail that undoes them all and, read from one head, queues their
+propagation. Each fact has one variable: the two facts of an input triple
+are the two values of its polarity variable, and only the facts of other
+triples get fact variables of their own.
 
 Propagation interleaves four mechanisms. One table of gated clauses
 unit-propagates each clause once all its gate facts are present: a rule
@@ -293,10 +294,10 @@ class Engine:
     and asserts the value each hard input requires at level 0, in token
     order, and propagates them once there; ``infeasible`` is set when they
     contradict there. Level 0 never changes after that. Each
-    :meth:`query` backjumps to it and asserts the options' forced features,
-    its own pins and the learned unit clauses at level 1, the assumption
-    level ``root``, which the search never backjumps below; :meth:`witness`
-    raises ``root`` to 2 while it probes its pins.
+    :meth:`query` backjumps to it and asserts the options' forced features
+    and its own pins at level 1, the assumption level ``root``, which the
+    search never backjumps below; :meth:`witness` raises ``root`` to 2
+    while it probes its pins.
 
     Token encoding: every engine variable has one number. Reachability
     ``var = x * n + y`` is variable ``var``, the polarity of input triple
@@ -311,9 +312,12 @@ class Engine:
     clauses. A pin is a reachability or polarity token. ``value`` holds one
     byte per token, set while the token is true; ``level`` and ``reason``
     hold one entry per variable; ``trail`` is the one undo log of assigned
-    tokens. ``cost`` is the running cost, ``offset`` plus the reduced costs
-    of the trail's tokens and the search's only lower bound; bound nogoods
-    read its cost-bearing tokens off the trail.
+    tokens and the propagation queue: the tokens in front of ``qhead``
+    have been propagated, those behind it wait for :meth:`_flush`, and
+    ``cl_missing[c]`` counts the gate tokens of clause ``c`` missing from
+    ``trail[:qhead]``. ``cost`` is the running cost, ``offset`` plus the
+    reduced costs of the trail's tokens and the search's only lower bound;
+    bound nogoods read its cost-bearing tokens off the trail.
 
     ``costly`` lists the cost-bearing tokens by ``(-cost_of, token)``, and
     every token in front of ``scanned`` is assigned; each frame saves
@@ -378,21 +382,14 @@ class Engine:
         self.level = [0] * nvars
         self.reason: list = [()] * nvars
         self.cl_missing = list(tab.cl_npremises)
-        # undo logs: assigned tokens, and fact tokens whose premise counters
-        # have been decremented
         self.trail: list[int] = []
-        self.counted: list[int] = []
+        self.qhead = 0
         self.frames: list[tuple] = []
-        self.qf: list[int] = []
-        self.qr: list[int] = []
-        self.qw: list[int] = []
         self.cost = self.offset
         self.nodes = 0
         self.conflict = None
         self.learned: list[list[int]] = []
         self.watches: dict[int, list[int]] = {}
-        self.units: list[int] = []
-        self.below_root: list = []
         self.act = [0.0] * (n2 + len(triples))
         self.act_inc = 1.0
         self.phase = None
@@ -439,10 +436,11 @@ class Engine:
         }
         return JointAssignment(AncestralStructure(n, tuple(rows)), CiAssignment(truth))
 
-    # -- state updates (queue consequences; conflicts set self.conflict) ----
+    # -- state updates (conflicts set self.conflict) -------------------------
 
     def _assign(self, tok: int, reason) -> bool:
-        """Make ``tok`` true at the current level with ``reason``."""
+        """Make ``tok`` true at the current level with ``reason``; its
+        consequences wait on the trail for :meth:`_flush`."""
         value = self.value
         if value[tok]:
             return True
@@ -454,15 +452,7 @@ class Engine:
         self.level[var] = len(self.frames)
         self.reason[var] = reason
         self.trail.append(tok)
-        if tok >= self.fact_base:
-            self.qf.append(tok)
-            return True
         self.cost += self.cost_of[tok]
-        self.qw.append(tok ^ 1)
-        if tok >= self.pol_base:
-            self.qf.append(tok)
-            return True
-        self.qr.append(var)
         return True
 
     def _check_clause(self, c: int) -> bool:
@@ -558,19 +548,22 @@ class Engine:
         return True
 
     def _flush(self) -> bool:
-        # The queues are LIFO stacks drained facts first. One FIFO queue
-        # over the trail (MiniSat's qhead) is less code, but it changes the
-        # propagation order, and measured on the benchmark it made the
-        # witness-n7c1-int instances 25-28% slower.
-        qf, qr, qw = self.qf, self.qr, self.qw
+        """Propagate the trail from ``qhead`` on, in trail order, as
+        MiniSat does: a polarity or fact token decrements the premise
+        counters of the clauses it gates, all at once so that
+        :meth:`_backjump` can restore them from the token alone, and checks
+        those it activates; a reachability token closes transitivity and
+        antisymmetry around its variable; every token's negation wakes the
+        learned clauses that watch it. False on a conflict, with ``qhead``
+        past the token that met it."""
+        trail = self.trail
+        pbase = self.pol_base
         fact_clauses = self.tables.fact_clauses
-        while qf or qr or qw:
-            while qf:
-                tok = qf.pop()
-                # all counters of a fact are decremented together, so that
-                # undo can restore them from its token alone
-                self.counted.append(tok)
-                cl_missing = self.cl_missing
+        cl_missing = self.cl_missing
+        while self.qhead < len(trail):
+            tok = trail[self.qhead]
+            self.qhead += 1
+            if tok >= pbase:
                 active = []
                 for c in fact_clauses[tok]:
                     m = cl_missing[c] - 1
@@ -580,11 +573,9 @@ class Engine:
                 for c in active:
                     if not self._check_clause(c):
                         return False
-            if qr:
-                if not self._reach_consequences(qr.pop()):
-                    return False
-                continue
-            if qw and not self._propagate_watches(qw.pop()):
+            elif not self._reach_consequences(tok >> 1):
+                return False
+            if not self._propagate_watches(tok ^ 1):
                 return False
         return True
 
@@ -630,33 +621,31 @@ class Engine:
     # -- frames / backjumping -------------------------------------------------
 
     def _push_frame(self) -> None:
-        self.frames.append((len(self.trail), len(self.counted), self.cost, self.scanned))
+        self.frames.append((len(self.trail), self.cost, self.scanned))
 
     def _backjump(self, target_level: int) -> None:
         """Undo every level above ``target_level`` in one pass."""
         if len(self.frames) <= target_level:
             return
-        tlen, nlen, cost, self.scanned = self.frames[target_level]
+        tlen, self.cost, self.scanned = self.frames[target_level]
         del self.frames[target_level:]
+        trail = self.trail
+        fact_clauses = self.tables.fact_clauses
+        cl_missing = self.cl_missing
+        # a reachability token gates no clause, so its entry is empty
+        for tok in trail[tlen : self.qhead]:
+            for c in fact_clauses[tok]:
+                cl_missing[c] += 1
         value = self.value
         act, heap, queued, fbase = self.act, self.heap, self.queued, self.fact_base
-        for tok in self.trail[tlen:]:
+        for tok in trail[tlen:]:
             value[tok] = 0
             var = tok >> 1
             if tok < fbase and not queued[var]:
                 queued[var] = 1
                 heapq.heappush(heap, (-act[var], var))
-        del self.trail[tlen:]
-        fact_clauses = self.tables.fact_clauses
-        cl_missing = self.cl_missing
-        for tok in self.counted[nlen:]:
-            for c in fact_clauses[tok]:
-                cl_missing[c] += 1
-        del self.counted[nlen:]
-        self.cost = cost
-        self.qf.clear()
-        self.qr.clear()
-        self.qw.clear()
+        del trail[tlen:]
+        self.qhead = min(self.qhead, tlen)
 
     # -- conflict analysis ------------------------------------------------------
 
@@ -759,16 +748,12 @@ class Engine:
 
     def _learn(self, clause: list[int], assertion: int) -> None:
         """Backjump to the assertion level, but no lower than the
-        assumption level, and assert the learned clause's first token. The
-        clause keeps its two watched tokens first, swapped in place as the
-        watches move; a logical unit clause is kept and asserted with the
-        pins of every later query. A clause asserted above its assertion
-        level is also kept in ``below_root`` until the next query, for
-        :meth:`witness` to assert it again at level 1."""
+        assumption level, and assert the learned clause's first token. A
+        clause of two or more tokens is kept, with its two watched tokens
+        first, swapped in place as the watches move; a unit clause is not
+        kept."""
         self._bump(clause)
         self._backjump(max(self.root, assertion))
-        if assertion < self.root:
-            self.below_root.append(clause)
         if len(clause) >= 2:
             level = self.level
             clause[1:] = sorted(clause[1:], key=lambda tok: -level[tok >> 1])
@@ -776,8 +761,6 @@ class Engine:
             self.learned.append(clause)
             self.watches.setdefault(clause[0], []).append(ci)
             self.watches.setdefault(clause[1], []).append(ci)
-        elif type(clause) is list:
-            self.units.append(clause[0])
         if self._assign(clause[0], type(clause)(tok ^ 1 for tok in clause[1:])):
             self._flush()
 
@@ -863,18 +846,16 @@ class Engine:
 
     def _assume(self, pins: Sequence[int]) -> bool:
         """Backjump to level 0, drop the query-local clauses, and assert the
-        learned units, the options' forced features and ``pins`` at level 1;
-        False when they contradict."""
+        options' forced features and ``pins`` at level 1; False when they
+        contradict."""
         self._backjump(0)
         self._drop_local_clauses()
-        self.below_root.clear()
         self.conflict = None
         self.best_cost = self.best_snap = None
         if self.infeasible:
             return False
         self._push_frame()
-        toks = (*self.units, *self.pins, *pins)
-        return all(self._assign(tok, ()) for tok in toks) and self._flush()
+        return all(self._assign(tok, ()) for tok in (*self.pins, *pins)) and self._flush()
 
     def witness(self, best: int, cur: bytes) -> bytes:
         """The lexicographically smallest optimum, from ``cur``, an optimal
@@ -891,15 +872,10 @@ class Engine:
         enters ``pool`` and becomes ``cur``; then the pin, or its negation
         when there is none, is asserted at level 1. Every probe has the one
         threshold ``best + 1``, so the clauses one probe learns hold in the
-        next. A clause that a probe learns with assertion level 0 or 1 is
-        asserted at level 2, the floor of its backjump; once the probe
-        backjumps to level 1 it is unit there but unpropagated (a unit
-        clause has no watches, a longer one keeps one false watch), so it
-        is asserted again at level 1 after the probe. Raises
-        :class:`SolveTimeoutError` once the deadline has passed, with the
-        assumption level back at 1, and ``RuntimeError`` when ``best`` is
-        not the minimum: ``cur`` does not cost it, a probe's completion costs
-        less, or a pin conflicts at level 1.
+        next. Raises :class:`SolveTimeoutError` once the deadline has
+        passed, with the assumption level back at 1, and ``RuntimeError``
+        when ``best`` is not the minimum: ``cur`` does not cost it, a
+        probe's completion costs less, or a pin conflicts at level 1.
         """
         if self.offset + sum(self.cost_of[t] for t in range(self.fact_base) if cur[t]) != best:
             raise RuntimeError(f"the witness start does not cost {best}")
@@ -918,9 +894,6 @@ class Engine:
                         self._search(best)
                     self.conflict = None
                     self._backjump(1)
-                    for clause in self.below_root:
-                        self._assign(clause[0], type(clause)(tok ^ 1 for tok in clause[1:]))
-                    self.below_root.clear()
                     if self.best_snap is None:
                         pin ^= 1
                     elif self.best_cost < best:

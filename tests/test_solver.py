@@ -295,7 +295,7 @@ def test_level0_state_is_restored_after_queries():
     """After base, forced and witness queries, backjumping to level 0
     leaves a state that agrees with its own trail: ``value`` is set on the
     trail's tokens only, every clause counts the gate tokens missing from
-    the trail, and ``cost`` and ``residual`` are the trail's."""
+    the trail, and ``cost`` is the trail's."""
     rng = random.Random(41)
     checked = 0
     for _ in range(30):
@@ -857,64 +857,6 @@ def test_witness_timeout_leaves_a_usable_engine(monkeypatch):
     assert timed_out > 0
 
 
-class UnitCheckedEngine(Engine):
-    """An engine that keeps every clause the probes of its current witness
-    learn and, each time the witness commits a pin at level 1, checks that
-    none of them is unit there and unpropagated: each has a true token or
-    two open ones."""
-
-    def __init__(self, *args):
-        self.probe_clauses = []
-        self.commits = self.clauses = 0
-        super().__init__(*args)
-
-    def witness(self, best, cur):
-        # the next query drops the local clauses of the last witness
-        self.probe_clauses = []
-        return super().witness(best, cur)
-
-    def _learn(self, clause, assertion):
-        if self.root == 2:
-            self.probe_clauses.append(clause)
-            self.clauses += 1
-        return super()._learn(clause, assertion)
-
-    def _flush(self):
-        ok = super()._flush()
-        if ok and self.root == 2 and len(self.frames) == 2:
-            self.commits += 1
-            value = self.value
-            for clause in self.probe_clauses:
-                open_toks = [tok for tok in clause if not value[tok ^ 1]]
-                assert any(value[tok] for tok in open_toks) or len(open_toks) > 1
-        return ok
-
-
-def test_witness_keeps_probe_clauses_propagated():
-    """A clause that a probe learns with assertion level 0 or 1 is asserted
-    at level 2; after the probe it must be asserted again at level 1, or
-    the later probes lose its pruning. The witness itself is unchanged."""
-    rng = random.Random(97)
-    dense = []
-    for case in range(24):
-        n = 4 + case % 3
-        dense.append((n, random_instance(rng, n, max_inputs=8 * n), SolveOptions()))
-    commits = clauses = 0
-    for n, inputs, options in [*witness_cases(rng, 24), *dense]:
-        engine = UnitCheckedEngine(inputs, n, options)
-        best, snap = engine.query()
-        if best is None:
-            continue
-        twin = Engine(inputs, n, options)
-        want = twin.joint(twin.witness(*twin.query()))
-        for start in [snap] + [s for c, s in engine.pool if c == best]:
-            got = engine.joint(engine.witness(best, start))
-            assert (got.structure, got.ci.truth) == (want.structure, want.ci.truth)
-        commits += engine.commits
-        clauses += engine.clauses
-    assert commits > 0 and clauses > 0
-
-
 class ScanCheckedEngine(Engine):
     """An engine whose every heap decision is checked against the linear
     scan it replaces: the unassigned decision variable of highest activity,
@@ -1044,6 +986,70 @@ def test_hardening_keeps_its_pointer_and_reasons():
             hardened[root] += engine.hardened[root]
         reasons += engine.reasons
     assert hardened[1] > 0 and hardened[2] > 0 and reasons > 0
+
+
+class TrailQueueCheckedEngine(Engine):
+    """An engine that checks the trail queue after every ``_flush`` and
+    every ``_backjump``: a flush without conflict leaves ``qhead`` at the
+    end of the trail, and every clause's premise counter counts the gate
+    tokens of the clause missing from ``trail[:qhead]``. Counts the checks
+    per assumption level, and the flushes that conflicted."""
+
+    def __init__(self, *args):
+        self.checks = {1: 0, 2: 0}
+        self.conflicts = 0
+        super().__init__(*args)
+
+    def _flush(self):
+        ok = super()._flush()
+        if ok:
+            assert self.qhead == len(self.trail)
+        else:
+            self.conflicts += 1
+        self._check_queue()
+        return ok
+
+    def _backjump(self, target_level):
+        super()._backjump(target_level)
+        self._check_queue()
+
+    def _check_queue(self):
+        propagated = set(self.trail[: self.qhead])
+        for c, gate in enumerate(self.tables.cl_gate_toks):
+            assert self.cl_missing[c] == sum(tok not in propagated for tok in gate)
+        self.checks[self.root] += 1
+
+
+def test_trail_queue_keeps_its_head_and_counters():
+    """Base, forced and lex-witness queries, on instances with hard inputs,
+    ancestral costs and forced features, keep the trail queue's invariant:
+    every token in front of ``qhead`` has been propagated, and the premise
+    counters are those of that prefix, also after conflicts and
+    backjumps in queries and in witness probes."""
+    rng = random.Random(13)
+    checks = {1: 0, 2: 0}
+    conflicts = 0
+    for case in range(12):
+        n = 4 + case % 3
+        inputs = random_instance(rng, n, max_inputs=6 * n, anc_share=0.3)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        if case % 2:
+            x, y = rng.choice(pairs)
+            inputs.append((causes if rng.random() < 0.5 else not_causes)(x, y))
+        forced = ()
+        if case % 4 == 3:
+            x, y = rng.choice(pairs)
+            forced = ((AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5),)
+        engine = TrailQueueCheckedEngine(inputs, n, SolveOptions(forced_features=forced))
+        best, snap = engine.query()
+        for x, y in rng.sample(pairs, 4):
+            engine.query([engine.pin(AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5)])
+        if best is not None:
+            engine.witness(best, snap)
+        for root in checks:
+            checks[root] += engine.checks[root]
+        conflicts += engine.conflicts
+    assert checks[1] > 0 and checks[2] > 0 and conflicts > 0
 
 
 # -- invariants -------------------------------------------------------------------
