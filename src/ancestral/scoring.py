@@ -57,10 +57,12 @@ class PairScorer:
     solve's decisions. Every forced solve starts from the cheapest
     completion that an earlier solve of the engine accepted and that
     satisfies its pin, and is answered by it without search when it costs
-    the base minimum. A forced solve that no such completion serves starts
-    under a guessed cost threshold, the base minimum plus twice the largest
-    gap above it that an earlier forced minimum showed, and is posed again
-    without one when its minimum lies above the guess.
+    the base minimum. A forced solve that no such completion serves, like
+    the base solve, searches in rounds under rising cost thresholds: the
+    first is the base minimum plus twice the largest gap above it that an
+    earlier forced minimum showed (the smallest positive cost while there
+    is none), each later one twice as far above it, until a round finds a
+    completion.
 
     The time limit of the options is one budget for the scorer's whole
     life, compile included: every search shares the engine's deadline, and

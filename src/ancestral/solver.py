@@ -66,14 +66,20 @@ the cheapest pooled completion that satisfies a query's pins is a feasible
 incumbent for it, an upper bound on its minimum. Pins only remove
 completions, so the pinless query's minimum is a floor under every later
 one, and a query stops once its incumbent reaches it, a pooled one included.
-A pinned query that no pooled completion satisfies starts instead under a
-guessed threshold, as in progression-based MaxSAT (Ignatiev et al. 2014):
-a virtual incumbent of cost ``floor + 2 * excess + 1`` and no completion,
-where ``excess`` is the largest gap between a finished pinned minimum and
-the floor. Thresholds only fall, so a completion found under the guess
-continues the same search. When the search exhausts, the minimum is at
-least the guess, which becomes the query's lower bound ``lo`` in place of
-the floor, and the query is posed again without a threshold.
+A query that no pooled completion satisfies, the pinless one included,
+searches instead in rounds under rising thresholds, as in progression-based
+MaxSAT (Ignatiev et al. 2014). Each round's incumbent is virtual, of cost
+``base + 2 * gap + 1`` and no completion, where ``base`` is the floor, or
+``offset`` before there is one, and ``gap`` starts at ``excess``, the
+largest gap between a finished pinned minimum and the floor, or while that
+is 0 at the smallest positive reduced cost. Thresholds only fall, so a
+completion found under one continues the same search to the minimum. A
+round that exhausts proves the minimum at least its threshold, which
+becomes the next round's lower bound ``lo``, and ``gap`` doubles. A
+threshold above ``ceiling``, the cost of the costliest completion, prunes
+no completion, so exhausting it proves the query infeasible. An instance
+without a cost-bearing token has nothing to guess: its queries search once,
+under the pooled incumbent or none.
 
 Branching is VSIDS (Moskewicz et al. 2001): each decision takes the open
 reachability or polarity variable of highest conflict activity, ties to
@@ -326,8 +332,9 @@ class Engine:
     ``pool`` holds the ``(cost, snapshot)`` of every completion that a
     search accepted, ``floor`` and ``floor_snap`` the pinless query's
     minimum and optimum, and ``excess`` the largest ``minimum - floor`` of
-    the pinned optimization queries finished so far; while it is 0, no
-    query guesses a threshold.
+    the pinned queries finished so far, a query's first threshold gap
+    unless it is 0. ``ceiling`` is the largest completion cost: ``offset``
+    plus each variable's costlier reduced value.
 
     Decision heap: ``heap`` holds ``(-activity, var)`` entries of the
     variables of ``order``, every reachability and polarity variable that
@@ -374,6 +381,8 @@ class Engine:
         self.cost_of = [0 if c is None else c - shift[tok >> 1] for tok, c in enumerate(full)]
         self.cost_of += [0] * (2 * tab.nfacts)
         self.costly = [t for _, t in sorted((-c, t) for t, c in enumerate(self.cost_of) if c)]
+        cost_of = self.cost_of[: self.fact_base]
+        self.ceiling = self.offset + sum(map(max, cost_of[0::2], cost_of[1::2]))
         self.scanned = 0
 
         self.value = bytearray(2 * nvars)
@@ -814,10 +823,12 @@ class Engine:
         the phase ``floor_snap``, a pinless one's none. The first incumbent
         is the cheapest pooled completion that satisfies ``pins``, and the
         query returns once its incumbent is ``floor``: before it backjumps,
-        when the pooled one is. With pins and no such completion, the first
-        incumbent is the guess (module docstring). Raises
+        when the pooled one is. With no such completion and a cost-bearing
+        token, the query searches in rounds under doubling thresholds
+        (module docstring), until a round finds a completion, the pins
+        conflict, or a round above ``ceiling`` exhausts. Raises
         :class:`SolveTimeoutError` once the deadline has passed; its bound
-        is the cost of a completion found, never the guess.
+        is the cost of a completion found, never a threshold.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeoutError("search exceeded the time limit", None)
@@ -826,18 +837,29 @@ class Engine:
         if self.floor is not None and pooled[0] == self.floor:
             return pooled
         self.phase = self.floor_snap if pins else None
-        guess = None
         if self._assume(pins):
             # The pooled incumbent seeds the bound only; the phase stays the
             # floor optimum's. Following the seeded or each new incumbent's
             # values took (6,1) models 0-5 from 55k to 81-93k nodes and from
             # 2.9 to 5.3-5.6 s of scoring on a 2-core x86-64 host.
             self.best_cost, self.best_snap = pooled
-            if pins and pooled[0] is None and self.excess:
-                guess = self.best_cost = self.floor + 2 * self.excess + 1
-            self._search(self.floor)
-            if guess is not None and self.best_snap is None and self._assume(pins):
-                self._search(guess)
+            if pooled[0] is not None or not self.costly:
+                self._search(self.floor)
+            else:
+                lo = self.offset if self.floor is None else self.floor
+                base, gap = lo, self.excess or self.cost_of[self.costly[-1]]
+                while True:
+                    threshold = self.best_cost = base + 2 * gap + 1
+                    self._search(lo)
+                    if (
+                        self.best_snap is not None
+                        or threshold > self.ceiling
+                        or not self._assume(pins)
+                    ):
+                        break
+                    lo, gap = threshold, 2 * gap
+                if self.best_snap is None:
+                    self.best_cost = None
             if not pins:
                 self.floor, self.floor_snap = self.best_cost, self.best_snap
             elif self.best_cost is not None and self.floor is not None:

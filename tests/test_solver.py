@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import random
 
 import pytest
@@ -485,24 +486,29 @@ def test_forced_queries_stop_at_the_base_minimum():
     assert nodes[True] < nodes[False]
 
 
-# -- guessed thresholds ------------------------------------------------------------
+# -- progression thresholds ---------------------------------------------------------
 
-class GuessTrackingEngine(Engine):
-    """An engine that records, for each search that starts under a guessed
-    threshold (an incumbent cost without a completion), whether it found a
-    completion under the guess and how many nodes it took. It is only
-    queried: a witness probe also starts under a virtual incumbent."""
+class RoundLoggingEngine(Engine):
+    """An engine that logs every search as ``(threshold, lo, found,
+    nodes)``: the cost of the virtual incumbent it starts under, None when
+    it starts under a completion or under no incumbent; the cost ``lo`` at
+    which a completion ends it; whether it found a completion; and the
+    nodes it took. A search under a threshold is one round of a query's
+    progression loop, or a witness probe under ``best + 1``. No search
+    starts once the log holds ``max_searches``, so that a loop that rounds
+    too often fails at once."""
 
     def __init__(self, *args):
-        self.guesses = []
+        self.searches = []
+        self.max_searches = math.inf
         super().__init__(*args)
 
     def _search(self, lo):
-        guessed = self.best_snap is None and self.best_cost is not None
+        assert len(self.searches) < self.max_searches
+        threshold = self.best_cost if self.best_snap is None else None
         nodes = self.nodes
         super()._search(lo)
-        if guessed:
-            self.guesses.append((self.best_snap is not None, self.nodes - nodes))
+        self.searches.append((threshold, lo, self.best_snap is not None, self.nodes - nodes))
 
 
 def assert_forced_minimum(engine, inputs, n, forced, best, snap):
@@ -614,59 +620,182 @@ def test_hardened_minima_match_brute_force():
 
 
 def test_guessed_thresholds_hold_and_fail():
-    """Forced queries on seeded n = 4 instances start under guessed
-    thresholds that a completion beats and thresholds that the minimum
-    exceeds, so the search is posed again; every minimum is brute force's
-    either way, and a guess fires only once a pinned minimum above the
-    floor has raised ``excess``."""
+    """Forced queries on seeded n = 4 instances start under thresholds
+    that a completion beats and thresholds that the minimum exceeds, so
+    that a later round searches under a higher one; every minimum is brute
+    force's either way. A query that no pooled completion serves, on an
+    instance with a cost-bearing token, starts under a threshold, whatever
+    ``excess``: every search it runs is a round, and it runs one unless
+    its pins contradict."""
     rng = random.Random(11)
     outcomes = {True: 0, False: 0}
+    unguided = 0
     for case in range(20):
         inputs = random_instance(rng, 4, max_inputs=10, anc_share=0.4)
-        engine = GuessTrackingEngine(inputs, 4)
+        engine = RoundLoggingEngine(inputs, 4)
         if engine.query()[0] is None:
             continue
+        assert engine.costly
         forced = all_forced(4)
         rng.shuffle(forced)
         for feature in forced:
-            excess, guesses = engine.excess, len(engine.guesses)
-            best, snap = engine.query(forced_pins(engine, [feature]))
+            pins = forced_pins(engine, [feature])
+            fits = any(all(engine.holds(s, p) for p in pins) for _, s in engine.pool)
+            excess, start = engine.excess, len(engine.searches)
+            best, snap = engine.query(pins)
             assert_forced_minimum(engine, inputs, 4, [feature], best, snap)
-            assert excess > 0 or len(engine.guesses) == guesses
-        for found, _ in engine.guesses:
-            outcomes[found] += 1
-    assert outcomes[True] > 0 and outcomes[False] > 0
+            rounds = engine.searches[start:]
+            if not fits:
+                assert rounds or best is None
+                assert all(threshold is not None for threshold, *_ in rounds)
+                unguided += bool(rounds) and excess == 0
+            for threshold, _, found, _ in rounds:
+                if threshold is not None:
+                    outcomes[found] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0 and unguided > 0
+
+
+def check_rounds(engine, pins, largest):
+    """Pose ``pins`` and check the rounds of the query's progression loop
+    (see :func:`test_progression_rounds_keep_their_invariants`). Returns
+    the query's answer and its number of rounds."""
+    fits = any(all(engine.holds(s, p) for p in pins) for _, s in engine.pool)
+    base = engine.offset if engine.floor is None else engine.floor
+    gap = engine.excess or min(c for c in engine.cost_of if c)
+    start = len(engine.searches)
+    engine.max_searches = start + math.log2(largest / gap) + 2
+    best, snap = engine.query(pins)
+    engine.max_searches = math.inf
+    rounds = engine.searches[start:]
+    if fits:
+        assert all(threshold is None for threshold, *_ in rounds)
+        return (best, snap), 0
+    assert rounds or best is None
+    thresholds = [threshold for threshold, *_ in rounds]
+    assert None not in thresholds
+    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+    assert [lo for _, lo, *_ in rounds] == [base, *thresholds][: len(rounds)]
+    assert not any(found for _, _, found, _ in rounds[:-1])
+    if best is not None:
+        assert all(threshold <= best for threshold in thresholds[:-1])
+        assert rounds[-1][2] and best < thresholds[-1]
+    return (best, snap), len(rounds)
+
+
+def test_progression_rounds_keep_their_invariants():
+    """Base, forced and lex-witness queries on seeded n = 4..6 instances
+    with hard inputs, ancestral costs and forced features, logged round by
+    round. A query that no pooled completion serves runs only rounds:
+    their thresholds rise; the first round ends at a completion of the
+    floor's cost, or of ``offset`` before there is a floor, and each later
+    one at the threshold before it; every exhausted threshold is at most
+    the minimum; only the last round finds a completion, and it costs less
+    than its threshold; and the rounds number at most log2(largest cost /
+    first gap) + 2, the largest cost being the sum of the soft weights and
+    the first gap ``excess``, or the smallest positive reduced cost while
+    ``excess`` is 0. A query that a pooled completion serves runs no round.
+    At n = 4 every minimum is brute force's. Every witness probe is one
+    search under ``best + 1`` that ends at ``best``. Half the instances
+    have weights below 10, so that a minimum often meets a threshold."""
+    rng = random.Random(29)
+    rounds = {"base": 0, "forced": 0, "excess": 0, "several": 0, "probes": 0}
+    for case in range(24):
+        n = 4 + case % 3
+        max_weight = 9 if case % 6 < 3 else 5000
+        max_inputs = 3 * n if n == 4 else 6 * n
+        inputs = random_instance(rng, n, max_inputs=max_inputs, max_weight=max_weight)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        if case % 2:
+            x, y = rng.choice(pairs)
+            inputs.append((causes if rng.random() < 0.5 else not_causes)(x, y))
+        always = []
+        if case % 4 >= 2:
+            always = [(*rng.choice(pairs), rng.random() < 0.5)]
+        options = SolveOptions(
+            forced_features=tuple(
+                (AncStatement(x, y, Ancestry.CAUSES), hold) for x, y, hold in always
+            )
+        )
+        engine = RoundLoggingEngine(inputs, n, options)
+        if not engine.costly:
+            continue
+        largest = sum(i.weight.millis for i in inputs if not i.weight.is_hard)
+        queries = [[]] + [rng.sample(all_forced(n), rng.randint(1, 2)) for _ in range(6)]
+        for i, forced in enumerate(queries):
+            excess = engine.excess
+            (best, snap), count = check_rounds(engine, forced_pins(engine, forced), largest)
+            key = "base" if not forced else "excess" if excess else "forced"
+            rounds[key] += count
+            rounds["several"] += count > 1
+            if n == 4:
+                assert_forced_minimum(engine, inputs, n, always + forced, best, snap)
+            if i == 0 and best is not None:
+                start = len(engine.searches)
+                engine.witness(best, snap)
+                probes = engine.searches[start:]
+                assert all((threshold, lo) == (best + 1, best) for threshold, lo, *_ in probes)
+                rounds["probes"] += len(probes)
+    assert all(rounds.values()), rounds
 
 
 def test_timeout_under_a_guess_reports_only_found_completions(monkeypatch):
-    """A deadline that passes while a forced query searches under its
-    guessed threshold raises :class:`SolveTimeoutError` whose bound is the
-    cost of the cheapest completion that the query found, or None when it
-    found none: never the guess. The engine then answers the query
+    """A deadline that passes in any round of a query's progression loop,
+    the pinless base query's or a forced query's, raises
+    :class:`SolveTimeoutError` whose bound is the cost of the cheapest
+    completion that the query found, or None when it found none: never a
+    threshold. ``solve_min_loss`` with the matching time limit raises the
+    same bound from the base query. The engine then answers the query
     exactly."""
     clock = _Clock()
     monkeypatch.setattr(solver, "time", clock)
     rng = random.Random(31)
     bounds = {True: 0, False: 0}
+    later_rounds = {"base": 0, "forced": 0}
+
+    def stops(searches):
+        """Nodes at which to stop: the first, the middle and the last, and
+        the first of every round after the first."""
+        total = sum(nodes for *_, nodes in searches)
+        starts = [sum(nodes for *_, nodes in searches[:k]) + 1 for k in range(1, len(searches))]
+        return sorted({1, (total + 1) // 2, total, *(s for s in starts if s <= total)}), starts
+
     for case in range(12):
         n = 4 + case % 2
         inputs = random_instance(rng, n, max_inputs=3 * n, anc_share=0.4)
-        reference = GuessTrackingEngine(inputs, n)
-        if reference.query()[0] is None:
+        reference = RoundLoggingEngine(inputs, n)
+        want_base = reference.query()
+        if want_base[0] is None:
             continue
+        at, starts = stops(reference.searches)
+        for stop in at:
+            engine = Engine(inputs, n)
+            # one clock reading at the query's start, then one per node:
+            # the deadline passes at its node ``stop``
+            engine.deadline = clock.now + stop
+            with pytest.raises(SolveTimeoutError) as exc:
+                engine.query()
+            found = [c for c, _ in engine.pool]
+            assert exc.value.best_bound == (W(min(found)) if found else None)
+            # one reading at compile, one at the query's start, one per node
+            with pytest.raises(SolveTimeoutError) as timed:
+                solve_min_loss(inputs, n, SolveOptions(time_limit=stop))
+            assert timed.value.best_bound == exc.value.best_bound
+            bounds[bool(found)] += 1
+            later_rounds["base"] += stop >= min(starts, default=stop + 1)
+            engine.deadline = None
+            assert engine.query() == want_base
         pins = forced_pins(reference, rng.sample(all_forced(n), 12))
         for i, pin in enumerate(pins):
-            guesses = len(reference.guesses)
+            start = len(reference.searches)
             want = reference.query([pin])
-            if len(reference.guesses) == guesses:
+            searches = reference.searches[start:]
+            if not searches or searches[0][0] is None:
                 continue
-            guess_nodes = reference.guesses[-1][1]
-            for stop in sorted({1, (guess_nodes + 1) // 2, guess_nodes}):
+            at, starts = stops(searches)
+            for stop in at:
                 engine = Engine(inputs, n)
                 for earlier in [(), *([p] for p in pins[:i])]:
                     engine.query(earlier)
-                # one clock reading at the query's start, then one per node:
-                # the deadline passes at its node ``stop``
                 engine.deadline = clock.now + stop
                 pooled = len(engine.pool)
                 with pytest.raises(SolveTimeoutError) as exc:
@@ -674,9 +803,56 @@ def test_timeout_under_a_guess_reports_only_found_completions(monkeypatch):
                 found = [c for c, _ in engine.pool[pooled:]]
                 assert exc.value.best_bound == (W(min(found)) if found else None)
                 bounds[bool(found)] += 1
+                later_rounds["forced"] += stop >= min(starts, default=stop + 1)
                 engine.deadline = None
                 assert engine.query([pin])[0] == want[0]
     assert bounds[True] > 0 and bounds[False] > 0
+    assert all(later_rounds.values()), later_rounds
+
+
+def test_progression_ends_on_infeasible_and_all_hard_instances():
+    """Soft costs with hard inputs that contradict only in the search,
+    not at level 0, make the base query exhaust rounds until one's
+    threshold exceeds the largest completion cost, ``ceiling``, within the
+    round bound of :func:`test_progression_rounds_keep_their_invariants`,
+    and return ``(None, None)``; ``solve_min_loss`` returns the hard
+    weight, as brute force does. An all-hard instance, on which every completion costs 0,
+    runs no search under a threshold in its base and forced queries."""
+    rng = random.Random(3)
+    infeasible = rounds = 0
+    while infeasible < 6:
+        inputs = []
+        for _ in range(rng.randint(3, 8)):
+            x, y = rng.sample(range(4), 2)
+            cond = rng.sample([v for v in range(4) if v not in (x, y)], rng.randint(0, 1))
+            inputs.append((indep if rng.random() < 0.5 else dep)(x, y, cond))
+        for _ in range(rng.randint(1, 4)):
+            x, y = rng.sample(range(4), 2)
+            make = causes if rng.random() < 0.5 else not_causes
+            inputs.append(make(x, y, W(rng.randint(1, 5000))))
+        engine = RoundLoggingEngine(inputs, 4)
+        if engine.infeasible or brute_force_min_loss(inputs, 4).feasible:
+            continue
+        largest = sum(i.weight.millis for i in inputs if not i.weight.is_hard)
+        engine.max_searches = math.log2(largest / min(c for c in engine.cost_of if c)) + 2
+        assert engine.query() == (None, None)
+        assert solve_min_loss(inputs, 4).min_loss == Weight.hard()
+        thresholds = [threshold for threshold, *_ in engine.searches]
+        assert None not in thresholds
+        assert all(t <= engine.ceiling for t in thresholds[:-1]) and thresholds[-1] > engine.ceiling
+        assert engine.floor is None and engine.pool == []
+        infeasible += 1
+        rounds += len(thresholds)
+    assert rounds > infeasible
+    for case in range(6):
+        n = 4 + case % 2
+        inputs = dag_oracle_inputs(random_dag(n + 1, 0.4, rng), n, 1)
+        engine = RoundLoggingEngine(inputs, n)
+        assert not engine.costly
+        assert engine.query()[0] == 0
+        for feature in rng.sample(all_forced(n), 6):
+            engine.query(forced_pins(engine, [feature]))
+        assert engine.searches and all(threshold is None for threshold, *_ in engine.searches)
 
 
 # -- lex witness -------------------------------------------------------------------
