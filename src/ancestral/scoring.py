@@ -48,13 +48,14 @@ class Prediction:
 
 class PairScorer:
     """Scores features over one input list on one solver :class:`Engine`,
-    which compiles the instance once and keeps what its searches learn.
+    ``engine``, which compiles the instance once and keeps what its
+    searches learn; its ``nodes`` counts the search nodes of every solve.
 
     The unconstrained optimum is solved first. Its minimum bounds every
     forced solve from below, so a forced solve stops when it reaches it,
     and a side whose minimum is the base minimum needs no proof of
-    optimality; the engine keeps its optimum as the phase of every forced
-    solve's decisions. Every forced solve starts from the cheapest
+    optimality; every forced solve's decisions take the values of its
+    optimum. Every forced solve starts from the cheapest
     completion that an earlier solve of the engine accepted and that
     satisfies its pin, and is answered by it without search when it costs
     the base minimum. A forced solve that no such completion serves, like
@@ -62,7 +63,8 @@ class PairScorer:
     first is the base minimum plus twice the largest gap above it that an
     earlier forced minimum showed (the smallest positive cost while there
     is none), each later one twice as far above it, until a round finds a
-    completion.
+    completion. Every search runs under an incumbent, real or virtual; on
+    an instance without a cost-bearing input every solve is one round.
 
     The time limit of the options is one budget for the scorer's whole
     life, compile included: every search shares the engine's deadline, and
@@ -72,10 +74,10 @@ class PairScorer:
     def __init__(self, inputs: Sequence, n: int, options: Optional[SolveOptions] = None):
         self.options = options or SolveOptions()
         self.n = n
-        self._engine = Engine(inputs, n, self.options)
+        self.engine = Engine(inputs, n, self.options)
 
     def confidence(self, feature: AncStatement) -> Union[int, float]:
-        engine = self._engine
+        engine = self.engine
         if engine.floor is None:
             engine.query()
         loss = {hold: engine.query((engine.pin(feature, hold),))[0] for hold in (True, False)}

@@ -58,35 +58,36 @@ a bound or incumbent nogood, from a hardened token's reason, or from the
 reason of a clause so derived, depends on one query's threshold: it is
 query-local and dropped when the next query or witness starts.
 
-Every search runs in one mode: it prunes each node whose lower bound
-reaches the incumbent's cost, which may be virtual, a cost threshold with
-no completion behind it; each completion it reaches becomes the incumbent
-and enters the pool. A completion's cost does not depend on the pins, so
-the cheapest pooled completion that satisfies a query's pins is a feasible
-incumbent for it, an upper bound on its minimum. Pins only remove
-completions, so the pinless query's minimum is a floor under every later
-one, and a query stops once its incumbent reaches it, a pooled one included.
-A query that no pooled completion satisfies, the pinless one included,
+Every search runs in one mode, under an incumbent: it prunes each node
+whose lower bound reaches the incumbent's cost, which may be virtual, a
+cost threshold with no completion behind it; each completion it reaches
+becomes the incumbent and enters the pool. A completion's cost does not
+depend on the pins, so the cheapest pooled completion that satisfies a
+query's pins is a feasible incumbent for it, an upper bound on its
+minimum. Pins only remove completions, so the pinless query's minimum is a
+floor under every later one, and a query stops once its incumbent reaches
+it, a pooled one included. A query that no pooled completion satisfies, the pinless one included,
 searches instead in rounds under rising thresholds, as in progression-based
 MaxSAT (Ignatiev et al. 2014). Each round's incumbent is virtual, of cost
 ``base + 2 * gap + 1`` and no completion, where ``base`` is the floor, or
 ``offset`` before there is one, and ``gap`` starts at ``excess``, the
 largest gap between a finished pinned minimum and the floor, or while that
-is 0 at the smallest positive reduced cost. Thresholds only fall, so a
-completion found under one continues the same search to the minimum. A
-round that exhausts proves the minimum at least its threshold, which
-becomes the next round's lower bound ``lo``, and ``gap`` doubles. A
-threshold above ``ceiling``, the cost of the costliest completion, prunes
-no completion, so exhausting it proves the query infeasible. An instance
-without a cost-bearing token has nothing to guess: its queries search once,
-under the pooled incumbent or none.
+is 0 at the smallest positive reduced cost (0 when there is none).
+Thresholds only fall, so a completion found under one continues the same
+search to the minimum. A round that exhausts proves the minimum at least
+its threshold, which becomes the next round's lower bound ``lo``, and
+``gap`` doubles. A threshold above ``ceiling``, the cost of the costliest
+completion, prunes no completion, so exhausting it proves the query
+infeasible. On an instance without a cost-bearing token every completion
+costs ``offset`` and ``ceiling`` is ``offset``, so its one round, at
+``base + 1``, always ends the loop.
 
 Branching is VSIDS (Moskewicz et al. 2001): each decision takes the open
 reachability or polarity variable of highest conflict activity, ties to
 the lowest index, popped from a binary heap as in MiniSat, so every
-completion assigns every such variable. Its value is the phase's (the
-pinless optimum on a pinned query, the current optimum on a witness
-probe), else the cheaper one, ties to false. The search never restarts.
+completion assigns every such variable. Its value is the pinless
+optimum's once there is one, else the cheaper one, ties to false. The
+search never restarts.
 
 Determinism: decision activities, value preferences and all tie-breaks are
 deterministic, so identical inputs and an identical sequence of queries
@@ -331,10 +332,11 @@ class Engine:
     the slack newly reaches.
     ``pool`` holds the ``(cost, snapshot)`` of every completion that a
     search accepted, ``floor`` and ``floor_snap`` the pinless query's
-    minimum and optimum, and ``excess`` the largest ``minimum - floor`` of
-    the pinned queries finished so far, a query's first threshold gap
-    unless it is 0. ``ceiling`` is the largest completion cost: ``offset``
-    plus each variable's costlier reduced value.
+    minimum and optimum, whose values every later decision takes, and
+    ``excess`` the largest ``minimum - floor`` of the pinned queries
+    finished so far, a query's first threshold gap unless it is 0.
+    ``ceiling`` is the largest completion cost: ``offset`` plus each
+    variable's costlier reduced value.
 
     Decision heap: ``heap`` holds ``(-activity, var)`` entries of the
     variables of ``order``, every reachability and polarity variable that
@@ -401,7 +403,6 @@ class Engine:
         self.watches: dict[int, list[int]] = {}
         self.act = [0.0] * (n2 + len(triples))
         self.act_inc = 1.0
-        self.phase = None
         self.best_cost: Optional[int] = None
         self.best_snap = None
         self.pool: list[tuple[int, bytes]] = []
@@ -807,26 +808,27 @@ class Engine:
         return None
 
     def _preferred(self, var: int) -> int:
-        """The phase's value, else the cheaper value, ties to false. Level 0
-        has assigned every variable with a forbidden value, so both values
-        are allowed."""
+        """The value in the pinless optimum ``floor_snap``, else the cheaper
+        value, ties to false. Level 0 has assigned every variable with a
+        forbidden value, so both values are allowed."""
         tok = var * 2
-        if self.phase is not None:
-            return tok if self.phase[tok] else tok + 1
+        if self.floor_snap is not None:
+            return tok if self.floor_snap[tok] else tok + 1
         return tok if self.cost_of[tok] < self.cost_of[tok + 1] else tok + 1
 
     def query(self, pins: Sequence[int] = ()):
         """The exact minimum cost under the options' forced features and
         ``pins``, and one optimal snapshot; ``(None, None)`` when no
         completion satisfies them. A snapshot is the ``value`` bytes of the
-        reachability and polarity tokens. A pinned query's decisions follow
-        the phase ``floor_snap``, a pinless one's none. The first incumbent
-        is the cheapest pooled completion that satisfies ``pins``, and the
-        query returns once its incumbent is ``floor``: before it backjumps,
-        when the pooled one is. With no such completion and a cost-bearing
-        token, the query searches in rounds under doubling thresholds
-        (module docstring), until a round finds a completion, the pins
-        conflict, or a round above ``ceiling`` exhausts. Raises
+        reachability and polarity tokens. The first incumbent is the
+        cheapest pooled completion that satisfies ``pins``: when it costs
+        ``floor`` the query returns it before it backjumps, else it is the
+        incumbent of the query's one search. With no such completion, the
+        query's incumbents are virtual: it searches in rounds under doubling
+        thresholds (module docstring), until a round finds a completion, the
+        pins conflict, or a round above ``ceiling`` exhausts. A search
+        returns at a completion of cost ``lo``, the floor or the threshold
+        of the round before. Raises
         :class:`SolveTimeoutError` once the deadline has passed; its bound
         is the cost of a completion found, never a threshold.
         """
@@ -836,30 +838,28 @@ class Engine:
         pooled = min(fits, default=(None, None))
         if self.floor is not None and pooled[0] == self.floor:
             return pooled
-        self.phase = self.floor_snap if pins else None
         if self._assume(pins):
-            # The pooled incumbent seeds the bound only; the phase stays the
-            # floor optimum's. Following the seeded or each new incumbent's
+            # The pooled incumbent seeds the bound only; the decisions follow
+            # the floor optimum. Following the seeded or each new incumbent's
             # values took (6,1) models 0-5 from 55k to 81-93k nodes and from
             # 2.9 to 5.3-5.6 s of scoring on a 2-core x86-64 host.
             self.best_cost, self.best_snap = pooled
-            if pooled[0] is not None or not self.costly:
-                self._search(self.floor)
-            else:
-                lo = self.offset if self.floor is None else self.floor
-                base, gap = lo, self.excess or self.cost_of[self.costly[-1]]
-                while True:
-                    threshold = self.best_cost = base + 2 * gap + 1
-                    self._search(lo)
-                    if (
-                        self.best_snap is not None
-                        or threshold > self.ceiling
-                        or not self._assume(pins)
-                    ):
-                        break
-                    lo, gap = threshold, 2 * gap
+            base = lo = self.offset if self.floor is None else self.floor
+            gap = self.excess or (self.cost_of[self.costly[-1]] if self.costly else 0)
+            while True:
+                threshold = base + 2 * gap + 1
                 if self.best_snap is None:
-                    self.best_cost = None
+                    self.best_cost = threshold
+                self._search(lo)
+                if (
+                    self.best_snap is not None
+                    or threshold > self.ceiling
+                    or not self._assume(pins)
+                ):
+                    break
+                lo, gap = threshold, 2 * gap
+            if self.best_snap is None:
+                self.best_cost = None
             if not pins:
                 self.floor, self.floor_snap = self.best_cost, self.best_snap
             elif self.best_cost is not None and self.floor is not None:
@@ -909,7 +909,6 @@ class Engine:
                 self.pol_base + t * 2 for t in range(len(tab.triples))
             ]:
                 if not self.holds(cur, pin):
-                    self.phase = cur
                     self.best_cost, self.best_snap = best + 1, None
                     self._push_frame()
                     if self._assign(pin, ()) and self._flush():
@@ -931,35 +930,33 @@ class Engine:
             self.root = 1
         return cur
 
-    def _search(self, lo: Optional[int]) -> None:
-        """Search under the incumbent ``best_cost``, if any, down to the
-        lower bound ``lo``: return at a completion found at the assumption
-        level or of cost ``lo``, or when the search exhausts. Under an
-        incumbent, each node first hardens, then bound-conflicts once its
-        running cost reaches the incumbent's. Every conflict learns an
-        asserting clause, and no clause is deleted within one search, so it
-        terminates."""
+    def _search(self, lo: int) -> None:
+        """Search under the incumbent ``best_cost``, real or virtual, down
+        to the lower bound ``lo``: return at a completion found at the
+        assumption level or of cost ``lo``, or when the search exhausts.
+        Each node first hardens, then bound-conflicts once its running cost
+        reaches the incumbent's, as does each other completion, the new
+        incumbent. Every conflict learns an asserting clause, and no clause
+        is deleted within one search, so it terminates."""
         while True:
             self._check_time()
-            if self.best_cost is not None and not self._harden():
-                pass  # the conflict is analyzed below
-            elif self.best_cost is not None and self.cost >= self.best_cost:
-                if len(self.frames) == self.root:
-                    return
-                self.conflict = self._cover(self.best_cost, len(self.trail))
-            else:
+            if self._harden() and self.cost < self.best_cost:
                 var = self._next_decision()
                 if var is None:
                     self.best_cost = self.cost
                     self.best_snap = bytes(self.value[: self.fact_base])
                     self.pool.append((self.best_cost, self.best_snap))
-                    if len(self.frames) == self.root or self.best_cost == lo:
+                    if self.best_cost == lo:
                         return
-                    self.conflict = self._cover(self.best_cost, len(self.trail))
                 else:
                     self._push_frame()
                     if self._assign(self._preferred(var), None) and self._flush():
                         continue
+            if self.conflict is None:
+                # the running cost reached the incumbent's, a new one's included
+                if len(self.frames) == self.root:
+                    return
+                self.conflict = self._cover(self.best_cost, len(self.trail))
             while self.conflict is not None:
                 analyzed = self._analyze()
                 if analyzed is None:

@@ -223,7 +223,7 @@ def test_first_confidence_sets_the_floor():
         scorer = PairScorer(inputs, 4)
         first = scorer.confidence(feat(0, 1))
         base = solve_min_loss(inputs, 4, build_witness=False).min_loss
-        assert scorer._engine.floor == base.millis
+        assert scorer.engine.floor == base.millis
         assert first == next(p.score for p in shared if (p.cause, p.effect) == (0, 1))
         assert scorer.all_pairs() == shared
 

@@ -491,12 +491,12 @@ def test_forced_queries_stop_at_the_base_minimum():
 class RoundLoggingEngine(Engine):
     """An engine that logs every search as ``(threshold, lo, found,
     nodes)``: the cost of the virtual incumbent it starts under, None when
-    it starts under a completion or under no incumbent; the cost ``lo`` at
-    which a completion ends it; whether it found a completion; and the
-    nodes it took. A search under a threshold is one round of a query's
-    progression loop, or a witness probe under ``best + 1``. No search
-    starts once the log holds ``max_searches``, so that a loop that rounds
-    too often fails at once."""
+    it starts under a completion; the cost ``lo`` at which a completion
+    ends it; whether it found a completion; and the nodes it took. A
+    search under a threshold is one round of a query's progression loop,
+    or a witness probe under ``best + 1``. Every search starts under an
+    incumbent, real or virtual. No search starts once the log holds
+    ``max_searches``, so that a loop that rounds too often fails at once."""
 
     def __init__(self, *args):
         self.searches = []
@@ -504,6 +504,7 @@ class RoundLoggingEngine(Engine):
         super().__init__(*args)
 
     def _search(self, lo):
+        assert self.best_cost is not None
         assert len(self.searches) < self.max_searches
         threshold = self.best_cost if self.best_snap is None else None
         nodes = self.nodes
@@ -623,10 +624,9 @@ def test_guessed_thresholds_hold_and_fail():
     """Forced queries on seeded n = 4 instances start under thresholds
     that a completion beats and thresholds that the minimum exceeds, so
     that a later round searches under a higher one; every minimum is brute
-    force's either way. A query that no pooled completion serves, on an
-    instance with a cost-bearing token, starts under a threshold, whatever
-    ``excess``: every search it runs is a round, and it runs one unless
-    its pins contradict."""
+    force's either way. A query that no pooled completion serves starts
+    under a threshold, whatever ``excess``: every search it runs is a
+    round, and it runs one unless its pins contradict."""
     rng = random.Random(11)
     outcomes = {True: 0, False: 0}
     unguided = 0
@@ -816,8 +816,11 @@ def test_progression_ends_on_infeasible_and_all_hard_instances():
     threshold exceeds the largest completion cost, ``ceiling``, within the
     round bound of :func:`test_progression_rounds_keep_their_invariants`,
     and return ``(None, None)``; ``solve_min_loss`` returns the hard
-    weight, as brute force does. An all-hard instance, on which every completion costs 0,
-    runs no search under a threshold in its base and forced queries."""
+    weight, as brute force does. On an all-hard instance every completion
+    costs ``offset`` (0), which is also ``ceiling``: its base query and each
+    forced query that the pool does not answer search one round, under
+    the threshold ``offset + 1`` down to ``offset``, which finds a
+    completion when the pins allow one."""
     rng = random.Random(3)
     infeasible = rounds = 0
     while infeasible < 6:
@@ -844,15 +847,22 @@ def test_progression_ends_on_infeasible_and_all_hard_instances():
         infeasible += 1
         rounds += len(thresholds)
     assert rounds > infeasible
+    forced_rounds = 0
     for case in range(6):
         n = 4 + case % 2
         inputs = dag_oracle_inputs(random_dag(n + 1, 0.4, rng), n, 1)
         engine = RoundLoggingEngine(inputs, n)
-        assert not engine.costly
-        assert engine.query()[0] == 0
-        for feature in rng.sample(all_forced(n), 6):
-            engine.query(forced_pins(engine, [feature]))
-        assert engine.searches and all(threshold is None for threshold, *_ in engine.searches)
+        assert not engine.costly and engine.offset == engine.ceiling == 0
+        for pins in [[]] + [forced_pins(engine, [f]) for f in rng.sample(all_forced(n), 6)]:
+            start = len(engine.searches)
+            engine.max_searches = start + 1
+            best, _ = engine.query(pins)
+            assert best in (None, engine.offset)
+            want = (engine.offset + 1, engine.offset, best is not None)
+            assert all(search[:3] == want for search in engine.searches[start:])
+        assert engine.searches[0][2]  # the base query's one round
+        forced_rounds += len(engine.searches) - 1
+    assert forced_rounds > 0
 
 
 # -- lex witness -------------------------------------------------------------------
@@ -1094,14 +1104,31 @@ class HardeningCheckedEngine(Engine):
     ``scanned`` is assigned, and the reason of every hardened token on the
     trail, built as conflict analysis builds it, is made of trail tokens in
     front of it whose reduced costs, with that of the token set false,
-    reach the incumbent it was hardened under, less ``offset``. Counts the
-    hardened tokens per assumption level, and the reasons checked."""
+    reach the incumbent it was hardened under, less ``offset``. Conflict
+    analysis builds a cover only as such a reason, from the ``(threshold,
+    end)`` that its token recorded. Counts the hardened tokens per
+    assumption level, the reasons checked and the lazy reasons analyzed."""
 
     def __init__(self, *args):
         self.under = {}
         self.hardened = {1: 0, 2: 0}
         self.reasons = 0
+        self.analyzed = 0
+        self.analyzing = False
         super().__init__(*args)
+
+    def _analyze(self):
+        self.analyzing = True
+        try:
+            return super()._analyze()
+        finally:
+            self.analyzing = False
+
+    def _cover(self, threshold, end):
+        if self.analyzing:
+            assert end < len(self.trail) and self.reason[self.trail[end] >> 1] == (threshold, end)
+            self.analyzed += 1
+        return super()._cover(threshold, end)
 
     def _assign(self, tok, reason):
         if type(reason) is solver._Hardened:
@@ -1134,12 +1161,13 @@ def test_hardening_keeps_its_pointer_and_reasons():
     """Base, forced and lex-witness queries, on instances with hard inputs,
     ancestral costs and forced features, keep the hardening pointer behind
     the assigned prefix of ``costly`` and build every lazy reason from the
-    trail in front of its token; tokens harden in queries and in witness
-    probes. Half the instances have weights below 10, so that reduced costs
-    often meet the slack exactly."""
+    trail in front of its token, in conflict analysis too; tokens harden in
+    queries and in witness probes, and analysis resolves lazy reasons. Half
+    the instances have weights below 10, so that reduced costs often meet
+    the slack exactly."""
     rng = random.Random(7)
     hardened = {1: 0, 2: 0}
-    reasons = 0
+    reasons = analyzed = 0
     for case in range(16):
         n = 4 + case % 3
         max_weight = 9 if case % 8 < 4 else 5000
@@ -1161,7 +1189,8 @@ def test_hardening_keeps_its_pointer_and_reasons():
         for root in hardened:
             hardened[root] += engine.hardened[root]
         reasons += engine.reasons
-    assert hardened[1] > 0 and hardened[2] > 0 and reasons > 0
+        analyzed += engine.analyzed
+    assert hardened[1] > 0 and hardened[2] > 0 and reasons > 0 and analyzed > 0
 
 
 class TrailQueueCheckedEngine(Engine):
