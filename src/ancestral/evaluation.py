@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
 from ancestral.core import AncestralStructure
-from ancestral.scoring import Prediction, format_score, score_all_pairs
+from ancestral.scoring import PairScorer, Prediction, format_score
 from ancestral.simulate import (
     oracle_inputs,
     random_linear_model,
@@ -131,6 +131,7 @@ class ModelRecord:
     max_order: int
     time_seconds: float
     status: str                    # "ok" or "timeout"
+    nodes: int                     # search nodes of the model's engine, up to a timeout
     predictions: tuple
     truth: AncestralStructure
 
@@ -165,8 +166,10 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
     depends only on n and the set of tested triples, which the models of
     one (n, max_order) share, and it is built once per process: the first
     model timed pays for it and the later ones do not. Solver timeouts are
-    recorded per model and never abort the batch. Deterministic per seed
-    apart from the times themselves.
+    recorded per model and never abort the batch. Each record counts the
+    search nodes of the model's :class:`PairScorer` engine, those before a
+    timeout included. Deterministic per seed apart from the times
+    themselves.
     """
     options = SolveOptions(time_limit=config.time_limit)
     records = []
@@ -182,14 +185,15 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
         if not config.use_oracle:
             data = sample_data(scm, config.samples, seed=[config.seed, m, 1])
         t0 = time.perf_counter()
+        if config.use_oracle:
+            inputs = oracle_inputs(scm, config.max_order)
+        else:
+            inputs = ci_inputs_from_data(
+                data, CiTestConfig(alpha=config.alpha, max_order=config.max_order)
+            )
+        scorer = PairScorer(inputs, config.n_obs, options)
         try:
-            if config.use_oracle:
-                inputs = oracle_inputs(scm, config.max_order)
-            else:
-                inputs = ci_inputs_from_data(
-                    data, CiTestConfig(alpha=config.alpha, max_order=config.max_order)
-                )
-            predictions = tuple(score_all_pairs(inputs, config.n_obs, options))
+            predictions = tuple(scorer.all_pairs())
             status = "ok"
         except SolveTimeoutError:
             predictions = ()
@@ -197,7 +201,14 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
         elapsed = time.perf_counter() - t0
         records.append(
             ModelRecord(
-                m, config.n_obs, config.max_order, elapsed, status, predictions, truth
+                m,
+                config.n_obs,
+                config.max_order,
+                elapsed,
+                status,
+                scorer.engine.nodes,
+                predictions,
+                truth,
             )
         )
     return BenchmarkReport(config, tuple(records))
@@ -212,10 +223,10 @@ def write_pr_csv(points: Sequence[PrPoint], path) -> None:
 
 def write_bench_csv(report: BenchmarkReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model_id,n,c,time_seconds,status\n")
+        fh.write("model_id,n,c,time_seconds,status,nodes\n")
         for r in report.records:
             fh.write(
-                f"{r.model_id},{r.n_obs},{r.max_order},{r.time_seconds:.6f},{r.status}\n"
+                f"{r.model_id},{r.n_obs},{r.max_order},{r.time_seconds:.6f},{r.status},{r.nodes}\n"
             )
 
 

@@ -19,9 +19,12 @@ are the two values of its polarity variable, and only the facts of other
 triples get fact variables of their own.
 
 Propagation interleaves four mechanisms. One table of gated clauses
-unit-propagates each clause once all its gate facts are present: a rule
+propagates each clause once all its gate facts are present: a rule
 instance is a clause gated by its premises whose one literal is its
 conclusion fact, a structural constraint one over reachability variables.
+A one-literal clause asserts its literal with its gate as reason when it
+activates; a longer one is checked then and again only when one of its
+literals becomes false, as Chaff visits a clause (Moskewicz et al. 2001).
 Transitivity and antisymmetry are kept closed after every structure
 assignment. Learned clauses propagate through two watched tokens, swapped
 in place as the watches move. The lower bound is the running cost alone:
@@ -210,12 +213,15 @@ class _Tables:
     and one table of gated clauses, each active once all its gate facts
     are present, with its indexes. A rule instance of :func:`ground` is a
     clause gated by its premises whose one literal is its conclusion
-    fact; a structural constraint is one over reachability tokens. Built
-    once per key by :func:`_tables` and shared read-only by every engine.
-    Facts, gates and literals are engine tokens (see :class:`Engine`), the
-    two facts of an input triple being its two polarity tokens; ``nfacts``
-    counts the other facts, and ``fact_clauses[tok]`` lists the clauses
-    gated by token ``tok``."""
+    fact; a structural constraint is one over reachability tokens, of one
+    literal or more. Built once per key by :func:`_tables` and shared
+    read-only by every engine. Facts, gates and literals are engine tokens
+    (see :class:`Engine`), the two facts of an input triple being its two
+    polarity tokens; ``nfacts`` counts the other facts. ``fact_clauses[tok]``
+    lists the clauses gated by token ``tok``, ``cl_npremises`` counts their
+    distinct gate tokens, and ``falsified_by[tok]`` lists the clauses of two
+    or more literals that contain ``tok ^ 1``, which reachability token
+    ``tok`` can make unit or falsify."""
 
     def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
@@ -245,17 +251,17 @@ class _Tables:
         ]
         self.cl_lits = tuple(lits for _, lits in gated)
         self.cl_gate_toks = tuple(tuple(fact_tok[f] for f in prem) for prem, _ in gated)
-        self.cl_npremises = tuple(len(prem) for prem, _ in gated)
+        self.cl_npremises = tuple(len(set(gate)) for gate in self.cl_gate_toks)
         fact_clauses: list[list[int]] = [[] for _ in range(self.fact_base + 2 * self.nfacts)]
-        var_clauses: list[list[int]] = [[] for _ in range(n * n)]
+        falsified_by: list[list[int]] = [[] for _ in range(self.pol_base)]
         for ci, gate in enumerate(self.cl_gate_toks):
             for tok in set(gate):
                 fact_clauses[tok].append(ci)
-            for tok in set(self.cl_lits[ci]):
-                if tok < self.pol_base:
-                    var_clauses[tok >> 1].append(ci)
+            if len(self.cl_lits[ci]) > 1:
+                for tok in set(self.cl_lits[ci]):
+                    falsified_by[tok ^ 1].append(ci)
         self.fact_clauses = tuple(tuple(v) for v in fact_clauses)
-        self.var_clauses = tuple(tuple(v) for v in var_clauses)
+        self.falsified_by = tuple(tuple(v) for v in falsified_by)
         self.lex_vars = tuple(x * n + y for x in range(n) for y in range(n) if x != y)
 
 
@@ -466,7 +472,8 @@ class Engine:
         return True
 
     def _check_clause(self, c: int) -> bool:
-        """Evaluate an active gated clause; unit-propagate or conflict."""
+        """Evaluate an active gated clause of two or more literals;
+        unit-propagate or conflict."""
         value = self.value
         unknown = None
         count = 0
@@ -486,7 +493,8 @@ class Engine:
         return self._assign(unknown, gate + tuple(tok ^ 1 for tok in lits if tok != unknown))
 
     def _reach_consequences(self, var: int) -> bool:
-        """Keep transitivity and antisymmetry closed around ``var``."""
+        """Keep transitivity and antisymmetry closed around ``var``, and
+        check the active gated clauses that its value falsifies."""
         n = self.n
         x, y = divmod(var, n)
         value = self.value
@@ -518,7 +526,7 @@ class Engine:
                 if value[zy] and not assign(xz + 1, (tok, zy)):
                     return False
         cl_missing = self.cl_missing
-        for c in self.tables.var_clauses[var]:
+        for c in self.tables.falsified_by[tok]:
             if cl_missing[c] == 0 and not self._check_clause(c):
                 return False
         return True
@@ -561,14 +569,16 @@ class Engine:
         """Propagate the trail from ``qhead`` on, in trail order, as
         MiniSat does: a polarity or fact token decrements the premise
         counters of the clauses it gates, all at once so that
-        :meth:`_backjump` can restore them from the token alone, and checks
-        those it activates; a reachability token closes transitivity and
-        antisymmetry around its variable; every token's negation wakes the
-        learned clauses that watch it. False on a conflict, with ``qhead``
-        past the token that met it."""
+        :meth:`_backjump` can restore them from the token alone, and
+        settles those it activates; a reachability token closes
+        transitivity and antisymmetry around its variable and checks the
+        clauses it falsifies; every token's negation wakes the learned
+        clauses that watch it. False on a conflict, with ``qhead`` past
+        the token that met it."""
         trail = self.trail
         pbase = self.pol_base
-        fact_clauses = self.tables.fact_clauses
+        tab = self.tables
+        fact_clauses, cl_lits, cl_gate_toks = tab.fact_clauses, tab.cl_lits, tab.cl_gate_toks
         cl_missing = self.cl_missing
         while self.qhead < len(trail):
             tok = trail[self.qhead]
@@ -581,7 +591,11 @@ class Engine:
                     if m == 0:
                         active.append(c)
                 for c in active:
-                    if not self._check_clause(c):
+                    lits = cl_lits[c]
+                    if len(lits) == 1:
+                        if not self._assign(lits[0], cl_gate_toks[c]):
+                            return False
+                    elif not self._check_clause(c):
                         return False
             elif not self._reach_consequences(tok >> 1):
                 return False

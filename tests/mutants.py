@@ -116,6 +116,31 @@ MUTANTS = (
         "threshold = base + 2 * gap",
         "tests/test_solver.py::test_progression_ends_on_infeasible_and_all_hard_instances",
     ),
+    # gated clauses: a multi-literal clause is indexed under the tokens that
+    # satisfy it, so no false literal wakes it
+    Mutant(
+        "index-on-satisfied-side",
+        SOLVER,
+        "falsified_by[tok ^ 1].append(ci)",
+        "falsified_by[tok].append(ci)",
+        "tests/test_solver.py::test_active_gated_clauses_are_propagated",
+    ),
+    # a one-literal rule whose literal is false activates without a conflict
+    Mutant(
+        "one-literal-rule-skips-conflict",
+        SOLVER,
+        "if not self._assign(lits[0], cl_gate_toks[c]):",
+        "if not (self.value[lits[0] ^ 1] or self._assign(lits[0], cl_gate_toks[c])):",
+        "tests/test_solver.py::test_active_gated_clauses_are_propagated",
+    ),
+    # two-literal clauses are left out of the index
+    Mutant(
+        "two-literal-clauses-unindexed",
+        SOLVER,
+        "if len(self.cl_lits[ci]) > 1:",
+        "if len(self.cl_lits[ci]) > 2:",
+        "tests/test_solver.py::test_active_gated_clauses_are_propagated",
+    ),
 )
 
 

@@ -7,6 +7,7 @@ from ancestral.core import (
     AncestralStructure,
     Weight,
     causes,
+    condsets_up_to,
     dep,
     indep,
     not_causes,
@@ -19,6 +20,7 @@ from ancestral.rules import (
     JointAssignment,
     check_consistency,
     derive_closure,
+    ground,
     loss,
 )
 
@@ -248,3 +250,21 @@ def test_derived_facts_are_sound_for_dags():
         for (x, y, cond), polarity in closed:
             separated = d_separated(adj, x, y, cond)
             assert (polarity is INDEP) == separated
+
+
+@pytest.mark.parametrize("n, order", [(4, 2), (5, 3), (6, 1), (6, 2), (6, 4), (7, 2)])
+def test_ground_repeats_no_premise(n, order):
+    """No rule instance or gated clause of ``ground`` names one premise
+    twice, with every triple up to ``order`` at ``n`` seeded in both
+    polarities, so a clause's premises are its distinct gate tokens, which
+    the solver's gate index lists and its premise counters count."""
+    triples = [
+        (x, y, cond)
+        for x in range(n)
+        for y in range(x + 1, n)
+        for cond in condsets_up_to([v for v in range(n) if v not in (x, y)], order)
+    ]
+    g = ground([(t, pol) for t in triples for pol in (INDEP, DEP)], n)
+    assert g.derivations or order == n - 2
+    for item in (*g.derivations, *g.clauses):
+        assert len(set(item.premises)) == len(item.premises), item

@@ -332,7 +332,7 @@ def test_level0_state_is_restored_after_queries():
             assert sorted(tok for tok in range(len(value)) if value[tok]) == sorted(trail)
             on_trail = set(trail)
             for c, gate in enumerate(engine.tables.cl_gate_toks):
-                assert engine.cl_missing[c] == sum(tok not in on_trail for tok in gate)
+                assert engine.cl_missing[c] == sum(tok not in on_trail for tok in set(gate))
             assert engine.cost == engine.offset + sum(engine.cost_of[tok] for tok in trail)
             checked += 1
     assert checked > 0
@@ -496,12 +496,20 @@ class RoundLoggingEngine(Engine):
     search under a threshold is one round of a query's progression loop,
     or a witness probe under ``best + 1``. Every search starts under an
     incumbent, real or virtual. No search starts once the log holds
-    ``max_searches``, so that a loop that rounds too often fails at once."""
+    ``max_searches``, so that a loop that rounds too often fails at once.
+    ``completed_at`` is the node count at the last completion reached."""
 
     def __init__(self, *args):
         self.searches = []
         self.max_searches = math.inf
+        self.completed_at = None
         super().__init__(*args)
+
+    def _next_decision(self):
+        var = super()._next_decision()
+        if var is None:
+            self.completed_at = self.nodes
+        return var
 
     def _search(self, lo):
         assert self.best_cost is not None
@@ -673,7 +681,7 @@ def check_rounds(engine, pins, largest):
     assert rounds or best is None
     thresholds = [threshold for threshold, *_ in rounds]
     assert None not in thresholds
-    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+    assert thresholds == [base + 2 ** (k + 1) * gap + 1 for k in range(len(rounds))]
     assert [lo for _, lo, *_ in rounds] == [base, *thresholds][: len(rounds)]
     assert not any(found for _, _, found, _ in rounds[:-1])
     if best is not None:
@@ -686,7 +694,9 @@ def test_progression_rounds_keep_their_invariants():
     """Base, forced and lex-witness queries on seeded n = 4..6 instances
     with hard inputs, ancestral costs and forced features, logged round by
     round. A query that no pooled completion serves runs only rounds:
-    their thresholds rise; the first round ends at a completion of the
+    their thresholds are ``base + 2 ** k * gap + 1`` for k = 1, 2, ...,
+    ``base`` being the floor (``offset`` before there is one) and ``gap``
+    the first gap below; the first round ends at a completion of the
     floor's cost, or of ``offset`` before there is a floor, and each later
     one at the threshold before it; every exhausted threshold is at most
     the minimum; only the last round finds a completion, and it costs less
@@ -736,6 +746,48 @@ def test_progression_rounds_keep_their_invariants():
                 assert all((threshold, lo) == (best + 1, best) for threshold, lo, *_ in probes)
                 rounds["probes"] += len(probes)
     assert all(rounds.values()), rounds
+
+
+def test_progression_rounds_stop_where_their_proofs_end():
+    """Base and forced queries on seeded n = 4 instances with soft weights
+    of 1 to 9, so that minima often meet thresholds, and hard CI inputs,
+    so that some pins fail only in the search. For every query that runs
+    rounds: the k-th threshold is ``base + 2 ** k * gap + 1`` from the
+    floor (``offset`` before there is one) and the first gap (``excess``,
+    or the smallest positive reduced cost while it is 0); no round before
+    the last has a threshold above ``ceiling``; and a minimum that equals
+    the last round's lower bound, the floor or the threshold of the round
+    before, is returned at the completion that meets it, with no node and
+    no conflict after it. Some minima meet an exhausted threshold, and
+    some queries end above ``ceiling``. Every minimum is brute force's."""
+    rng = random.Random(37)
+    met = infeasible = 0
+    for case in range(40):
+        inputs = with_hard_ci(rng, random_instance(rng, 4, max_inputs=14, max_weight=9), 0.3)
+        engine = RoundLoggingEngine(inputs, 4)
+        if engine.infeasible or not engine.costly:
+            continue
+        largest = sum(i.weight.millis for i in inputs if not i.weight.is_hard)
+        queries = [[]] + [[f] for f in rng.sample(all_forced(4), 8)]
+        for forced in queries:
+            pins = forced_pins(engine, forced)
+            base = engine.offset if engine.floor is None else engine.floor
+            gap = engine.excess or min(c for c in engine.cost_of if c)
+            start = len(engine.searches)
+            engine.max_searches = start + math.log2(largest / gap) + 2
+            best, snap = engine.query(pins)
+            assert_forced_minimum(engine, inputs, 4, forced, best, snap)
+            thresholds = [threshold for threshold, *_ in engine.searches[start:]]
+            if None in thresholds or not thresholds:
+                continue
+            assert thresholds == [base + 2 ** (k + 1) * gap + 1 for k in range(len(thresholds))]
+            assert all(threshold <= engine.ceiling for threshold in thresholds[:-1])
+            if best is None:
+                infeasible += thresholds[-1] > engine.ceiling
+            elif best == ([base] + thresholds)[len(thresholds) - 1]:
+                assert engine.conflict is None and engine.nodes == engine.completed_at
+                met += len(thresholds) > 1
+    assert met > 0 and infeasible > 0, (met, infeasible)
 
 
 def test_timeout_under_a_guess_reports_only_found_completions(monkeypatch):
@@ -1221,7 +1273,7 @@ class TrailQueueCheckedEngine(Engine):
     def _check_queue(self):
         propagated = set(self.trail[: self.qhead])
         for c, gate in enumerate(self.tables.cl_gate_toks):
-            assert self.cl_missing[c] == sum(tok not in propagated for tok in gate)
+            assert self.cl_missing[c] == sum(tok not in propagated for tok in set(gate))
         self.checks[self.root] += 1
 
 
@@ -1255,6 +1307,78 @@ def test_trail_queue_keeps_its_head_and_counters():
             checks[root] += engine.checks[root]
         conflicts += engine.conflicts
     assert checks[1] > 0 and checks[2] > 0 and conflicts > 0
+
+
+class GatedClauseCheckedEngine(Engine):
+    """An engine that checks gated-clause propagation after every
+    ``_flush`` that returns True: every gated clause whose gate tokens all
+    lie in ``trail[:qhead]`` has a true literal or at least two open ones,
+    so no active clause is left falsified or unit. Counts the checked
+    flushes per assumption level, and the active one-literal and
+    multi-literal clauses checked."""
+
+    def __init__(self, *args):
+        self.checks = {1: 0, 2: 0}
+        self.active = {1: 0, 2: 0}
+        super().__init__(*args)
+
+    def _flush(self):
+        ok = super()._flush()
+        if ok:
+            value = self.value
+            propagated = set(self.trail[: self.qhead])
+            for gate, lits in zip(self.tables.cl_gate_toks, self.tables.cl_lits):
+                if propagated.issuperset(gate):
+                    unset = [tok for tok in lits if not value[tok] and not value[tok ^ 1]]
+                    assert any(value[tok] for tok in lits) or len(unset) >= 2, (gate, lits)
+                    self.active[min(len(lits), 2)] += 1
+            self.checks[self.root] += 1
+        return ok
+
+
+def with_hard_ci(rng, inputs, share):
+    """``inputs`` with each CI statement made hard with probability ``share``."""
+    return [
+        WeightedInput(i.statement, Weight.hard())
+        if isinstance(i.statement, CiStatement) and rng.random() < share
+        else i
+        for i in inputs
+    ]
+
+
+def test_active_gated_clauses_are_propagated():
+    """Base, forced and lex-witness queries, on instances with hard and
+    soft CI inputs, ancestral costs and forced features, leave no active
+    gated clause falsified or unit after a flush without conflict: the
+    one-literal rules asserted when they activate and the multi-literal
+    clauses checked when a literal of theirs becomes false propagate every
+    clause that can fire, at assumption levels 1 and 2."""
+    rng = random.Random(17)
+    checks = {1: 0, 2: 0}
+    active = {1: 0, 2: 0}
+    for case in range(12):
+        n = 4 + case % 3
+        inputs = random_instance(rng, n, max_inputs=6 * n, anc_share=0.3)
+        inputs = with_hard_ci(rng, inputs, 0.2 if case % 3 else 0.0)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        if case % 2:
+            x, y = rng.choice(pairs)
+            inputs.append((causes if rng.random() < 0.5 else not_causes)(x, y))
+        forced = ()
+        if case % 4 == 3:
+            x, y = rng.choice(pairs)
+            forced = ((AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5),)
+        engine = GatedClauseCheckedEngine(inputs, n, SolveOptions(forced_features=forced))
+        best, snap = engine.query()
+        for x, y in rng.sample(pairs, 4):
+            engine.query([engine.pin(AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5)])
+        if best is not None:
+            engine.witness(best, snap)
+        for key in checks:
+            checks[key] += engine.checks[key]
+            active[key] += engine.active[key]
+    assert checks[1] > 0 and checks[2] > 0, checks
+    assert active[1] > 0 and active[2] > 0, active
 
 
 # -- invariants -------------------------------------------------------------------
