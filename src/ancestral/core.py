@@ -232,18 +232,11 @@ class AncestralStructure:
     def __post_init__(self) -> None:
         if len(self.rows) != self.n:
             raise ValueError("row count must equal n")
-        full = (1 << self.n) - 1
-        rows = self.rows
-        for x, row in enumerate(rows):
-            if not (row >> x) & 1:
-                raise ValueError("diagonal must be set (reflexivity)")
-            if row & ~full:
-                raise ValueError("row has bits outside 0..n-1")
-            for y in iter_bits(row):
-                if rows[y] & ~row:
-                    raise ValueError("reachability must be transitively closed")
-                if y != x and (rows[y] >> x) & 1:
-                    raise ValueError("reachability must be antisymmetric")
+        if any(row >> self.n for row in self.rows):
+            raise ValueError("row has bits outside 0..n-1")
+        broken = _broken_axiom(self.rows)
+        if broken:
+            raise ValueError(broken)
 
     @classmethod
     def identity(cls, n: int) -> "AncestralStructure":
@@ -251,11 +244,10 @@ class AncestralStructure:
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[object]]) -> "AncestralStructure":
-        if not is_ancestral_structure(matrix):
-            raise ValueError("matrix is not an ancestral structure")
-        n = len(matrix)
-        rows = tuple(sum(1 << y for y in range(n) if matrix[x][y]) for x in range(n))
-        return cls(n, rows)
+        """The structure of a square truth matrix; ``ValueError`` names
+        the axiom that it breaks."""
+        rows = _matrix_rows(matrix)
+        return cls(len(rows), rows)
 
     def reach(self, x: int, y: int) -> bool:
         return bool((self.rows[x] >> y) & 1)
@@ -280,23 +272,31 @@ class AncestralStructure:
         return k
 
 
+def _broken_axiom(rows: Sequence[int]) -> Union[str, None]:
+    """The first partial-order axiom (reflexivity, transitivity,
+    antisymmetry) that reachability rows over ``range(len(rows))`` break,
+    as an error message, or None when they break none."""
+    for x, row in enumerate(rows):
+        if not (row >> x) & 1:
+            return "diagonal must be set (reflexivity)"
+        for y in iter_bits(row):
+            if rows[y] & ~row:
+                return "reachability must be transitively closed"
+            if y != x and (rows[y] >> x) & 1:
+                return "reachability must be antisymmetric"
+    return None
+
+
+def _matrix_rows(matrix: Sequence[Sequence[object]]) -> tuple[int, ...]:
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    return tuple(sum(1 << y for y, v in enumerate(row) if v) for row in matrix)
+
+
 def is_ancestral_structure(matrix: Sequence[Sequence[object]]) -> bool:
     """Check reflexivity, transitivity and antisymmetry of a square matrix."""
-    n = len(matrix)
-    rows = []
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        rows.append(sum(1 << y for y, v in enumerate(row) if v))
-    for x in range(n):
-        if not (rows[x] >> x) & 1:
-            return False
-        for y in iter_bits(rows[x]):
-            if rows[y] & ~rows[x]:
-                return False
-            if y != x and (rows[y] >> x) & 1:
-                return False
-    return True
+    return _broken_axiom(_matrix_rows(matrix)) is None
 
 
 def transitive_close(edges: Iterable[tuple[int, int]], n: int) -> AncestralStructure:

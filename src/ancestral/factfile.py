@@ -8,7 +8,8 @@ Grammar ('#' starts a comment, blank lines ignored):
     causes <x> <y> : <weight>
     notcauses <x> <y> : <weight>
 
-The mandatory ``vars`` header maps names to variable indices by position.
+The mandatory ``vars`` header maps names to variable indices by position;
+a name may not contain ``|`` or ``:``.
 Weights are nonnegative integers in milli-log-units or ``inf`` for hard
 statements. Duplicate canonical statements are an error rather than being
 summed silently.
@@ -75,6 +76,10 @@ def _parse_numbered(text: str) -> tuple[tuple[str, ...], list[tuple[int, Weighte
             names = tuple(tokens[1:])
             if len(set(names)) != len(names):
                 raise FactFileError(f"{where}: duplicate variable names")
+            for name in names:
+                # '|' and ':' separate a statement's parts, so no statement could name it
+                if set(name) & {"|", ":"}:
+                    raise FactFileError(f"{where}: invalid variable name {name!r}")
             index = {name: i for i, name in enumerate(names)}
             continue
         if not names:

@@ -24,7 +24,7 @@ conditioning arithmetic adds exactly one variable at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ancestral.core import (
     AncestralStructure,
@@ -228,14 +228,28 @@ def clause_holds(clause: GatedClause, structure: AncestralStructure) -> bool:
     return False
 
 
+def consistent_structures(
+    n: int, ci: CiAssignment, structures: Iterable[AncestralStructure]
+) -> Iterator[AncestralStructure]:
+    """The given structures on n variables that form a consistent joint
+    assignment with ``ci``, in the order given: none when the closure of
+    the assigned facts derives the flip of an assigned fact, else those
+    that satisfy every grounded integrity constraint. The assignment is
+    grounded once, and ``structures`` is read lazily, one structure per
+    structure yielded or rejected."""
+    grounding = ground(ci.facts(), n)
+    if any((t, p.flipped()) in grounding.facts for t, p in ci.truth.items()):
+        return
+    clauses = grounding.clauses
+    for structure in structures:
+        if all(clause_holds(c, structure) for c in clauses):
+            yield structure
+
+
 def check_consistency(structure: AncestralStructure, ci: CiAssignment) -> bool:
     """True iff the closure of the assigned facts is coherent with the
     choices and every integrity constraint holds against the structure."""
-    grounding = ground(ci.facts(), structure.n)
-    for triple, polarity in ci.truth.items():
-        if (triple, polarity.flipped()) in grounding.facts:
-            return False
-    return all(clause_holds(c, structure) for c in grounding.clauses)
+    return next(consistent_structures(structure.n, ci, (structure,)), None) is not None
 
 
 def loss(joint: JointAssignment, inputs: Iterable[WeightedInput]) -> Weight:

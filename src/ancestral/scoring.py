@@ -3,40 +3,22 @@
 The confidence of a feature is the minimum loss with the feature forced
 false minus the minimum loss with it forced true. Under hard inputs the
 score is +inf exactly when the feature holds in every consistent joint
-assignment and -inf exactly when it holds in none, which
-``identifiability_oracle`` verifies by exhaustive enumeration.
+assignment and -inf exactly when it holds in none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
-from ancestral.core import (
-    AncStatement,
-    Ancestry,
-    CiStatement,
-    enumerate_ancestral_structures,
-)
-from ancestral.rules import clause_holds, ground
+from ancestral.core import AncStatement, Ancestry
 from ancestral.solver import Engine, SolveOptions
 
 
 class BothInfeasibleError(ValueError):
     """Both forced solves are infeasible: the hard background knowledge is
     contradictory."""
-
-
-class NoConsistentModelError(ValueError):
-    """No joint assignment satisfies the hard inputs."""
-
-
-class Identifiability(Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -142,61 +124,3 @@ def score_all_pairs(
     if share_bounds is not True:
         raise ValueError(f"share_bounds admits True only, not {share_bounds!r}")
     return PairScorer(inputs, n, options).all_pairs()
-
-
-def identifiability_oracle(
-    hard_inputs: Iterable, n: int, feature: AncStatement
-) -> Identifiability:
-    """Classify a feature by enumerating every consistent joint assignment.
-
-    All inputs must be hard, so the polarity assignment is pinned to the
-    stated facts and only structures vary. Intended for n <= 4; n = 5 works
-    but enumerates 4231 structures per call.
-    """
-    if n > 5:
-        raise ValueError("identifiability oracle is limited to n <= 5")
-    truth = {}
-    require_reach: dict[tuple[int, int], bool] = {}
-    consistent_ci = True
-    for item in hard_inputs:
-        if not item.weight.is_hard:
-            raise ValueError("identifiability oracle requires hard inputs only")
-        stmt = item.statement
-        if isinstance(stmt, CiStatement):
-            if stmt.y >= n or stmt.cond >> n:
-                raise ValueError("statement references variables >= n")
-            prev = truth.setdefault(stmt.triple, stmt.polarity)
-            if prev is not stmt.polarity:
-                consistent_ci = False
-        elif isinstance(stmt, AncStatement):
-            if stmt.cause >= n or stmt.effect >= n:
-                raise ValueError("statement references variables >= n")
-            want = stmt.polarity is Ancestry.CAUSES
-            prev = require_reach.setdefault((stmt.cause, stmt.effect), want)
-            if prev != want:
-                consistent_ci = False
-        else:
-            raise TypeError(f"unsupported statement type {type(stmt)!r}")
-    if not consistent_ci:
-        raise NoConsistentModelError("contradictory hard inputs")
-    grounding = ground([(t, p) for t, p in truth.items()], n)
-    if any((t, p.flipped()) in grounding.facts for t, p in truth.items()):
-        raise NoConsistentModelError("hard facts derive their own negation")
-
-    holds_in = total = 0
-    want_feature = feature.polarity is Ancestry.CAUSES
-    for s in enumerate_ancestral_structures(n):
-        if any(s.reach(x, y) != want for (x, y), want in require_reach.items()):
-            continue
-        if not all(clause_holds(c, s) for c in grounding.clauses):
-            continue
-        total += 1
-        if s.reach(feature.cause, feature.effect) == want_feature:
-            holds_in += 1
-    if total == 0:
-        raise NoConsistentModelError("no consistent joint assignment")
-    if holds_in == total:
-        return Identifiability.TRUE
-    if holds_in == 0:
-        return Identifiability.FALSE
-    return Identifiability.UNKNOWN

@@ -103,10 +103,6 @@ completion already satisfies is asserted without search; each other pin is
 probed one level above, with the assumption level raised to 2, by a search
 under the virtual incumbent ``best + 1``, which stops at its first
 completion, one at the optimum; then the pin or its negation is asserted.
-
-``brute_force_min_loss`` is the independent oracle: exhaustive enumeration
-of all ancestral structures and polarity assignments filtered through the
-consistency constraints.
 """
 
 from __future__ import annotations
@@ -117,23 +113,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ancestral.core import (
-    AncestralStructure,
-    AncStatement,
-    Ancestry,
-    CiStatement,
-    Weight,
-    enumerate_ancestral_structures,
-)
-from ancestral.rules import (
-    DEP,
-    INDEP,
-    CiAssignment,
-    JointAssignment,
-    Triple,
-    clause_holds,
-    ground,
-)
+from ancestral.core import AncestralStructure, AncStatement, Ancestry, CiStatement, Weight
+from ancestral.rules import DEP, INDEP, CiAssignment, JointAssignment, Triple, ground
 
 MAX_DEFAULT_N = 12
 
@@ -175,36 +156,34 @@ class SolveResult:
 
 
 def _input_costs(inputs, n):
-    """Split inputs into per-triple assignment costs and per-pair ancestral
-    costs. A ``None`` cost marks a value forbidden by a hard input."""
+    """The sorted input triples and ``full[tok]``, the cost of making each
+    reachability and polarity token true (see :class:`Engine`): the summed
+    weights of the inputs that it violates, ``None`` where a hard input
+    forbids it."""
+    full: list = [0] * (2 * n * n)
     tri_costs: dict[Triple, list] = {}
-    cost_true: list = [0] * (n * n)
-    cost_false: list = [0] * (n * n)
     for item in inputs:
         stmt = item.statement
-        w = item.weight
         if isinstance(stmt, CiStatement):
             if stmt.y >= n or stmt.cond >> n:
                 raise ValueError(f"statement {stmt} references variables >= n={n}")
-            cc = tri_costs.setdefault(stmt.triple, [0, 0])
-            violated_slot = 1 - _POL_INDEX[stmt.polarity]
-            if w.is_hard:
-                cc[violated_slot] = None
-            elif cc[violated_slot] is not None:
-                cc[violated_slot] += w.millis
+            costs = tri_costs.setdefault(stmt.triple, [0, 0])
+            tok = 1 - _POL_INDEX[stmt.polarity]
         elif isinstance(stmt, AncStatement):
             if stmt.cause >= n or stmt.effect >= n:
                 raise ValueError(f"statement {stmt} references variables >= n={n}")
-            var = stmt.cause * n + stmt.effect
-            slot = cost_false if stmt.polarity is Ancestry.CAUSES else cost_true
-            if w.is_hard:
-                slot[var] = None
-            elif slot[var] is not None:
-                slot[var] += w.millis
+            costs = full
+            tok = 2 * (stmt.cause * n + stmt.effect) + (stmt.polarity is Ancestry.CAUSES)
         else:
             raise TypeError(f"unsupported statement type {type(stmt)!r}")
+        if item.weight.is_hard:
+            costs[tok] = None
+        elif costs[tok] is not None:
+            costs[tok] += item.weight.millis
     triples = sorted(tri_costs)
-    return triples, [tuple(tri_costs[t]) for t in triples], cost_true, cost_false
+    for t in triples:
+        full += tri_costs[t]
+    return triples, full
 
 
 class _Tables:
@@ -370,19 +349,17 @@ class Engine:
         self.n = n
         self.pins = tuple(self.pin(stmt, hold) for stmt, hold in options.forced_features)
 
-        triples, tri_cost, cost_true, cost_false = _input_costs(inputs, n)
+        triples, full = _input_costs(inputs, n)
         self.tables = tab = _tables(n, tuple(triples))
         n2 = n * n
         nvars = n2 + len(triples) + tab.nfacts
         self.pol_base = tab.pol_base
         self.fact_base = tab.fact_base
-        # the cost of making a token true, None for a value that a hard
-        # input forbids; each reachability variable pays its cheaper allowed
-        # value into ``offset``, and its tokens keep the excess over that
-        full = [c for v in range(n2) for c in (cost_true[v], cost_false[v])]
-        full += [c for cc in tri_cost for c in cc]
+        # each reachability variable pays its cheaper allowed value into
+        # ``offset``, and its tokens keep the excess over that
         shift = [
-            min((c for c in cc if c is not None), default=0) for cc in zip(cost_true, cost_false)
+            min((c for c in full[2 * v : 2 * v + 2] if c is not None), default=0)
+            for v in range(n2)
         ]
         shift += [0] * len(triples)
         self.offset = sum(shift)
@@ -1009,64 +986,3 @@ def solve_min_loss(
             "witness reconstruction exceeded the time limit", Weight.finite(best)
         ) from None
     return SolveResult(Weight.finite(best), witness)
-
-
-def brute_force_min_loss(inputs: Sequence, n: int) -> SolveResult:
-    """Independent exhaustive oracle for small instances: every ancestral
-    structure crossed with every polarity assignment, filtered by the
-    consistency constraints. Same contract as :func:`solve_min_loss`."""
-    inputs = list(inputs)
-    if n > 4:
-        raise ValueError("brute force is limited to n <= 4")
-    if len(inputs) > 16:
-        raise ValueError("brute force is limited to 16 inputs")
-    triples, tri_cost, cost_true, cost_false = _input_costs(inputs, n)
-    k = len(triples)
-
-    structures = sorted(enumerate_ancestral_structures(n), key=lambda s: s.key())
-    anc_cost: list[Optional[int]] = []
-    for s in structures:
-        total: Optional[int] = 0
-        for x in range(n):
-            for y in range(n):
-                if x == y or total is None:
-                    continue
-                c = cost_true[x * n + y] if s.reach(x, y) else cost_false[x * n + y]
-                total = None if c is None else total + c
-        anc_cost.append(total)
-
-    best = None
-    best_joint = None
-    for bits in range(1 << k):
-        flip = 0
-        truth: dict[Triple, object] = {}
-        ci_key = []
-        feasible = True
-        for i, t in enumerate(triples):
-            pol = (bits >> (k - 1 - i)) & 1
-            c = tri_cost[i][pol]
-            if c is None:
-                feasible = False
-                break
-            flip += c
-            truth[t] = INDEP if pol == 0 else DEP
-            ci_key.append(pol)
-        if not feasible:
-            continue
-        if best is not None and flip > best[0]:
-            continue
-        g = ground([(t, p) for t, p in truth.items()], n)
-        if any((t, p.flipped()) in g.facts for t, p in truth.items()):
-            continue
-        for s, anc in zip(structures, anc_cost):
-            if anc is None:
-                continue
-            total = flip + anc
-            if best is not None and (total, s.key(), ci_key) >= best:
-                continue
-            if all(clause_holds(c, s) for c in g.clauses):
-                best = (total, s.key(), list(ci_key))
-                best_joint = JointAssignment(s, CiAssignment(dict(truth)))
-    if best is None:
-        return SolveResult(Weight.hard(), None)
-    return SolveResult(Weight.finite(best[0]), best_joint)

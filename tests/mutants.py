@@ -1,4 +1,5 @@
-"""Standing mutant suite for the solver's soundness arguments.
+"""Standing mutant suite for the soundness arguments of the solver and of
+the exhaustive references that check it.
 
 Each row of ``MUTANTS`` plants one fault by plain text replacement: an
 exact source fragment of a file under ``src/`` and its replacement, with
@@ -37,6 +38,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/ancestral/solver.py"
+RULES = "src/ancestral/rules.py"
+ORACLE = "src/ancestral/oracle.py"
 
 
 class Mutant(NamedTuple):
@@ -140,6 +143,31 @@ MUTANTS = (
         "if len(self.cl_lits[ci]) > 1:",
         "if len(self.cl_lits[ci]) > 2:",
         "tests/test_solver.py::test_active_gated_clauses_are_propagated",
+    ),
+    # the one consistency rule accepts a closure that flips an assigned fact
+    Mutant(
+        "consistency-ignores-flipped-facts",
+        RULES,
+        "if any((t, p.flipped()) in grounding.facts",
+        "if False and any((t, p.flipped()) in grounding.facts",
+        "tests/test_rules.py::test_derived_fact_must_match_assigned_polarity",
+    ),
+    # the references' reader charges an ancestral input to the value it wants
+    Mutant(
+        "oracle-charges-satisfied-ancestry",
+        ORACLE,
+        "violated = stmt.polarity is not Ancestry.CAUSES",
+        "violated = stmt.polarity is Ancestry.CAUSES",
+        "tests/test_solver.py::test_matches_brute_force_on_random_instances",
+    ),
+    # brute force skips a polarity assignment that only ties the best loss,
+    # so an optimum of a smaller structure key is lost from the witness
+    Mutant(
+        "polarity-prune-drops-ties",
+        ORACLE,
+        "if best is not None and flip > best[0]:",
+        "if best is not None and flip >= best[0]:",
+        "tests/test_oracle.py::test_an_assignment_that_ties_the_best_loss_can_hold_the_lex_witness",
     ),
 )
 

@@ -23,10 +23,11 @@ from ancestral.evaluation import (
     format_reference_comparison,
     run_benchmark,
 )
+from ancestral.oracle import Identifiability, brute_force_min_loss, identifiability_oracle
 from ancestral.rules import CiAssignment, JointAssignment, check_consistency, loss
-from ancestral.scoring import Identifiability, confidence, identifiability_oracle, score_all_pairs
+from ancestral.scoring import confidence, score_all_pairs
 from ancestral.simulate import random_linear_model, sample_data
-from ancestral.solver import brute_force_min_loss, solve_min_loss
+from ancestral.solver import solve_min_loss
 from ancestral.stats import (
     CiTestConfig,
     ci_inputs_from_data,

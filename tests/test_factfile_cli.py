@@ -136,6 +136,14 @@ def test_unknown_variable_rejected():
         parse_fact_text("vars A B\nindep A Q | : 5\n")
 
 
+@pytest.mark.parametrize("name", [":", "|", "A:B", "|B", "C:"])
+def test_separator_in_header_name_rejected(name):
+    # no statement could name such a variable: ':' and '|' split its parts
+    message = rf"^line 2: invalid variable name '{re.escape(name)}'$"
+    with pytest.raises(FactFileError, match=message):
+        parse_fact_text(f"# header\nvars A {name} B\n")
+
+
 def test_missing_header_rejected():
     with pytest.raises(FactFileError):
         parse_fact_text("indep A B | : 5\n")

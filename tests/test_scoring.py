@@ -20,13 +20,11 @@ from ancestral.core import (
 )
 from ancestral.cli import main
 from ancestral.factfile import write_fact_file
+from ancestral.oracle import Identifiability, NoConsistentModelError, identifiability_oracle
 from ancestral.scoring import (
     BothInfeasibleError,
-    Identifiability,
-    NoConsistentModelError,
     PairScorer,
     confidence,
-    identifiability_oracle,
     pair_features,
     score_all_pairs,
 )

@@ -20,6 +20,7 @@ from ancestral.core import (
     indep,
     not_causes,
 )
+from ancestral.oracle import brute_force_min_loss
 from ancestral.rules import DEP, INDEP, check_consistency, ground, loss
 from ancestral.scoring import BothInfeasibleError, score_all_pairs
 from ancestral.simulate import random_linear_model, sample_data
@@ -29,7 +30,6 @@ from ancestral.solver import (
     SolveTimeoutError,
     _Tables,
     _tables,
-    brute_force_min_loss,
     solve_min_loss,
 )
 from ancestral.stats import CiTestConfig, ci_inputs_from_data
