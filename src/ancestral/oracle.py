@@ -138,10 +138,13 @@ def identifiability_oracle(
 
     All inputs must be hard, so the polarity assignment is pinned to the
     stated facts and only structures vary. Intended for n <= 4; n = 5 works
-    but enumerates 4231 structures per call.
+    but enumerates 4231 structures per call. Raises ``ValueError`` when the
+    feature names a variable >= n, as :meth:`solver.Engine.pin` does.
     """
     if n > 5:
         raise ValueError("identifiability oracle is limited to n <= 5")
+    if feature.cause >= n or feature.effect >= n:
+        raise ValueError("feature references variables >= n")
     hard_inputs = list(hard_inputs)
     if not all(item.weight.is_hard for item in hard_inputs):
         raise ValueError("identifiability oracle requires hard inputs only")

@@ -22,9 +22,13 @@ Propagation interleaves four mechanisms. One table of gated clauses
 propagates each clause once all its gate facts are present: a rule
 instance is a clause gated by its premises whose one literal is its
 conclusion fact, a structural constraint one over reachability variables.
-A one-literal clause asserts its literal with its gate as reason when it
+A clause activates when the last of its gate facts is propagated, which
+the trail index of each true token tells: the gated clauses keep no
+counters, and backjumping restores nothing for them, as Chaff's lazy
+clause state costs nothing on backtrack (Moskewicz et al. 2001). A
+one-literal clause asserts its literal with its gate as reason when it
 activates; a longer one is checked then and again only when one of its
-literals becomes false, as Chaff visits a clause (Moskewicz et al. 2001).
+literals becomes false, as Chaff visits a clause.
 Transitivity and antisymmetry are kept closed after every structure
 assignment. Learned clauses propagate through two watched tokens, swapped
 in place as the watches move. The lower bound is the running cost alone:
@@ -109,6 +113,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -168,7 +173,7 @@ def _input_costs(inputs, n):
             if stmt.y >= n or stmt.cond >> n:
                 raise ValueError(f"statement {stmt} references variables >= n={n}")
             costs = tri_costs.setdefault(stmt.triple, [0, 0])
-            tok = 1 - _POL_INDEX[stmt.polarity]
+            tok = 0 if stmt.polarity is DEP else 1
         elif isinstance(stmt, AncStatement):
             if stmt.cause >= n or stmt.effect >= n:
                 raise ValueError(f"statement {stmt} references variables >= n={n}")
@@ -196,11 +201,20 @@ class _Tables:
     literal or more. Built once per key by :func:`_tables` and shared
     read-only by every engine. Facts, gates and literals are engine tokens
     (see :class:`Engine`), the two facts of an input triple being its two
-    polarity tokens; ``nfacts`` counts the other facts. ``fact_clauses[tok]``
-    lists the clauses gated by token ``tok``, ``cl_npremises`` counts their
-    distinct gate tokens, and ``falsified_by[tok]`` lists the clauses of two
-    or more literals that contain ``tok ^ 1``, which reachability token
-    ``tok`` can make unit or falsify."""
+    polarity tokens; ``nfacts`` counts the other facts.
+
+    The activation index groups the clauses that gate token ``tok`` gates
+    by their partners, the clause's other distinct gate tokens:
+    ``solo[tok]`` lists the clauses gated by ``tok`` alone,
+    ``pairs[tok]`` holds ``(h, clauses)`` and ``trips[tok]`` holds ``(h,
+    k, clauses)`` for the clauses gated by ``tok`` and ``h``, or by
+    ``tok``, ``h`` and ``k``; every clause list ascends. ``falsified_by[tok]``
+    holds a ``(clause, g, h)`` entry, ``g`` and ``h`` its gate tokens
+    (equal when it has one), for each clause of two or more literals that
+    contains ``tok ^ 1``, which reachability token ``tok`` can make unit
+    or falsify. Raises ``ValueError`` when a clause has no gate token or
+    more than the index handles: three, or two for a clause of two or
+    more literals."""
 
     def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
@@ -230,16 +244,39 @@ class _Tables:
         ]
         self.cl_lits = tuple(lits for _, lits in gated)
         self.cl_gate_toks = tuple(tuple(fact_tok[f] for f in prem) for prem, _ in gated)
-        self.cl_npremises = tuple(len(set(gate)) for gate in self.cl_gate_toks)
-        fact_clauses: list[list[int]] = [[] for _ in range(self.fact_base + 2 * self.nfacts)]
-        falsified_by: list[list[int]] = [[] for _ in range(self.pol_base)]
+        # one clause tuple per gate set, shared by the entries of all its
+        # gate tokens, keeps the index small
+        by_gate: dict[tuple[int, ...], list[int]] = {}
+        falsified_by: list[list[tuple]] = [[] for _ in range(self.pol_base)]
         for ci, gate in enumerate(self.cl_gate_toks):
-            for tok in set(gate):
-                fact_clauses[tok].append(ci)
+            toks = tuple(sorted(set(gate)))
+            if not 0 < len(toks) <= (3 if len(self.cl_lits[ci]) == 1 else 2):
+                raise ValueError(f"gated clause {ci} has {len(toks)} gate tokens")
+            by_gate.setdefault(toks, []).append(ci)
             if len(self.cl_lits[ci]) > 1:
+                entry = (ci, toks[0], toks[-1])
                 for tok in set(self.cl_lits[ci]):
-                    falsified_by[tok ^ 1].append(ci)
-        self.fact_clauses = tuple(tuple(v) for v in fact_clauses)
+                    falsified_by[tok ^ 1].append(entry)
+        ntoks = self.fact_base + 2 * self.nfacts
+        solo: list[tuple] = [()] * ntoks
+        pairs: list[list[tuple]] = [[] for _ in range(ntoks)]
+        trips: list[list[tuple]] = [[] for _ in range(ntoks)]
+        for toks, cs in by_gate.items():
+            cs = tuple(cs)
+            if len(toks) == 1:
+                solo[toks[0]] = cs
+            elif len(toks) == 2:
+                g, h = toks
+                pairs[g].append((h, cs))
+                pairs[h].append((g, cs))
+            else:
+                g, h, k = toks
+                trips[g].append((h, k, cs))
+                trips[h].append((g, k, cs))
+                trips[k].append((g, h, cs))
+        self.solo = tuple(solo)
+        self.pairs = tuple(map(tuple, pairs))
+        self.trips = tuple(map(tuple, trips))
         self.falsified_by = tuple(tuple(v) for v in falsified_by)
         self.lex_vars = tuple(x * n + y for x in range(n) for y in range(n) if x != y)
 
@@ -257,6 +294,8 @@ def _tables(n: int, triples: tuple[Triple, ...]) -> _Tables:
 
 _ACT_DECAY = 1.0 / 0.95
 _ACT_RESCALE = 1e100
+# the ``at`` of a token that is not true: beyond every trail index
+_NEVER = sys.maxsize
 
 
 class _Local(list):
@@ -306,8 +345,9 @@ class Engine:
     hold one entry per variable; ``trail`` is the one undo log of assigned
     tokens and the propagation queue: the tokens in front of ``qhead``
     have been propagated, those behind it wait for :meth:`_flush`, and
-    ``cl_missing[c]`` counts the gate tokens of clause ``c`` missing from
-    ``trail[:qhead]``. ``cost`` is the running cost, ``offset`` plus the
+    ``at[tok]`` is the trail index of each true token, ``_NEVER`` for the
+    others, so a gated clause is active once every gate token of it has
+    ``at`` below ``qhead``. ``cost`` is the running cost, ``offset`` plus the
     reduced costs of the trail's tokens and the search's only lower bound;
     bound nogoods read its cost-bearing tokens off the trail.
 
@@ -375,7 +415,7 @@ class Engine:
         self.assigned = memoryview(self.value).cast("H")
         self.level = [0] * nvars
         self.reason: list = [()] * nvars
-        self.cl_missing = list(tab.cl_npremises)
+        self.at = [_NEVER] * (2 * nvars)
         self.trail: list[int] = []
         self.qhead = 0
         self.frames: list[tuple] = []
@@ -444,6 +484,7 @@ class Engine:
         var = tok >> 1
         self.level[var] = len(self.frames)
         self.reason[var] = reason
+        self.at[tok] = len(self.trail)
         self.trail.append(tok)
         self.cost += self.cost_of[tok]
         return True
@@ -502,9 +543,9 @@ class Engine:
                     return False
                 if value[zy] and not assign(xz + 1, (tok, zy)):
                     return False
-        cl_missing = self.cl_missing
-        for c in self.tables.falsified_by[tok]:
-            if cl_missing[c] == 0 and not self._check_clause(c):
+        at, qhead = self.at, self.qhead
+        for c, g, h in self.tables.falsified_by[tok]:
+            if at[g] < qhead and at[h] < qhead and not self._check_clause(c):
                 return False
         return True
 
@@ -544,29 +585,33 @@ class Engine:
 
     def _flush(self) -> bool:
         """Propagate the trail from ``qhead`` on, in trail order, as
-        MiniSat does: a polarity or fact token decrements the premise
-        counters of the clauses it gates, all at once so that
-        :meth:`_backjump` can restore them from the token alone, and
-        settles those it activates; a reachability token closes
-        transitivity and antisymmetry around its variable and checks the
-        clauses it falsifies; every token's negation wakes the learned
-        clauses that watch it. False on a conflict, with ``qhead`` past
-        the token that met it."""
+        MiniSat does: the polarity or fact token at trail index ``p``
+        activates the clauses it gates whose partners all have ``at``
+        below ``p``, those whose last gate token it is, and settles them
+        in clause order; a reachability token closes transitivity and
+        antisymmetry around its variable and checks the clauses it
+        falsifies; every token's negation wakes the learned clauses that
+        watch it. False on a conflict, with ``qhead`` past the token that
+        met it."""
         trail = self.trail
         pbase = self.pol_base
         tab = self.tables
-        fact_clauses, cl_lits, cl_gate_toks = tab.fact_clauses, tab.cl_lits, tab.cl_gate_toks
-        cl_missing = self.cl_missing
+        solo, pairs, trips = tab.solo, tab.pairs, tab.trips
+        cl_lits, cl_gate_toks = tab.cl_lits, tab.cl_gate_toks
+        at = self.at
         while self.qhead < len(trail):
-            tok = trail[self.qhead]
-            self.qhead += 1
+            p = self.qhead
+            tok = trail[p]
+            self.qhead = p + 1
             if tok >= pbase:
-                active = []
-                for c in fact_clauses[tok]:
-                    m = cl_missing[c] - 1
-                    cl_missing[c] = m
-                    if m == 0:
-                        active.append(c)
+                active = [*solo[tok]]
+                for h, cs in pairs[tok]:
+                    if at[h] < p:
+                        active += cs
+                for h, k, cs in trips[tok]:
+                    if at[h] < p and at[k] < p:
+                        active += cs
+                active.sort()
                 for c in active:
                     lits = cl_lits[c]
                     if len(lits) == 1:
@@ -583,19 +628,20 @@ class Engine:
     def _cover(self, threshold: int, end: int) -> _Local:
         """Tokens of ``trail[:end]`` whose conjunction forces every
         completion to cost at least ``threshold``: a greedy cover by the
-        costliest cost-bearing ones. The ``offset`` holds unconditionally
-        and needs no tokens. A bound conflict is the cover of the whole
-        trail, a hardened token's reason that of the trail in front of it."""
+        costliest cost-bearing ones, taken off ``costly`` in its ``(-cost,
+        token)`` order. The ``offset`` holds unconditionally and needs no
+        tokens. A bound conflict is the cover of the whole trail, a
+        hardened token's reason that of the trail in front of it."""
         need = threshold - self.offset
-        cost_of = self.cost_of
+        cost_of, at = self.cost_of, self.at
         total = 0
         out: list[int] = []
-        costs = (t for t in self.trail[:end] if cost_of[t])
-        for tok in sorted(costs, key=lambda t: (-cost_of[t], t)):
-            total += cost_of[tok]
-            out.append(tok)
-            if total >= need:
-                break
+        for tok in self.costly:
+            if at[tok] < end:
+                total += cost_of[tok]
+                out.append(tok)
+                if total >= need:
+                    break
         return _Local(sorted(out))
 
     def _harden(self) -> bool:
@@ -625,22 +671,20 @@ class Engine:
         self.frames.append((len(self.trail), self.cost, self.scanned))
 
     def _backjump(self, target_level: int) -> None:
-        """Undo every level above ``target_level`` in one pass."""
+        """Undo every level above ``target_level`` in one pass over the
+        undone tokens: each one's value and trail index, and the decision
+        heap entry of each undone reachability or polarity variable. The
+        gated clauses keep no state to restore."""
         if len(self.frames) <= target_level:
             return
         tlen, self.cost, self.scanned = self.frames[target_level]
         del self.frames[target_level:]
         trail = self.trail
-        fact_clauses = self.tables.fact_clauses
-        cl_missing = self.cl_missing
-        # a reachability token gates no clause, so its entry is empty
-        for tok in trail[tlen : self.qhead]:
-            for c in fact_clauses[tok]:
-                cl_missing[c] += 1
-        value = self.value
+        value, at = self.value, self.at
         act, heap, queued, fbase = self.act, self.heap, self.queued, self.fact_base
         for tok in trail[tlen:]:
             value[tok] = 0
+            at[tok] = _NEVER
             var = tok >> 1
             if tok < fbase and not queued[var]:
                 queued[var] = 1

@@ -153,6 +153,27 @@ def shared_triple_inputs(rng: random.Random, hard_share: float = 0.2) -> list[We
     return inputs
 
 
+def random_instance(rng, n=4, max_inputs=10, max_weight=5000, anc_share=0.3):
+    """Between 1 and ``max_inputs`` soft inputs on n variables: an
+    ancestral statement with probability ``anc_share``, else a CI
+    statement of order 0 or 1, each of weight 0 to ``max_weight``."""
+    inputs = []
+    for _ in range(rng.randint(1, max_inputs)):
+        if rng.random() < anc_share:
+            x, y = rng.sample(range(n), 2)
+            w = Weight.finite(rng.randint(0, max_weight))
+            inputs.append(causes(x, y, w) if rng.random() < 0.5 else not_causes(x, y, w))
+        else:
+            x, y = rng.sample(range(n), 2)
+            others = [v for v in range(n) if v not in (x, y)]
+            cond = rng.sample(others, rng.randint(0, 1))
+            w = Weight.finite(rng.randint(0, max_weight))
+            inputs.append(
+                indep(x, y, cond, w) if rng.random() < 0.5 else dep(x, y, cond, w)
+            )
+    return inputs
+
+
 def level0_contradictions() -> list[list[WeightedInput]]:
     """Input lists over SHARED_TRIPLES whose hard inputs contradict once
     propagated at level 0: both polarities of one triple, a broken

@@ -70,16 +70,17 @@ MUTANTS = (
     Mutant(
         "cover-ignores-end",
         SOLVER,
-        "costs = (t for t in self.trail[:end] if cost_of[t])",
-        "costs = (t for t in self.trail if cost_of[t])",
+        "if at[tok] < end:",
+        "if at[tok] < len(self.trail):",
         "tests/test_solver.py::test_hardening_keeps_its_pointer_and_reasons",
     ),
-    # the trail queue: unpropagated tokens never decremented a counter
+    # the trail queue: an undone token keeps its trail index, so a gated
+    # clause can take it for a propagated gate token
     Mutant(
-        "counters-restored-past-qhead",
+        "backjump-leaves-stale-at",
         SOLVER,
-        "for tok in trail[tlen : self.qhead]:",
-        "for tok in trail[tlen:]:",
+        "            at[tok] = _NEVER\n",
+        "",
         "tests/test_solver.py::test_trail_queue_keeps_its_head_and_counters",
     ),
     Mutant(
@@ -124,8 +125,25 @@ MUTANTS = (
     Mutant(
         "index-on-satisfied-side",
         SOLVER,
-        "falsified_by[tok ^ 1].append(ci)",
-        "falsified_by[tok].append(ci)",
+        "falsified_by[tok ^ 1].append(entry)",
+        "falsified_by[tok].append(entry)",
+        "tests/test_solver.py::test_active_gated_clauses_are_propagated",
+    ),
+    # a two-gate clause is checked when a literal of it becomes false while
+    # only one of its gate tokens is propagated
+    Mutant(
+        "reach-check-on-one-gate",
+        SOLVER,
+        "if at[g] < qhead and at[h] < qhead and not self._check_clause(c):",
+        "if at[g] < qhead and not self._check_clause(c):",
+        "tests/test_solver.py::test_active_gated_clauses_are_propagated",
+    ),
+    # a three-gate rule fires when only one of its two partners is propagated
+    Mutant(
+        "trip-fires-on-one-partner",
+        SOLVER,
+        "if at[h] < p and at[k] < p:",
+        "if at[h] < p:",
         "tests/test_solver.py::test_active_gated_clauses_are_propagated",
     ),
     # a one-literal rule whose literal is false activates without a conflict

@@ -38,3 +38,11 @@ def test_an_assignment_that_ties_the_best_loss_can_hold_the_lex_witness():
     for result in (brute_force_min_loss(inputs, 3), solve_min_loss(inputs, 3)):
         assert result.min_loss == Weight(2)
         assert (result.witness.structure, result.witness.ci.truth) == want
+
+
+@pytest.mark.parametrize(
+    "feature", [AncStatement(0, 3, Ancestry.CAUSES), AncStatement(3, 0, Ancestry.CAUSES)]
+)
+def test_identifiability_oracle_rejects_a_feature_beyond_n(feature):
+    with pytest.raises(ValueError, match="feature references variables >= n"):
+        identifiability_oracle([], 2, feature)

@@ -21,9 +21,9 @@ from ancestral.core import (
     not_causes,
 )
 from ancestral.oracle import brute_force_min_loss
-from ancestral.rules import DEP, INDEP, check_consistency, ground, loss
-from ancestral.scoring import BothInfeasibleError, score_all_pairs
-from ancestral.simulate import random_linear_model, sample_data
+from ancestral.rules import DEP, INDEP, GatedClause, RuleInstance, check_consistency, ground, loss
+from ancestral.scoring import BothInfeasibleError, PairScorer, score_all_pairs
+from ancestral.simulate import oracle_inputs, random_linear_model, sample_data
 from ancestral.solver import (
     Engine,
     SolveOptions,
@@ -38,6 +38,7 @@ from helpers import (
     dag_oracle_inputs,
     level0_contradictions,
     random_dag,
+    random_instance,
     reference_lex_witness,
     shared_triple_inputs,
 )
@@ -45,22 +46,13 @@ from helpers import (
 W = Weight.finite
 
 
-def random_instance(rng, n=4, max_inputs=10, max_weight=5000, anc_share=0.3):
-    inputs = []
-    for _ in range(rng.randint(1, max_inputs)):
-        if rng.random() < anc_share:
-            x, y = rng.sample(range(n), 2)
-            w = W(rng.randint(0, max_weight))
-            inputs.append(causes(x, y, w) if rng.random() < 0.5 else not_causes(x, y, w))
-        else:
-            x, y = rng.sample(range(n), 2)
-            others = [v for v in range(n) if v not in (x, y)]
-            cond = rng.sample(others, rng.randint(0, 1))
-            w = W(rng.randint(0, max_weight))
-            inputs.append(
-                indep(x, y, cond, w) if rng.random() < 0.5 else dep(x, y, cond, w)
-            )
-    return inputs
+def assert_at_matches_trail(engine):
+    """``at`` holds each trail token's index and ``_NEVER`` for every
+    token that is not on the trail."""
+    want = [solver._NEVER] * len(engine.at)
+    for i, tok in enumerate(engine.trail):
+        want[tok] = i
+    assert engine.at == want
 
 
 # -- contract examples ---------------------------------------------------------
@@ -253,6 +245,28 @@ def test_cached_tables_are_unchanged_by_solves():
             assert tok == pol_tok[f] if f in pol_tok else tok >= tab.fact_base
 
 
+@pytest.mark.parametrize("extra", ["four-gate rule", "three-gate clause"])
+def test_tables_reject_gate_sets_beyond_the_index(monkeypatch, extra):
+    """The activation index holds up to three gate tokens per clause, two
+    for a clause of two or more literals; a grounding with more raises
+    ``ValueError`` when the tables are built."""
+    key = Engine(shared_triple_inputs(random.Random(3)), 4).tables.triples
+    ground_all = solver.ground
+
+    def widened(seeds, n):
+        g = ground_all(seeds, n)
+        prem = tuple((t, INDEP) for t in key[:4])
+        if extra == "four-gate rule":
+            rule = RuleInstance(prem, (key[4], DEP))
+            return dataclasses.replace(g, derivations=g.derivations + (rule,))
+        clause = GatedClause(prem[:3], ((True, 0, 1), (False, 1, 2)))
+        return dataclasses.replace(g, clauses=g.clauses + (clause,))
+
+    monkeypatch.setattr(solver, "ground", widened)
+    with pytest.raises(ValueError, match="gate tokens"):
+        _Tables(4, key)
+
+
 def test_level0_polarities_are_the_closure_of_the_hard_inputs():
     """Level 0 of an engine holds exactly the polarities that the rules
     derive from the hard inputs. The inputs are oracle statements of every
@@ -295,8 +309,8 @@ def test_level0_polarities_are_the_closure_of_the_hard_inputs():
 def test_level0_state_is_restored_after_queries():
     """After base, forced and witness queries, backjumping to level 0
     leaves a state that agrees with its own trail: ``value`` is set on the
-    trail's tokens only, every clause counts the gate tokens missing from
-    the trail, and ``cost`` is the trail's."""
+    trail's tokens only, ``at`` holds each trail token's index and
+    ``_NEVER`` for every other token, and ``cost`` is the trail's."""
     rng = random.Random(41)
     checked = 0
     for _ in range(30):
@@ -330,9 +344,7 @@ def test_level0_state_is_restored_after_queries():
             engine._backjump(0)
             value, trail = engine.value, engine.trail
             assert sorted(tok for tok in range(len(value)) if value[tok]) == sorted(trail)
-            on_trail = set(trail)
-            for c, gate in enumerate(engine.tables.cl_gate_toks):
-                assert engine.cl_missing[c] == sum(tok not in on_trail for tok in set(gate))
+            assert_at_matches_trail(engine)
             assert engine.cost == engine.offset + sum(engine.cost_of[tok] for tok in trail)
             checked += 1
     assert checked > 0
@@ -1248,9 +1260,10 @@ def test_hardening_keeps_its_pointer_and_reasons():
 class TrailQueueCheckedEngine(Engine):
     """An engine that checks the trail queue after every ``_flush`` and
     every ``_backjump``: a flush without conflict leaves ``qhead`` at the
-    end of the trail, and every clause's premise counter counts the gate
-    tokens of the clause missing from ``trail[:qhead]``. Counts the checks
-    per assumption level, and the flushes that conflicted."""
+    end of the trail, ``qhead`` never passes the trail's end, and ``at``
+    agrees with the trail, each trail token at its index and ``_NEVER``
+    for every token not on it. Counts the checks per assumption level,
+    and the flushes that conflicted."""
 
     def __init__(self, *args):
         self.checks = {1: 0, 2: 0}
@@ -1271,18 +1284,17 @@ class TrailQueueCheckedEngine(Engine):
         self._check_queue()
 
     def _check_queue(self):
-        propagated = set(self.trail[: self.qhead])
-        for c, gate in enumerate(self.tables.cl_gate_toks):
-            assert self.cl_missing[c] == sum(tok not in propagated for tok in set(gate))
+        assert self.qhead <= len(self.trail)
+        assert_at_matches_trail(self)
         self.checks[self.root] += 1
 
 
 def test_trail_queue_keeps_its_head_and_counters():
     """Base, forced and lex-witness queries, on instances with hard inputs,
     ancestral costs and forced features, keep the trail queue's invariant:
-    every token in front of ``qhead`` has been propagated, and the premise
-    counters are those of that prefix, also after conflicts and
-    backjumps in queries and in witness probes."""
+    every token in front of ``qhead`` has been propagated, and ``at`` is
+    the trail's index of every true token and ``_NEVER`` for the others,
+    also after conflicts and backjumps in queries and in witness probes."""
     rng = random.Random(13)
     checks = {1: 0, 2: 0}
     conflicts = 0
@@ -1313,14 +1325,26 @@ class GatedClauseCheckedEngine(Engine):
     """An engine that checks gated-clause propagation after every
     ``_flush`` that returns True: every gated clause whose gate tokens all
     lie in ``trail[:qhead]`` has a true literal or at least two open ones,
-    so no active clause is left falsified or unit. Counts the checked
-    flushes per assumption level, and the active one-literal and
-    multi-literal clauses checked."""
+    so no active clause is left falsified or unit. It also checks the
+    reason of every gated-clause assignment, one whose reason holds a
+    polarity or fact token: every token of it is true and sits earlier on
+    the trail, so no clause fires before all its gate tokens are true.
+    Counts the checked flushes per assumption level, the active
+    one-literal and multi-literal clauses checked, and the reasons
+    checked."""
 
     def __init__(self, *args):
         self.checks = {1: 0, 2: 0}
         self.active = {1: 0, 2: 0}
+        self.reasons = 0
         super().__init__(*args)
+
+    def _assign(self, tok, reason):
+        if type(reason) is tuple and any(t >= self.pol_base for t in reason):
+            at, end = self.at, len(self.trail)
+            assert all(self.value[t] and at[t] < end for t in reason), (tok, reason)
+            self.reasons += 1
+        return super()._assign(tok, reason)
 
     def _flush(self):
         ok = super()._flush()
@@ -1352,10 +1376,12 @@ def test_active_gated_clauses_are_propagated():
     gated clause falsified or unit after a flush without conflict: the
     one-literal rules asserted when they activate and the multi-literal
     clauses checked when a literal of theirs becomes false propagate every
-    clause that can fire, at assumption levels 1 and 2."""
+    clause that can fire, at assumption levels 1 and 2; and every clause
+    fires on a reason whose tokens are true and earlier on the trail."""
     rng = random.Random(17)
     checks = {1: 0, 2: 0}
     active = {1: 0, 2: 0}
+    reasons = 0
     for case in range(12):
         n = 4 + case % 3
         inputs = random_instance(rng, n, max_inputs=6 * n, anc_share=0.3)
@@ -1377,8 +1403,10 @@ def test_active_gated_clauses_are_propagated():
         for key in checks:
             checks[key] += engine.checks[key]
             active[key] += engine.active[key]
+        reasons += engine.reasons
     assert checks[1] > 0 and checks[2] > 0, checks
     assert active[1] > 0 and active[2] > 0, active
+    assert reasons > 0
 
 
 # -- invariants -------------------------------------------------------------------
@@ -1421,6 +1449,36 @@ def test_determinism_across_runs():
         assert again.min_loss == first.min_loss
         assert again.witness.structure == first.witness.structure
         assert again.witness.ci.truth == first.witness.ci.truth
+
+
+def test_search_trajectory_is_pinned():
+    """The summed search nodes of two float-free workloads, pinned exactly:
+    scoring every pair of the eight models of the oracle-n7c2 benchmark
+    pool (hard d-separation statements up to order 2 at n = 7), and the
+    base query and lex witness of 40 random soft instances at n = 5-6.
+    No weight comes from floating-point arithmetic: the oracle statements
+    are the hard d-separation facts of the seeded models' graphs, and the
+    random instances draw integer weights from ``random.Random``, so no
+    numerical library's rounding moves these counts; a change to
+    propagation, analysis or branching that keeps the search moves none
+    of them. A change that moves the trajectory on purpose updates these
+    numbers and says so in CHANGES.md."""
+    oracle = 0
+    for m in range(8):
+        scorer = PairScorer(oracle_inputs(random_linear_model(7, 1, 0.3, seed=[0, m, 0]), 2), 7)
+        scorer.all_pairs()
+        oracle += scorer.engine.nodes
+    rng = random.Random(29)
+    base = witness = 0
+    for i in range(40):
+        n = 5 + i % 2
+        engine = Engine(random_instance(rng, n, max_inputs=6 * n), n)
+        best, snap = engine.query()
+        base += engine.nodes
+        if best is not None:
+            engine.witness(best, snap)
+        witness += engine.nodes
+    assert (oracle, base, witness - base) == (389, 2161, 457)
 
 
 # -- options and errors --------------------------------------------------------------
