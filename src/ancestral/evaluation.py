@@ -122,6 +122,12 @@ class BenchConfig:
             raise ValueError("models, n_obs and samples must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.max_order < 0:
+            raise ValueError("max_order must be nonnegative")
+        if self.use_oracle and self.max_order > self.n_obs - 2:
+            raise ValueError("max_order may not exceed n_obs - 2")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError("time_limit must be positive")
 
 
 @dataclass(frozen=True)

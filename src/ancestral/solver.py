@@ -22,9 +22,13 @@ Propagation interleaves four mechanisms. One table of gated clauses
 propagates each clause once all its gate facts are present: a rule
 instance is a clause gated by its premises whose one literal is its
 conclusion fact, a structural constraint one over reachability variables.
-A clause activates when the last of its gate facts is propagated, which
-the trail index of each true token tells: the gated clauses keep no
-counters, and backjumping restores nothing for them, as Chaff's lazy
+One index finds them: every trail token, whatever set it, wakes the
+clauses it can fire through one list, as MiniSat processes every token
+the same way. A gate token wakes the clauses it gates, a reachability
+token the clauses of two or more literals that its value falsifies, and
+a woken clause fires once all its gate tokens lie no later on the trail,
+which the trail index of each true token tells: the gated clauses keep
+no counters, and backjumping restores nothing for them, as Chaff's lazy
 clause state costs nothing on backtrack (Moskewicz et al. 2001). A
 one-literal clause asserts its literal with its gate as reason when it
 activates; a longer one is checked then and again only when one of its
@@ -45,7 +49,7 @@ is the bound cover of the cost-bearing tokens in front of it on the trail,
 which is query-local and built only when conflict analysis resolves it.
 
 Compilation has two layers. The grounding of n variables and a triple set
-(fact universe, one gated-clause table and its indexes) does not depend
+(fact universe, one gated-clause table and its index) does not depend
 on weights or polarities, so it is memoised per (n, triple set) and shared
 by every input list over that set, as when many models are scored at one
 (n, max order). Each input list adds its costs, its decision order and one
@@ -195,7 +199,7 @@ class _Tables:
     """Input-independent grounding for n variables and a sorted triple
     set, all tuples: the fact universe (both polarities of every triple)
     and one table of gated clauses, each active once all its gate facts
-    are present, with its indexes. A rule instance of :func:`ground` is a
+    are present, with its index. A rule instance of :func:`ground` is a
     clause gated by its premises whose one literal is its conclusion
     fact; a structural constraint is one over reachability tokens, of one
     literal or more. Built once per key by :func:`_tables` and shared
@@ -203,18 +207,18 @@ class _Tables:
     (see :class:`Engine`), the two facts of an input triple being its two
     polarity tokens; ``nfacts`` counts the other facts.
 
-    The activation index groups the clauses that gate token ``tok`` gates
-    by their partners, the clause's other distinct gate tokens:
-    ``solo[tok]`` lists the clauses gated by ``tok`` alone,
-    ``pairs[tok]`` holds ``(h, clauses)`` and ``trips[tok]`` holds ``(h,
-    k, clauses)`` for the clauses gated by ``tok`` and ``h``, or by
-    ``tok``, ``h`` and ``k``; every clause list ascends. ``falsified_by[tok]``
-    holds a ``(clause, g, h)`` entry, ``g`` and ``h`` its gate tokens
-    (equal when it has one), for each clause of two or more literals that
-    contains ``tok ^ 1``, which reachability token ``tok`` can make unit
-    or falsify. Raises ``ValueError`` when a clause has no gate token or
-    more than the index handles: three, or two for a clause of two or
-    more literals."""
+    The one index ``wakes[tok]`` lists the ``(h, k, clauses)`` entries
+    that token ``tok`` wakes once it is true; they fire when ``h`` and
+    ``k`` are true no later on the trail. A polarity or fact token has
+    one entry per gate set that holds it: ``clauses`` is the ascending
+    tuple of every clause gated by that set, shared by all its tokens,
+    and ``h`` and ``k`` are the set's other tokens, padded with ``tok``
+    itself. A reachability token has one entry ``(g, h, (clause,))`` per
+    clause of two or more literals that contains ``tok ^ 1``, which it can
+    make unit or falsify, with ``g`` and ``h`` the clause's gate tokens
+    (equal when it has one), shared by all its literals. Raises
+    ``ValueError`` when a clause has no gate token or more than the index
+    handles: three, or two for a clause of two or more literals."""
 
     def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
@@ -244,40 +248,30 @@ class _Tables:
         ]
         self.cl_lits = tuple(lits for _, lits in gated)
         self.cl_gate_toks = tuple(tuple(fact_tok[f] for f in prem) for prem, _ in gated)
+        # the grounding is not needed past here; dropping it first keeps the
+        # build's peak memory down
+        del g, gated
         # one clause tuple per gate set, shared by the entries of all its
-        # gate tokens, keeps the index small
+        # gate tokens, and one entry per clause of two or more literals,
+        # shared by all its literals, keep the index small
+        wakes: list[list[tuple]] = [[] for _ in range(self.fact_base + 2 * self.nfacts)]
         by_gate: dict[tuple[int, ...], list[int]] = {}
-        falsified_by: list[list[tuple]] = [[] for _ in range(self.pol_base)]
         for ci, gate in enumerate(self.cl_gate_toks):
             toks = tuple(sorted(set(gate)))
-            if not 0 < len(toks) <= (3 if len(self.cl_lits[ci]) == 1 else 2):
+            lits = self.cl_lits[ci]
+            if not 0 < len(toks) <= (3 if len(lits) == 1 else 2):
                 raise ValueError(f"gated clause {ci} has {len(toks)} gate tokens")
             by_gate.setdefault(toks, []).append(ci)
-            if len(self.cl_lits[ci]) > 1:
-                entry = (ci, toks[0], toks[-1])
-                for tok in set(self.cl_lits[ci]):
-                    falsified_by[tok ^ 1].append(entry)
-        ntoks = self.fact_base + 2 * self.nfacts
-        solo: list[tuple] = [()] * ntoks
-        pairs: list[list[tuple]] = [[] for _ in range(ntoks)]
-        trips: list[list[tuple]] = [[] for _ in range(ntoks)]
+            if len(lits) > 1:
+                entry = (toks[0], toks[-1], (ci,))
+                for tok in set(lits):
+                    wakes[tok ^ 1].append(entry)
         for toks, cs in by_gate.items():
             cs = tuple(cs)
-            if len(toks) == 1:
-                solo[toks[0]] = cs
-            elif len(toks) == 2:
-                g, h = toks
-                pairs[g].append((h, cs))
-                pairs[h].append((g, cs))
-            else:
-                g, h, k = toks
-                trips[g].append((h, k, cs))
-                trips[h].append((g, k, cs))
-                trips[k].append((g, h, cs))
-        self.solo = tuple(solo)
-        self.pairs = tuple(map(tuple, pairs))
-        self.trips = tuple(map(tuple, trips))
-        self.falsified_by = tuple(tuple(v) for v in falsified_by)
+            for tok in toks:
+                h, k = [t for t in toks if t != tok] + [tok] * (3 - len(toks))
+                wakes[tok].append((h, k, cs))
+        self.wakes = tuple(map(tuple, wakes))
         self.lex_vars = tuple(x * n + y for x in range(n) for y in range(n) if x != y)
 
 
@@ -347,9 +341,11 @@ class Engine:
     have been propagated, those behind it wait for :meth:`_flush`, and
     ``at[tok]`` is the trail index of each true token, ``_NEVER`` for the
     others, so a gated clause is active once every gate token of it has
-    ``at`` below ``qhead``. ``cost`` is the running cost, ``offset`` plus the
-    reduced costs of the trail's tokens and the search's only lower bound;
-    bound nogoods read its cost-bearing tokens off the trail.
+    ``at`` below ``qhead``, and the token at trail index ``p`` fires the
+    clauses it wakes whose gate tokens all have ``at`` at most ``p``.
+    ``cost`` is the running cost, ``offset`` plus the reduced costs of the
+    trail's tokens and the search's only lower bound; bound nogoods read
+    its cost-bearing tokens off the trail.
 
     ``costly`` lists the cost-bearing tokens by ``(-cost_of, token)``, and
     every token in front of ``scanned`` is assigned; each frame saves
@@ -511,8 +507,7 @@ class Engine:
         return self._assign(unknown, gate + tuple(tok ^ 1 for tok in lits if tok != unknown))
 
     def _reach_consequences(self, var: int) -> bool:
-        """Keep transitivity and antisymmetry closed around ``var``, and
-        check the active gated clauses that its value falsifies."""
+        """Keep transitivity and antisymmetry closed around ``var``."""
         n = self.n
         x, y = divmod(var, n)
         value = self.value
@@ -543,10 +538,6 @@ class Engine:
                     return False
                 if value[zy] and not assign(xz + 1, (tok, zy)):
                     return False
-        at, qhead = self.at, self.qhead
-        for c, g, h in self.tables.falsified_by[tok]:
-            if at[g] < qhead and at[h] < qhead and not self._check_clause(c):
-                return False
         return True
 
     def _propagate_watches(self, falsified: int) -> bool:
@@ -585,42 +576,37 @@ class Engine:
 
     def _flush(self) -> bool:
         """Propagate the trail from ``qhead`` on, in trail order, as
-        MiniSat does: the polarity or fact token at trail index ``p``
-        activates the clauses it gates whose partners all have ``at``
-        below ``p``, those whose last gate token it is, and settles them
-        in clause order; a reachability token closes transitivity and
-        antisymmetry around its variable and checks the clauses it
-        falsifies; every token's negation wakes the learned clauses that
-        watch it. False on a conflict, with ``qhead`` past the token that
-        met it."""
+        MiniSat does. The token at trail index ``p`` first closes
+        transitivity and antisymmetry around its variable when it is a
+        reachability token. Then it wakes the entries ``(h, k, clauses)``
+        of ``wakes[tok]`` with ``at[h]`` and ``at[k]`` at most ``p``, and
+        settles the clauses they hold in clause order: a one-literal clause
+        asserts its literal with its gate as reason, a longer one is
+        checked. Last, its negation wakes the learned clauses that watch it.
+        False on a conflict, with ``qhead`` past the token that met it."""
         trail = self.trail
         pbase = self.pol_base
         tab = self.tables
-        solo, pairs, trips = tab.solo, tab.pairs, tab.trips
-        cl_lits, cl_gate_toks = tab.cl_lits, tab.cl_gate_toks
+        wakes, cl_lits, cl_gate_toks = tab.wakes, tab.cl_lits, tab.cl_gate_toks
         at = self.at
         while self.qhead < len(trail):
             p = self.qhead
             tok = trail[p]
             self.qhead = p + 1
-            if tok >= pbase:
-                active = [*solo[tok]]
-                for h, cs in pairs[tok]:
-                    if at[h] < p:
-                        active += cs
-                for h, k, cs in trips[tok]:
-                    if at[h] < p and at[k] < p:
-                        active += cs
-                active.sort()
-                for c in active:
-                    lits = cl_lits[c]
-                    if len(lits) == 1:
-                        if not self._assign(lits[0], cl_gate_toks[c]):
-                            return False
-                    elif not self._check_clause(c):
-                        return False
-            elif not self._reach_consequences(tok >> 1):
+            if tok < pbase and not self._reach_consequences(tok >> 1):
                 return False
+            fired = []
+            for h, k, cs in wakes[tok]:
+                if at[h] <= p and at[k] <= p:
+                    fired += cs
+            fired.sort()
+            for c in fired:
+                lits = cl_lits[c]
+                if len(lits) == 1:
+                    if not self._assign(lits[0], cl_gate_toks[c]):
+                        return False
+                elif not self._check_clause(c):
+                    return False
             if not self._propagate_watches(tok ^ 1):
                 return False
         return True

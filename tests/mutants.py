@@ -125,25 +125,27 @@ MUTANTS = (
     Mutant(
         "index-on-satisfied-side",
         SOLVER,
-        "falsified_by[tok ^ 1].append(entry)",
-        "falsified_by[tok].append(entry)",
+        "wakes[tok ^ 1].append(entry)",
+        "wakes[tok].append(entry)",
         "tests/test_solver.py::test_active_gated_clauses_are_propagated",
     ),
-    # a two-gate clause is checked when a literal of it becomes false while
-    # only one of its gate tokens is propagated
+    # a woken entry fires when only the first of its two other tokens is
+    # propagated: a three-gate rule on one partner, a two-gate clause on one
+    # gate token
     Mutant(
-        "reach-check-on-one-gate",
+        "wake-checks-one-token",
         SOLVER,
-        "if at[g] < qhead and at[h] < qhead and not self._check_clause(c):",
-        "if at[g] < qhead and not self._check_clause(c):",
+        "if at[h] <= p and at[k] <= p:",
+        "if at[h] <= p:",
         "tests/test_solver.py::test_active_gated_clauses_are_propagated",
     ),
-    # a three-gate rule fires when only one of its two partners is propagated
+    # the padding of an entry with the waking token itself no longer passes,
+    # so no clause gated by fewer than three tokens fires on its gate side
     Mutant(
-        "trip-fires-on-one-partner",
+        "wake-padding-fails",
         SOLVER,
+        "if at[h] <= p and at[k] <= p:",
         "if at[h] < p and at[k] < p:",
-        "if at[h] < p:",
         "tests/test_solver.py::test_active_gated_clauses_are_propagated",
     ),
     # a one-literal rule whose literal is false activates without a conflict
@@ -158,9 +160,18 @@ MUTANTS = (
     Mutant(
         "two-literal-clauses-unindexed",
         SOLVER,
-        "if len(self.cl_lits[ci]) > 1:",
-        "if len(self.cl_lits[ci]) > 2:",
+        "if len(lits) > 1:",
+        "if len(lits) > 2:",
         "tests/test_solver.py::test_active_gated_clauses_are_propagated",
+    ),
+    # the woken clauses are settled entry by entry, not in clause order, so
+    # the search takes another trajectory
+    Mutant(
+        "wakes-settle-unsorted",
+        SOLVER,
+        "            fired.sort()\n",
+        "",
+        "tests/test_solver.py::test_search_trajectory_is_pinned",
     ),
     # the one consistency rule accepts a closure that flips an assigned fact
     Mutant(

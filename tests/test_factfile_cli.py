@@ -308,6 +308,7 @@ def test_cmd_intervene_unknown_target(tmp_path, capsys):
         ]
     )
     assert rc == 2
+    assert capsys.readouterr().err == "error: unknown variable name 'nope'\n"
 
 
 def test_cmd_intervene_at_extreme_scales(tmp_path, capsys):
@@ -513,15 +514,20 @@ def test_cmd_bench_writes_reports(tmp_path):
     assert "reference_mean_s" in (out / "reference_comparison.txt").read_text()
 
 
-def test_cmd_bench_oracle_negative_order_exits_2(tmp_path, capsys):
-    rc = main(
-        [
-            "bench", "--oracle", "--n", "4", "--models", "1",
-            "--max-order", "-1", "--out-dir", str(tmp_path / "bench"),
-        ]
-    )
-    assert rc == 2
-    assert "max_order" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--oracle", "--n", "3", "--max-order", "2"], "max_order may not exceed n_obs - 2"),
+        (["--n", "4", "--max-order", "-1"], "max_order must be nonnegative"),
+        (["--n", "4", "--time-limit", "0"], "time_limit must be positive"),
+    ],
+    ids=["oracle-order-above-n-2", "negative-order", "zero-time-limit"],
+)
+def test_cmd_bench_rejects_its_config_before_the_out_dir(tmp_path, capsys, args, message):
+    out = tmp_path / "bench"
+    assert main(["bench", *args, "--models", "1", "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_solve_time_limit_bounds_the_whole_call(tmp_path):
