@@ -54,9 +54,8 @@ class PairScorer:
     """
 
     def __init__(self, inputs: Sequence, n: int, options: Optional[SolveOptions] = None):
-        self.options = options or SolveOptions()
         self.n = n
-        self.engine = Engine(inputs, n, self.options)
+        self.engine = Engine(inputs, n, options)
 
     def confidence(self, feature: AncStatement) -> Union[int, float]:
         engine = self.engine

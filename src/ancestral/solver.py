@@ -18,24 +18,26 @@ propagation. Each fact has one variable: the two facts of an input triple
 are the two values of its polarity variable, and only the facts of other
 triples get fact variables of their own.
 
-Propagation interleaves four mechanisms. One table of gated clauses
-propagates each clause once all its gate facts are present: a rule
-instance is a clause gated by its premises whose one literal is its
-conclusion fact, a structural constraint one over reachability variables.
-One index finds them: every trail token, whatever set it, wakes the
-clauses it can fire through one list, as MiniSat processes every token
-the same way. A gate token wakes the clauses it gates, a reachability
-token the clauses of two or more literals that its value falsifies, and
-a woken clause fires once all its gate tokens lie no later on the trail,
-which the trail index of each true token tells: the gated clauses keep
-no counters, and backjumping restores nothing for them, as Chaff's lazy
-clause state costs nothing on backtrack (Moskewicz et al. 2001). A
-one-literal clause asserts its literal with its gate as reason when it
-activates; a longer one is checked then and again only when one of its
-literals becomes false, as Chaff visits a clause.
-Transitivity and antisymmetry are kept closed after every structure
-assignment. Learned clauses propagate through two watched tokens, swapped
-in place as the watches move. The lower bound is the running cost alone:
+Propagation interleaves three mechanisms. One table of gated clauses
+propagates each clause once all its gate tokens are true: a rule instance
+is a clause gated by its premises whose one literal is its conclusion
+fact, a structural constraint one over reachability variables, and a
+partial-order axiom (antisymmetry, transitivity or one of its two
+contrapositives) a one-literal clause gated by reachability tokens, so
+that every completion's structure is a partial order. One index finds
+them: every trail token, whatever set it, wakes the clauses it can fire
+through one list, as MiniSat processes every token the same way. A gate
+token wakes the clauses it gates, a reachability token also the clauses
+of two or more literals that its value falsifies, and a woken clause
+fires once all its gate tokens lie no later on the trail, which the trail
+index of each true token tells: the gated clauses keep no counters, and
+backjumping restores nothing for them, as Chaff's lazy clause state costs
+nothing on backtrack (Moskewicz et al. 2001). A one-literal clause
+asserts its literal with its gate as reason when it activates; a longer
+one is checked then and again only when one of its literals becomes
+false, as Chaff visits a clause. Learned clauses propagate through two
+watched tokens, swapped in place as the watches move. The lower bound is
+the running cost alone:
 compilation pays each reachability variable's cheaper allowed value into a
 constant ``offset``, so each value costs only its excess over that (the
 unary cost shift of weighted CSP, Cooper & Schiex 2004), and the running
@@ -117,6 +119,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import sys
 import time
 from dataclasses import dataclass
@@ -198,27 +201,34 @@ def _input_costs(inputs, n):
 class _Tables:
     """Input-independent grounding for n variables and a sorted triple
     set, all tuples: the fact universe (both polarities of every triple)
-    and one table of gated clauses, each active once all its gate facts
-    are present, with its index. A rule instance of :func:`ground` is a
+    and one table of gated clauses, each active once all its gate tokens
+    are true, with its index. A rule instance of :func:`ground` is a
     clause gated by its premises whose one literal is its conclusion
     fact; a structural constraint is one over reachability tokens, of one
-    literal or more. Built once per key by :func:`_tables` and shared
-    read-only by every engine. Facts, gates and literals are engine tokens
-    (see :class:`Engine`), the two facts of an input triple being its two
-    polarity tokens; ``nfacts`` counts the other facts.
+    literal or more. The partial-order axioms follow the grounding, for
+    each ordered pair x != y in row-major order: antisymmetry, ``x->y``
+    gating ``not y->x``, then for each z outside {x, y} in ascending
+    order transitivity, ``x->y`` and ``y->z`` gating ``x->z``, and its two
+    contrapositives, ``x->y`` and ``not x->z`` gating ``not y->z``, and
+    ``y->z`` and ``not x->z`` gating ``not x->y``: one-literal clauses
+    gated by reachability tokens. Built once per key by :func:`_tables`
+    and shared read-only by every engine. Facts, gates and literals are
+    engine tokens (see :class:`Engine`), the two facts of an input triple
+    being its two polarity tokens; ``nfacts`` counts the other facts.
 
     The one index ``wakes[tok]`` lists the ``(h, k, clauses)`` entries
     that token ``tok`` wakes once it is true; they fire when ``h`` and
-    ``k`` are true no later on the trail. A polarity or fact token has
-    one entry per gate set that holds it: ``clauses`` is the ascending
-    tuple of every clause gated by that set, shared by all its tokens,
-    and ``h`` and ``k`` are the set's other tokens, padded with ``tok``
-    itself. A reachability token has one entry ``(g, h, (clause,))`` per
-    clause of two or more literals that contains ``tok ^ 1``, which it can
-    make unit or falsify, with ``g`` and ``h`` the clause's gate tokens
-    (equal when it has one), shared by all its literals. Raises
-    ``ValueError`` when a clause has no gate token or more than the index
-    handles: three, or two for a clause of two or more literals."""
+    ``k`` are true no later on the trail. A gate token, the reachability
+    tokens of the axioms included, has one entry per gate set that holds
+    it: ``clauses`` is the ascending tuple of every clause gated by that
+    set, shared by all its tokens, and ``h`` and ``k`` are the set's other
+    tokens, padded with ``tok`` itself. A reachability token also has one
+    entry ``(g, h, (clause,))`` per clause of two or more literals that
+    contains ``tok ^ 1``, which it can make unit or falsify, with ``g`` and
+    ``h`` the clause's gate tokens (equal when it has one), shared by all
+    its literals. Raises ``ValueError`` when a clause has no gate token or
+    more than the index handles: three, or two for a clause of two or more
+    literals."""
 
     def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
@@ -246,8 +256,22 @@ class _Tables:
             (c.premises, tuple(2 * (x * n + y) + (0 if want else 1) for want, x, y in c.literals))
             for c in g.clauses
         ]
+        gated = [(tuple(fact_tok[f] for f in prem), lits) for prem, lits in gated]
+        # the partial-order axioms, last, so the grounded clauses keep
+        # their indices
+        for x, y in itertools.permutations(range(n), 2):
+            xy = 2 * (x * n + y)
+            gated.append(((xy,), (2 * (y * n + x) + 1,)))
+            for z in range(n):
+                if z != x and z != y:
+                    yz, xz = 2 * (y * n + z), 2 * (x * n + z)
+                    gated += [
+                        ((xy, yz), (xz,)),
+                        ((xy, xz + 1), (yz + 1,)),
+                        ((yz, xz + 1), (xy + 1,)),
+                    ]
+        self.cl_gate_toks = tuple(gate for gate, _ in gated)
         self.cl_lits = tuple(lits for _, lits in gated)
-        self.cl_gate_toks = tuple(tuple(fact_tok[f] for f in prem) for prem, _ in gated)
         # the grounding is not needed past here; dropping it first keeps the
         # build's peak memory down
         del g, gated
@@ -506,40 +530,6 @@ class Engine:
             return False
         return self._assign(unknown, gate + tuple(tok ^ 1 for tok in lits if tok != unknown))
 
-    def _reach_consequences(self, var: int) -> bool:
-        """Keep transitivity and antisymmetry closed around ``var``."""
-        n = self.n
-        x, y = divmod(var, n)
-        value = self.value
-        assign = self._assign
-        if value[var * 2]:
-            tok = var * 2
-            if not assign((y * n + x) * 2 + 1, (tok,)):
-                return False
-            for z in range(n):
-                if z == x or z == y:
-                    continue
-                yz, xz, zx, zy = (y * n + z) * 2, (x * n + z) * 2, (z * n + x) * 2, (z * n + y) * 2
-                if value[yz] and not assign(xz, (tok, yz)):
-                    return False
-                if value[xz + 1] and not assign(yz + 1, (tok, xz + 1)):
-                    return False
-                if value[zx] and not assign(zy, (tok, zx)):
-                    return False
-                if value[zy + 1] and not assign(zx + 1, (tok, zy + 1)):
-                    return False
-        else:
-            tok = var * 2 + 1
-            for z in range(n):
-                if z == x or z == y:
-                    continue
-                xz, zy = (x * n + z) * 2, (z * n + y) * 2
-                if value[xz] and not assign(zy + 1, (tok, xz)):
-                    return False
-                if value[zy] and not assign(xz + 1, (tok, zy)):
-                    return False
-        return True
-
     def _propagate_watches(self, falsified: int) -> bool:
         wl = self.watches.get(falsified)
         if not wl:
@@ -576,16 +566,15 @@ class Engine:
 
     def _flush(self) -> bool:
         """Propagate the trail from ``qhead`` on, in trail order, as
-        MiniSat does. The token at trail index ``p`` first closes
-        transitivity and antisymmetry around its variable when it is a
-        reachability token. Then it wakes the entries ``(h, k, clauses)``
-        of ``wakes[tok]`` with ``at[h]`` and ``at[k]`` at most ``p``, and
-        settles the clauses they hold in clause order: a one-literal clause
-        asserts its literal with its gate as reason, a longer one is
-        checked. Last, its negation wakes the learned clauses that watch it.
-        False on a conflict, with ``qhead`` past the token that met it."""
+        MiniSat does, every token the same way. The token at trail index
+        ``p`` wakes the entries ``(h, k, clauses)`` of ``wakes[tok]`` with
+        ``at[h]`` and ``at[k]`` at most ``p``, and settles the clauses they
+        hold in clause order: a one-literal clause, a partial-order axiom
+        included, asserts its literal with its gate as reason, a longer one
+        is checked. Last, its negation wakes the learned clauses that watch
+        it. False on a conflict, with ``qhead`` past the token that met
+        it."""
         trail = self.trail
-        pbase = self.pol_base
         tab = self.tables
         wakes, cl_lits, cl_gate_toks = tab.wakes, tab.cl_lits, tab.cl_gate_toks
         at = self.at
@@ -593,8 +582,6 @@ class Engine:
             p = self.qhead
             tok = trail[p]
             self.qhead = p + 1
-            if tok < pbase and not self._reach_consequences(tok >> 1):
-                return False
             fired = []
             for h, k, cs in wakes[tok]:
                 if at[h] <= p and at[k] <= p:

@@ -173,6 +173,31 @@ MUTANTS = (
         "",
         "tests/test_solver.py::test_search_trajectory_is_pinned",
     ),
+    # the partial-order axioms: without antisymmetry a completion can hold a
+    # two-cycle
+    Mutant(
+        "antisymmetry-row-dropped",
+        SOLVER,
+        "            gated.append(((xy,), (2 * (y * n + x) + 1,)))\n",
+        "",
+        "tests/test_solver.py::test_axiom_rows_admit_exactly_the_ancestral_structures",
+    ),
+    # any one of the three transitivity forms keeps every completion closed,
+    # so a dropped form only moves the search
+    Mutant(
+        "transitivity-forward-row-dropped",
+        SOLVER,
+        "                        ((xy, yz), (xz,)),\n",
+        "",
+        "tests/test_solver.py::test_search_trajectory_is_pinned",
+    ),
+    Mutant(
+        "transitivity-contrapositive-dropped",
+        SOLVER,
+        "                        ((xy, xz + 1), (yz + 1,)),\n",
+        "",
+        "tests/test_solver.py::test_search_trajectory_is_pinned",
+    ),
     # the one consistency rule accepts a closure that flips an assigned fact
     Mutant(
         "consistency-ignores-flipped-facts",
@@ -267,7 +292,7 @@ def run_rows(mutants, timeout: float) -> bool:
                     error = f"not killed by an assertion (exit {code})\n{out[-2000:]}"
             seconds = time.monotonic() - start
             verdict = f"FAILED  {error}" if error else "killed"
-            print(f"{mutant.name:34} {seconds:6.1f} s  {verdict}", flush=True)
+            print(f"{mutant.name:36} {seconds:6.1f} s  {verdict}", flush=True)
             ok = ok and not error
     return ok
 

@@ -18,6 +18,7 @@ from ancestral.core import (
     causes,
     dep,
     indep,
+    is_ancestral_structure,
     not_causes,
 )
 from ancestral.oracle import brute_force_min_loss
@@ -240,9 +241,38 @@ def test_cached_tables_are_unchanged_by_solves():
     }
     gates = [r.premises for r in g.derivations] + [c.premises for c in g.clauses]
     concls = [(r.conclusion,) for r in g.derivations]
-    for facts, toks in [*zip(gates, tab.cl_gate_toks), *zip(concls, tab.cl_lits)]:
+    # the grounded clauses come first, the partial-order axioms after them
+    assert len(tab.cl_gate_toks) == len(gates) + 4 * 3 * (1 + 3 * 2)
+    grounded = tab.cl_gate_toks[: len(gates)]
+    for facts, toks in [*zip(gates, grounded, strict=True), *zip(concls, tab.cl_lits)]:
         for f, tok in zip(facts, toks, strict=True):
             assert tok == pol_tok[f] if f in pol_tok else tok >= tab.fact_base
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_axiom_rows_admit_exactly_the_ancestral_structures(n):
+    """The table's rows gated by reachability tokens alone are the
+    partial-order axioms: n(n-1) antisymmetry rows and three rows per
+    ordered triple of distinct variables, transitivity and its two
+    contrapositives. Over every assignment of the n(n-1) reachability
+    variables, none of them is falsified (all gate tokens true, the one
+    literal false) exactly when the matrix, its diagonal set, is an
+    ancestral structure."""
+    tab = _Tables(n, ())
+    rows = [
+        (gate, lits[0])
+        for gate, lits in zip(tab.cl_gate_toks, tab.cl_lits, strict=True)
+        if all(tok < tab.pol_base for tok in gate)
+    ]
+    assert len(rows) == n * (n - 1) + 3 * n * (n - 1) * (n - 2)
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for bits in range(1 << len(pairs)):
+        matrix = [[x == y for y in range(n)] for x in range(n)]
+        for i, (x, y) in enumerate(pairs):
+            matrix[x][y] = bool(bits >> i & 1)
+        true = {2 * (x * n + y) + (not matrix[x][y]) for x, y in pairs}
+        falsified = any(true.issuperset(gate) and lit not in true for gate, lit in rows)
+        assert falsified is not is_ancestral_structure(matrix), matrix
 
 
 @pytest.mark.parametrize("extra", ["four-gate rule", "three-gate clause"])
@@ -1326,9 +1356,10 @@ class GatedClauseCheckedEngine(Engine):
     ``_flush`` that returns True: every gated clause whose gate tokens all
     lie in ``trail[:qhead]`` has a true literal or at least two open ones,
     so no active clause is left falsified or unit. It also checks the
-    reason of every gated-clause assignment, one whose reason holds a
-    polarity or fact token: every token of it is true and sits earlier on
-    the trail, so no clause fires before all its gate tokens are true.
+    reason of every assignment whose reason is a plain tuple, the gate
+    of a gated clause, a partial-order axiom's included, or empty for an
+    assumption: every token of it is true and sits earlier on the trail,
+    so no clause fires before all its gate tokens are true.
     Counts the checked flushes per assumption level, the active
     one-literal and multi-literal clauses checked, and the reasons
     checked."""
@@ -1340,7 +1371,7 @@ class GatedClauseCheckedEngine(Engine):
         super().__init__(*args)
 
     def _assign(self, tok, reason):
-        if type(reason) is tuple and any(t >= self.pol_base for t in reason):
+        if type(reason) is tuple:
             at, end = self.at, len(self.trail)
             assert all(self.value[t] and at[t] < end for t in reason), (tok, reason)
             self.reasons += 1
