@@ -36,19 +36,21 @@ nothing on backtrack (Moskewicz et al. 2001). A one-literal clause
 asserts its literal with its gate as reason when it activates; a longer
 one is checked then and again only when one of its literals becomes
 false, as Chaff visits a clause. Learned clauses propagate through two
-watched tokens, swapped in place as the watches move. The lower bound is
-the running cost alone:
-compilation pays each reachability variable's cheaper allowed value into a
-constant ``offset``, so each value costs only its excess over that (the
-unary cost shift of weighted CSP, Cooper & Schiex 2004), and the running
-cost, ``offset`` plus the reduced costs assigned so far, bounds every
-completion below the node; undecided polarities are treated
-optimistically, so the bound is admissible. It also propagates: under an
-incumbent, every open token whose reduced cost reaches the slack, the
-incumbent's cost less the running cost, is set false: the hardening of
-weighted MaxSAT (Ansotegui et al. 2012), applied at every node. Its reason
-is the bound cover of the cost-bearing tokens in front of it on the trail,
-which is query-local and built only when conflict analysis resolves it.
+watched tokens, swapped in place as the watches move. One loop runs these
+two and makes every assignment they imply itself, with the assignment
+state in locals, as MiniSat's propagation loop does. The lower bound is
+the running cost alone: compilation pays each reachability variable's
+cheaper allowed value into a constant ``offset``, so each value costs only
+its excess over that (the unary cost shift of weighted CSP, Cooper &
+Schiex 2004), and the running cost, ``offset`` plus the reduced costs
+assigned so far, bounds every completion below the node; undecided
+polarities are treated optimistically, so the bound is admissible. It also
+propagates: under an incumbent, every open token whose reduced cost
+reaches the slack, the incumbent's cost less the running cost, is set
+false: the hardening of weighted MaxSAT (Ansotegui et al. 2012), applied
+at every node. Its reason is the bound cover of the cost-bearing tokens in
+front of it on the trail, which is query-local and built only when
+conflict analysis resolves it.
 
 Compilation has two layers. The grounding of n variables and a triple set
 (fact universe, one gated-clause table and its index) does not depend
@@ -74,26 +76,27 @@ query-local and dropped when the next query or witness starts.
 Every search runs in one mode, under an incumbent: it prunes each node
 whose lower bound reaches the incumbent's cost, which may be virtual, a
 cost threshold with no completion behind it; each completion it reaches
-becomes the incumbent and enters the pool. A completion's cost does not
-depend on the pins, so the cheapest pooled completion that satisfies a
-query's pins is a feasible incumbent for it, an upper bound on its
+becomes the incumbent and enters the pool, which is kept in ascending
+``(cost, snapshot)`` order. A completion's cost does not depend on the
+pins, so the cheapest pooled completion that satisfies a query's pins, the
+first that does, is a feasible incumbent for it, an upper bound on its
 minimum. Pins only remove completions, so the pinless query's minimum is a
 floor under every later one, and a query stops once its incumbent reaches
-it, a pooled one included. A query that no pooled completion satisfies, the pinless one included,
-searches instead in rounds under rising thresholds, as in progression-based
-MaxSAT (Ignatiev et al. 2014). Each round's incumbent is virtual, of cost
-``base + 2 * gap + 1`` and no completion, where ``base`` is the floor, or
-``offset`` before there is one, and ``gap`` starts at ``excess``, the
-largest gap between a finished pinned minimum and the floor, or while that
-is 0 at the smallest positive reduced cost (0 when there is none).
-Thresholds only fall, so a completion found under one continues the same
-search to the minimum. A round that exhausts proves the minimum at least
-its threshold, which becomes the next round's lower bound ``lo``, and
-``gap`` doubles. A threshold above ``ceiling``, the cost of the costliest
-completion, prunes no completion, so exhausting it proves the query
-infeasible. On an instance without a cost-bearing token every completion
-costs ``offset`` and ``ceiling`` is ``offset``, so its one round, at
-``base + 1``, always ends the loop.
+it, a pooled one included. A query that no pooled completion satisfies,
+the pinless one included, searches instead in rounds under rising
+thresholds, as in progression-based MaxSAT (Ignatiev et al. 2014). Each
+round's incumbent is virtual, of cost ``base + 2 * gap + 1`` and no
+completion, where ``base`` is the floor, or ``offset`` before there is
+one, and ``gap`` starts at ``excess``, the largest gap between a finished
+pinned minimum and the floor, or while that is 0 at the smallest positive
+reduced cost (0 when there is none). Thresholds only fall, so a completion
+found under one continues the same search to the minimum. A round that
+exhausts proves the minimum at least its threshold, which becomes the next
+round's lower bound ``lo``, and ``gap`` doubles. A threshold above
+``ceiling``, the cost of the costliest completion, prunes no completion,
+so exhausting it proves the query infeasible. On an instance without a
+cost-bearing token every completion costs ``offset`` and ``ceiling`` is
+``offset``, so its one round, at ``base + 1``, always ends the loop.
 
 Branching is VSIDS (Moskewicz et al. 2001): each decision takes the open
 reachability or polarity variable of highest conflict activity, ties to
@@ -117,6 +120,7 @@ completion, one at the optimum; then the pin or its negation is asserted.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -376,10 +380,10 @@ class Engine:
     ``scanned``, so a pass of :meth:`_harden` scans only the tokens that
     the slack newly reaches.
     ``pool`` holds the ``(cost, snapshot)`` of every completion that a
-    search accepted, ``floor`` and ``floor_snap`` the pinless query's
-    minimum and optimum, whose values every later decision takes, and
-    ``excess`` the largest ``minimum - floor`` of the pinned queries
-    finished so far, a query's first threshold gap unless it is 0.
+    search accepted, in ascending order, ``floor`` and ``floor_snap`` the
+    pinless query's minimum and optimum, whose values every later decision
+    takes, and ``excess`` the largest ``minimum - floor`` of the pinned
+    queries finished so far, a query's first threshold gap unless it is 0.
     ``ceiling`` is the largest completion cost: ``offset`` plus each
     variable's costlier reduced value.
 
@@ -509,79 +513,32 @@ class Engine:
         self.cost += self.cost_of[tok]
         return True
 
-    def _check_clause(self, c: int) -> bool:
-        """Evaluate an active gated clause of two or more literals;
-        unit-propagate or conflict."""
-        value = self.value
-        unknown = None
-        count = 0
-        lits = self.tables.cl_lits[c]
-        for tok in lits:
-            if value[tok]:
-                return True
-            if not value[tok ^ 1]:
-                count += 1
-                if count > 1:
-                    return True
-                unknown = tok
-        gate = self.tables.cl_gate_toks[c]
-        if count == 0:
-            self.conflict = gate + tuple(tok ^ 1 for tok in lits)
-            return False
-        return self._assign(unknown, gate + tuple(tok ^ 1 for tok in lits if tok != unknown))
-
-    def _propagate_watches(self, falsified: int) -> bool:
-        wl = self.watches.get(falsified)
-        if not wl:
-            return True
-        learned = self.learned
-        value = self.value
-        i = 0
-        while i < len(wl):
-            ci = wl[i]
-            clause = learned[ci]
-            pos = 0 if clause[0] == falsified else 1
-            other = clause[1 - pos]
-            if value[other]:
-                i += 1
-                continue
-            for j in range(2, len(clause)):
-                tok = clause[j]
-                if not value[tok ^ 1]:
-                    # watch tok in place of the falsified token
-                    clause[pos], clause[j] = tok, falsified
-                    self.watches.setdefault(tok, []).append(ci)
-                    wl[i] = wl[-1]
-                    wl.pop()
-                    break
-            else:
-                if value[other ^ 1]:
-                    self.conflict = type(clause)(tok ^ 1 for tok in clause)
-                    return False
-                reason = type(clause)(tok ^ 1 for tok in clause if tok != other)
-                if not self._assign(other, reason):
-                    return False
-                i += 1
-        return True
-
     def _flush(self) -> bool:
         """Propagate the trail from ``qhead`` on, in trail order, as
-        MiniSat does, every token the same way. The token at trail index
-        ``p`` wakes the entries ``(h, k, clauses)`` of ``wakes[tok]`` with
-        ``at[h]`` and ``at[k]`` at most ``p``, and settles the clauses they
-        hold in clause order: a one-literal clause, a partial-order axiom
-        included, asserts its literal with its gate as reason, a longer one
-        is checked. Last, its negation wakes the learned clauses that watch
-        it. False on a conflict, with ``qhead`` past the token that met
-        it."""
-        trail = self.trail
+        MiniSat does, every token the same way, making every implied
+        assignment itself. The token at trail index ``p`` wakes the entries
+        ``(h, k, clauses)`` of ``wakes[tok]`` with ``at[h]`` and ``at[k]``
+        at most ``p``, and settles the clauses they hold in clause order: a
+        one-literal clause, a partial-order axiom included, asserts its
+        literal with its gate as reason, and a longer one whose literals
+        are all false but one asserts that one, its gate and the negated
+        false literals its reason; a clause with every literal false is a
+        conflict. Last, its negation wakes the learned clauses that watch
+        it, each moving that watch to an open token or asserting its other
+        watch. Every reason and conflict keeps its clause's kind: a gate
+        tuple, a logical list or a query-local :class:`_Local`. False on a
+        conflict, with ``qhead`` past the token that met it."""
+        trail, value, at, cost_of = self.trail, self.value, self.at, self.cost_of
+        level, reason = self.level, self.reason
+        watches, learned = self.watches, self.learned
         tab = self.tables
         wakes, cl_lits, cl_gate_toks = tab.wakes, tab.cl_lits, tab.cl_gate_toks
-        at = self.at
-        while self.qhead < len(trail):
-            p = self.qhead
+        lvl = len(self.frames)
+        qhead, cost = self.qhead, self.cost
+        while qhead < len(trail):
+            p = qhead
             tok = trail[p]
-            self.qhead = p + 1
+            qhead = p + 1
             fired = []
             for h, k, cs in wakes[tok]:
                 if at[h] <= p and at[k] <= p:
@@ -590,12 +547,73 @@ class Engine:
             for c in fired:
                 lits = cl_lits[c]
                 if len(lits) == 1:
-                    if not self._assign(lits[0], cl_gate_toks[c]):
+                    lit = lits[0]
+                    if value[lit]:
+                        continue
+                    why = cl_gate_toks[c]
+                    if value[lit ^ 1]:
+                        self.conflict = why + (lit ^ 1,)
+                        self.qhead, self.cost = qhead, cost
                         return False
-                elif not self._check_clause(c):
-                    return False
-            if not self._propagate_watches(tok ^ 1):
-                return False
+                else:
+                    # the one open literal, unless one is true or two are open
+                    lit = why = None
+                    for t in lits:
+                        if not value[t ^ 1]:
+                            if lit is not None or value[t]:
+                                break
+                            lit = t
+                    else:
+                        if lit is None:
+                            self.conflict = cl_gate_toks[c] + tuple(t ^ 1 for t in lits)
+                            self.qhead, self.cost = qhead, cost
+                            return False
+                        why = cl_gate_toks[c] + tuple(t ^ 1 for t in lits if t != lit)
+                    if why is None:
+                        continue
+                value[lit] = 1
+                var = lit >> 1
+                level[var] = lvl
+                reason[var] = why
+                at[lit] = len(trail)
+                trail.append(lit)
+                cost += cost_of[lit]
+            falsified = tok ^ 1
+            wl = watches.get(falsified)
+            if not wl:
+                continue
+            i = 0
+            while i < len(wl):
+                ci = wl[i]
+                clause = learned[ci]
+                pos = 0 if clause[0] == falsified else 1
+                other = clause[1 - pos]
+                if value[other]:
+                    i += 1
+                    continue
+                for j in range(2, len(clause)):
+                    t = clause[j]
+                    if not value[t ^ 1]:
+                        # watch t in place of the falsified token
+                        clause[pos], clause[j] = t, falsified
+                        watches.setdefault(t, []).append(ci)
+                        wl[i] = wl[-1]
+                        wl.pop()
+                        break
+                else:
+                    if value[other ^ 1]:
+                        self.conflict = type(clause)(t ^ 1 for t in clause)
+                        self.qhead, self.cost = qhead, cost
+                        return False
+                    value[other] = 1
+                    var = other >> 1
+                    level[var] = lvl
+                    reason[var] = type(clause)(t ^ 1 for t in clause if t != other)
+                    at[other] = len(trail)
+                    trail.append(other)
+                    cost += cost_of[other]
+                    i += 1
+        self.qhead, self.cost = qhead, cost
         return True
 
     def _cover(self, threshold: int, end: int) -> _Local:
@@ -828,22 +846,22 @@ class Engine:
         """The exact minimum cost under the options' forced features and
         ``pins``, and one optimal snapshot; ``(None, None)`` when no
         completion satisfies them. A snapshot is the ``value`` bytes of the
-        reachability and polarity tokens. The first incumbent is the
-        cheapest pooled completion that satisfies ``pins``: when it costs
+        reachability and polarity tokens. The first incumbent is the cheapest
+        pooled completion that satisfies ``pins``, ties to the smaller
+        snapshot: the first that does in the pool's order. When it costs
         ``floor`` the query returns it before it backjumps, else it is the
         incumbent of the query's one search. With no such completion, the
         query's incumbents are virtual: it searches in rounds under doubling
         thresholds (module docstring), until a round finds a completion, the
-        pins conflict, or a round above ``ceiling`` exhausts. A search
-        returns at a completion of cost ``lo``, the floor or the threshold
-        of the round before. Raises
-        :class:`SolveTimeoutError` once the deadline has passed; its bound
-        is the cost of a completion found, never a threshold.
+        pins conflict, or a round above ``ceiling`` exhausts. A search returns
+        at a completion of cost ``lo``, the floor or the threshold of the
+        round before. Raises :class:`SolveTimeoutError` once the deadline has
+        passed; its bound is the cost of a completion found, never a
+        threshold.
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeoutError("search exceeded the time limit", None)
-        fits = [e for e in self.pool if all(self.holds(e[1], p) for p in pins)]
-        pooled = min(fits, default=(None, None))
+        pooled = next((e for e in self.pool if all(e[1][p] for p in pins)), (None, None))
         if self.floor is not None and pooled[0] == self.floor:
             return pooled
         if self._assume(pins):
@@ -953,7 +971,7 @@ class Engine:
                 if var is None:
                     self.best_cost = self.cost
                     self.best_snap = bytes(self.value[: self.fact_base])
-                    self.pool.append((self.best_cost, self.best_snap))
+                    bisect.insort(self.pool, (self.best_cost, self.best_snap))
                     if self.best_cost == lo:
                         return
                 else:

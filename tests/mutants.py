@@ -152,9 +152,28 @@ MUTANTS = (
     Mutant(
         "one-literal-rule-skips-conflict",
         SOLVER,
-        "if not self._assign(lits[0], cl_gate_toks[c]):",
-        "if not (self.value[lits[0] ^ 1] or self._assign(lits[0], cl_gate_toks[c])):",
+        "if value[lit]:",
+        "if value[lit] or value[lit ^ 1]:",
         "tests/test_solver.py::test_active_gated_clauses_are_propagated",
+    ),
+    # the unit of a multi-literal gated clause is asserted on its false
+    # literals alone, so conflict analysis learns a clause without its gate
+    Mutant(
+        "multi-literal-unit-drops-gate",
+        SOLVER,
+        "why = cl_gate_toks[c] + tuple(t ^ 1 for t in lits if t != lit)",
+        "why = tuple(t ^ 1 for t in lits if t != lit)",
+        "tests/test_scoring.py::test_incremental_scores_match_fresh_forced_solves[5-0-hard0]",
+    ),
+    # a learned clause's unit keeps the clause's kind as its reason; as a
+    # plain list, a query-local clause's unit is logical and what analysis
+    # resolves from it outlives its query
+    Mutant(
+        "watch-unit-reason-loses-local",
+        SOLVER,
+        "reason[var] = type(clause)(t ^ 1 for t in clause if t != other)",
+        "reason[var] = [t ^ 1 for t in clause if t != other]",
+        "tests/test_scoring.py::test_incremental_scores_match_fresh_forced_solves[5-0-hard0]",
     ),
     # two-literal clauses are left out of the index
     Mutant(
@@ -172,6 +191,15 @@ MUTANTS = (
         "            fired.sort()\n",
         "",
         "tests/test_solver.py::test_search_trajectory_is_pinned",
+    ),
+    # the pool: completions are appended in the order found, so the first
+    # pooled completion that fits a query's pins need not be its cheapest
+    Mutant(
+        "pool-appended-unsorted",
+        SOLVER,
+        "bisect.insort(self.pool, (self.best_cost, self.best_snap))",
+        "self.pool.append((self.best_cost, self.best_snap))",
+        "tests/test_solver.py::test_pool_stays_sorted_and_serves_its_cheapest_fit",
     ),
     # the partial-order axioms: without antisymmetry a completion can hold a
     # two-cycle

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -891,10 +892,12 @@ def test_timeout_under_a_guess_reports_only_found_completions(monkeypatch):
                 for earlier in [(), *([p] for p in pins[:i])]:
                     engine.query(earlier)
                 engine.deadline = clock.now + stop
-                pooled = len(engine.pool)
+                # the pool is kept sorted, so the query's completions are
+                # its multiset difference against a copy from before it
+                pooled = Counter(engine.pool)
                 with pytest.raises(SolveTimeoutError) as exc:
                     engine.query([pin])
-                found = [c for c, _ in engine.pool[pooled:]]
+                found = [c for c, _ in (Counter(engine.pool) - pooled).elements()]
                 assert exc.value.best_bound == (W(min(found)) if found else None)
                 bounds[bool(found)] += 1
                 later_rounds["forced"] += stop >= min(starts, default=stop + 1)
@@ -1086,6 +1089,58 @@ def test_pool_holds_valid_completions():
             for feature, hold in options.forced_features:
                 assert engine.holds(completion, engine.pin(feature, hold))
     assert from_witness > 0
+
+
+def test_pool_stays_sorted_and_serves_its_cheapest_fit(monkeypatch):
+    """``Engine.pool`` is in ascending ``(cost, snapshot)`` order after
+    base, forced, timed-out and witness searches, on instances with hard
+    and soft inputs and forced features. Whenever a query answers with the
+    cost of the cheapest pooled completion that satisfies its pins, before
+    or after a search, its answer is that completion as ``min`` over the
+    pool picks it, snapshot included. Some queries are answered from the
+    pool without search, some by a search, and some time out."""
+    clock = _Clock()
+    monkeypatch.setattr(solver, "time", clock)
+    rng = random.Random(43)
+    seen = {"served": 0, "searched": 0, "timed out": 0, "witness": 0}
+
+    def query(engine, pins):
+        fits = [e for e in engine.pool if all(engine.holds(e[1], p) for p in pins)]
+        want = min(fits, default=(None, None))
+        nodes = engine.nodes
+        got = engine.query(pins)
+        if want[0] is not None and got[0] == want[0]:
+            assert got == want, (pins, got, want)
+            seen["served"] += engine.nodes == nodes
+        seen["searched"] += engine.nodes > nodes
+        assert engine.pool == sorted(engine.pool)
+        return got
+
+    for n, inputs, options in witness_cases(rng, 24):
+        inputs = with_hard_ci(rng, inputs, 0.2 if n % 2 else 0.0)
+        engine = Engine(inputs, n, options)
+        best, snap = query(engine, [])
+        pins = forced_pins(engine, rng.sample(all_forced(n), 8))
+        for pin in pins[:4]:
+            query(engine, [pin])
+        # one clock reading at the query's start, then one per node
+        engine.deadline = clock.now + 3
+        try:
+            engine.query(pins[4:6])
+        except SolveTimeoutError:
+            seen["timed out"] += 1
+        assert engine.pool == sorted(engine.pool)
+        engine.deadline = None
+        if best is not None:
+            # the optimum of the largest snapshot makes the most probes
+            pooled = len(engine.pool)
+            engine.witness(best, max(s for c, s in engine.pool if c == best))
+            seen["witness"] += len(engine.pool) > pooled
+            assert engine.pool == sorted(engine.pool)
+        for pin in pins[4:]:
+            query(engine, [pin])
+        query(engine, pins[6:])
+    assert all(seen.values()), seen
 
 
 class _Clock:
@@ -1353,16 +1408,18 @@ def test_trail_queue_keeps_its_head_and_counters():
 
 class GatedClauseCheckedEngine(Engine):
     """An engine that checks gated-clause propagation after every
-    ``_flush`` that returns True: every gated clause whose gate tokens all
-    lie in ``trail[:qhead]`` has a true literal or at least two open ones,
-    so no active clause is left falsified or unit. It also checks the
-    reason of every assignment whose reason is a plain tuple, the gate
-    of a gated clause, a partial-order axiom's included, or empty for an
-    assumption: every token of it is true and sits earlier on the trail,
-    so no clause fires before all its gate tokens are true.
-    Counts the checked flushes per assumption level, the active
-    one-literal and multi-literal clauses checked, and the reasons
-    checked."""
+    ``_flush``. After one that returns True, every gated clause whose gate
+    tokens all lie in ``trail[:qhead]`` has a true literal or at least two
+    open ones, so no active clause is left falsified or unit. After every
+    one, a pass over the trail checks the reason of each token whose
+    reason is a plain tuple, the gate of a gated clause, a partial-order
+    axiom's included, with the negated false literals of a longer clause,
+    or empty for an assumption: every token of it is true and sits earlier
+    on the trail, so no clause fires before all its gate tokens are true.
+    ``_flush`` makes the gated clauses' assignments itself, so the pass
+    reads them off the trail. Counts the checked flushes per assumption
+    level, the active one-literal and multi-literal clauses checked, and
+    the trail reasons checked."""
 
     def __init__(self, *args):
         self.checks = {1: 0, 2: 0}
@@ -1370,17 +1427,15 @@ class GatedClauseCheckedEngine(Engine):
         self.reasons = 0
         super().__init__(*args)
 
-    def _assign(self, tok, reason):
-        if type(reason) is tuple:
-            at, end = self.at, len(self.trail)
-            assert all(self.value[t] and at[t] < end for t in reason), (tok, reason)
-            self.reasons += 1
-        return super()._assign(tok, reason)
-
     def _flush(self):
         ok = super()._flush()
+        value, at = self.value, self.at
+        for pos, tok in enumerate(self.trail):
+            reason = self.reason[tok >> 1]
+            if type(reason) is tuple:
+                assert all(value[t] and at[t] < pos for t in reason), (tok, reason)
+                self.reasons += 1
         if ok:
-            value = self.value
             propagated = set(self.trail[: self.qhead])
             for gate, lits in zip(self.tables.cl_gate_toks, self.tables.cl_lits):
                 if propagated.issuperset(gate):
