@@ -9,6 +9,7 @@ milli-log-units (natural log times 1000) or the distinguished hard
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -100,7 +101,9 @@ class Weight:
 
     @classmethod
     def finite(cls, millis: int) -> "Weight":
-        return cls(int(millis))
+        """A finite weight from any integer, a numpy integer included; a
+        float raises ``TypeError`` as the constructor does."""
+        return cls(operator.index(millis))
 
     @classmethod
     def hard(cls) -> "Weight":

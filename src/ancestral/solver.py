@@ -5,9 +5,10 @@ reason, logical conflicts are analyzed to a first-unique-implication-point
 clause, and bound prunes and accepted solutions are turned into cost-core
 nogoods (the cost-bearing assignments that already force the total to the
 threshold), so every dead end backjumps with a recorded clause and is never
-re-refuted. Learned clauses range over structure and polarity assignment
-tokens only: conflict analysis resolves every other derived fact away
-through the gated clause that derived it. Nogoods learned under one
+re-refuted. Analysis treats every token alike, as textbook first-UIP
+analysis does, so learned clauses range over reachability, polarity and
+derived-fact tokens: a learned clause may set a fact false, and a
+derivation of that fact is then a conflict. Nogoods learned under one
 incumbent stay valid as the incumbent tightens, so the minimum is exact.
 
 Reachability, polarity and derived-fact variables share one numbering, so
@@ -360,11 +361,14 @@ class Engine:
     ``2 * v + 1`` false, so negating a token flips its low bit, and
     ``pol_base`` and ``fact_base`` are the first polarity and fact tokens.
     The facts ``(t, INDEP)`` and ``(t, DEP)`` of input triple ``t`` are
-    its two polarity tokens, so they are each other's negation. The tokens
-    from ``fact_base`` on are never negated and never enter learned
-    clauses. A pin is a reachability or polarity token. ``value`` holds one
-    byte per token, set while the token is true; ``level`` and ``reason``
-    hold one entry per variable; ``trail`` is the one undo log of assigned
+    its two polarity tokens, so they are each other's negation. A token
+    from ``fact_base`` on is made true by a gated clause that derives its
+    fact; a learned clause may assert either value of a fact, and its
+    negation wakes no gated clause, so a false fact acts only when a
+    derivation of it conflicts. Fact variables are never decided. A pin is
+    a reachability or polarity token. ``value`` holds one byte per token,
+    set while the token is true; ``level`` and ``reason`` hold one entry
+    per variable; ``trail`` is the one undo log of assigned
     tokens and the propagation queue: the tokens in front of ``qhead``
     have been propagated, those behind it wait for :meth:`_flush`, and
     ``at[tok]`` is the trail index of each true token, ``_NEVER`` for the
@@ -448,7 +452,7 @@ class Engine:
         self.conflict = None
         self.learned: list[list[int]] = []
         self.watches: dict[int, list[int]] = {}
-        self.act = [0.0] * (n2 + len(triples))
+        self.act = [0.0] * nvars
         self.act_inc = 1.0
         self.best_cost: Optional[int] = None
         self.best_snap = None
@@ -685,21 +689,6 @@ class Engine:
 
     # -- conflict analysis ------------------------------------------------------
 
-    def _resolve(self, tokens, expanded: set):
-        """Yield the assignment tokens behind ``tokens``, depth first: each
-        fact token not yet in ``expanded`` is resolved through its reason,
-        every other token is yielded as it is."""
-        fbase = self.fact_base
-        reason = self.reason
-        stack = list(tokens)
-        while stack:
-            tok = stack.pop()
-            if tok < fbase:
-                yield tok
-            elif tok not in expanded:
-                expanded.add(tok)
-                stack.extend(reason[tok >> 1])
-
     def _collect(self, tokens, seen, lower, conflict_level) -> int:
         """Classify assignment tokens against the conflict level. Returns
         the new at-level count."""
@@ -719,28 +708,27 @@ class Engine:
         return added
 
     def _analyze(self):
-        """First-UIP analysis of ``self.conflict``, with every fact token
-        resolved away through :meth:`_resolve`.
+        """First-UIP analysis of ``self.conflict``, every token alike: the
+        unique implication point may be a derived fact's token, and the
+        clause may hold fact tokens.
 
         Returns (clause, assertion_level) with the asserting token first,
         or None when the conflict reduces to the assumption level (the
         query is exhausted). The clause is a :class:`_Local` when the
         conflict or any reason resolved into it is query-local, else a
-        list; derived facts always have logical reasons. Every level above
-        the assumption level opens with a decision, so the walk back along
-        the trail always meets a unique implication point, and the
-        assertion level lies below the conflict level.
+        list. Every level above the assumption level opens with a
+        decision, so the walk back along the trail always meets a unique
+        implication point, and the assertion level lies below the conflict
+        level.
         """
         local = type(self.conflict) is _Local
         level = self.level
-        expanded: set[int] = set()
-        flat = {tok for tok in self._resolve(self.conflict, expanded) if level[tok >> 1] > 0}
-        conflict_level = max((level[tok >> 1] for tok in flat), default=0)
+        conflict_level = max((level[tok >> 1] for tok in self.conflict), default=0)
         if conflict_level <= self.root:
             return None
         seen: set[int] = set()
         lower: list[int] = []
-        counter = self._collect(self._resolve(flat, expanded), seen, lower, conflict_level)
+        counter = self._collect(self.conflict, seen, lower, conflict_level)
         for uip in reversed(self.trail):
             if uip not in seen or level[uip >> 1] < conflict_level:
                 continue
@@ -752,7 +740,7 @@ class Engine:
             if type(reason) is _Hardened:
                 reason = self._cover(*reason)
             local = local or type(reason) is _Local
-            counter += self._collect(self._resolve(reason, expanded), seen, lower, conflict_level)
+            counter += self._collect(reason, seen, lower, conflict_level)
         assertion = max((level[tok >> 1] for tok in lower), default=0)
         return (_Local if local else list)([uip ^ 1, *lower]), assertion
 

@@ -163,7 +163,7 @@ MUTANTS = (
         SOLVER,
         "why = cl_gate_toks[c] + tuple(t ^ 1 for t in lits if t != lit)",
         "why = tuple(t ^ 1 for t in lits if t != lit)",
-        "tests/test_scoring.py::test_incremental_scores_match_fresh_forced_solves[5-0-hard0]",
+        "tests/test_solver.py::test_active_gated_clauses_are_propagated",
     ),
     # a learned clause's unit keeps the clause's kind as its reason; as a
     # plain list, a query-local clause's unit is logical and what analysis
@@ -173,7 +173,17 @@ MUTANTS = (
         SOLVER,
         "reason[var] = type(clause)(t ^ 1 for t in clause if t != other)",
         "reason[var] = [t ^ 1 for t in clause if t != other]",
-        "tests/test_scoring.py::test_incremental_scores_match_fresh_forced_solves[5-0-hard0]",
+        "tests/test_solver.py::test_active_gated_clauses_are_propagated",
+    ),
+    # analysis keeps only the last reason's kind, so a clause resolved from
+    # a bound through a later logical reason is kept as logical and
+    # outlives its query
+    Mutant(
+        "analysis-forgets-local-reasons",
+        SOLVER,
+        "local = local or type(reason) is _Local",
+        "local = type(reason) is _Local",
+        "tests/test_solver.py::test_logical_learned_clauses_hold_on_every_consistent_assignment",
     ),
     # two-literal clauses are left out of the index
     Mutant(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,6 +161,18 @@ def test_weight_ordering_and_addition():
 def test_weight_rejects_negative():
     with pytest.raises(ValueError):
         Weight.finite(-1)
+
+
+def test_weight_finite_takes_integers_only():
+    """``Weight.finite`` takes numpy integers and, like the constructor,
+    rejects a float rather than truncating it."""
+    assert Weight.finite(np.int64(7)) == Weight(7)
+    assert type(Weight.finite(np.int64(7)).millis) is int
+    for bad in (2.7, 2.0, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            Weight.finite(bad)
+        with pytest.raises(TypeError):
+            Weight(bad)
 
 
 def test_condset_roundtrip():

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -18,12 +20,23 @@ from ancestral.core import (
     WeightedInput,
     causes,
     dep,
+    enumerate_ancestral_structures,
     indep,
     is_ancestral_structure,
     not_causes,
 )
 from ancestral.oracle import brute_force_min_loss
-from ancestral.rules import DEP, INDEP, GatedClause, RuleInstance, check_consistency, ground, loss
+from ancestral.rules import (
+    DEP,
+    INDEP,
+    CiAssignment,
+    GatedClause,
+    RuleInstance,
+    check_consistency,
+    consistent_structures,
+    ground,
+    loss,
+)
 from ancestral.scoring import BothInfeasibleError, PairScorer, score_all_pairs
 from ancestral.simulate import oracle_inputs, random_linear_model, sample_data
 from ancestral.solver import (
@@ -1411,33 +1424,56 @@ class GatedClauseCheckedEngine(Engine):
     ``_flush``. After one that returns True, every gated clause whose gate
     tokens all lie in ``trail[:qhead]`` has a true literal or at least two
     open ones, so no active clause is left falsified or unit. After every
-    one, a pass over the trail checks the reason of each token whose
-    reason is a plain tuple, the gate of a gated clause, a partial-order
-    axiom's included, with the negated false literals of a longer clause,
-    or empty for an assumption: every token of it is true and sits earlier
-    on the trail, so no clause fires before all its gate tokens are true.
-    ``_flush`` makes the gated clauses' assignments itself, so the pass
-    reads them off the trail. Counts the checked flushes per assumption
-    level, the active one-literal and multi-literal clauses checked, and
-    the trail reasons checked."""
+    one, a pass over the trail ties each reason to the clause it came from.
+    A plain tuple reason of token ``t`` is empty, an assumption's, or the
+    gate of a gated clause that holds ``t``, a partial-order axiom's
+    included, with the negated other literals of that clause, in clause
+    order; every token of it is true and sits earlier on the trail, so no
+    clause fires before all its gate tokens are true. A ``list`` or
+    :class:`_Local` reason is the negation of a kept learned clause less
+    ``t``, of that clause's type, or empty, a learned unit's, at the
+    assumption level or below. ``_flush`` makes these assignments itself,
+    so the pass reads them off the trail. Counts the checked flushes per
+    assumption level, the active one-literal and multi-literal clauses
+    checked, and the gated and learned reasons checked."""
 
     def __init__(self, *args):
         self.checks = {1: 0, 2: 0}
         self.active = {1: 0, 2: 0}
-        self.reasons = 0
+        self.reasons = self.learned_reasons = 0
         super().__init__(*args)
+
+    @functools.cached_property
+    def gated_reasons(self):
+        """The reasons each gated clause can give each of its literals, by
+        literal."""
+        out = {}
+        for gate, lits in zip(self.tables.cl_gate_toks, self.tables.cl_lits):
+            for t in lits:
+                out.setdefault(t, set()).add(gate + tuple(u ^ 1 for u in lits if u != t))
+        return out
 
     def _flush(self):
         ok = super()._flush()
+        tab = self.tables
+        kept = {(frozenset(c), type(c)) for c in self.learned}
         value, at = self.value, self.at
         for pos, tok in enumerate(self.trail):
             reason = self.reason[tok >> 1]
             if type(reason) is tuple:
                 assert all(value[t] and at[t] < pos for t in reason), (tok, reason)
+                assert not reason or reason in self.gated_reasons.get(tok, ()), (tok, reason)
                 self.reasons += 1
+            elif type(reason) in (list, solver._Local):
+                if reason:
+                    clause = frozenset([tok, *(t ^ 1 for t in reason)])
+                    assert (clause, type(reason)) in kept, (tok, reason)
+                else:
+                    assert self.level[tok >> 1] <= self.root, (tok, reason)
+                self.learned_reasons += 1
         if ok:
             propagated = set(self.trail[: self.qhead])
-            for gate, lits in zip(self.tables.cl_gate_toks, self.tables.cl_lits):
+            for gate, lits in zip(tab.cl_gate_toks, tab.cl_lits):
                 if propagated.issuperset(gate):
                     unset = [tok for tok in lits if not value[tok] and not value[tok ^ 1]]
                     assert any(value[tok] for tok in lits) or len(unset) >= 2, (gate, lits)
@@ -1463,11 +1499,13 @@ def test_active_gated_clauses_are_propagated():
     one-literal rules asserted when they activate and the multi-literal
     clauses checked when a literal of theirs becomes false propagate every
     clause that can fire, at assumption levels 1 and 2; and every clause
-    fires on a reason whose tokens are true and earlier on the trail."""
+    fires on a reason whose tokens are true and earlier on the trail. Every
+    reason is its clause's: a gated clause's with its gate, a learned
+    clause's of that clause's kind."""
     rng = random.Random(17)
     checks = {1: 0, 2: 0}
     active = {1: 0, 2: 0}
-    reasons = 0
+    reasons = learned_reasons = 0
     for case in range(12):
         n = 4 + case % 3
         inputs = random_instance(rng, n, max_inputs=6 * n, anc_share=0.3)
@@ -1490,9 +1528,99 @@ def test_active_gated_clauses_are_propagated():
             checks[key] += engine.checks[key]
             active[key] += engine.active[key]
         reasons += engine.reasons
+        learned_reasons += engine.learned_reasons
     assert checks[1] > 0 and checks[2] > 0, checks
     assert active[1] > 0 and active[2] > 0, active
-    assert reasons > 0
+    assert reasons > 0 and learned_reasons > 0
+
+
+def consistent_token_values(engine, inputs, forced):
+    """The truth of every engine token in each joint assignment that the
+    consistency rule accepts and that meets the hard inputs and the forced
+    features: reachability and polarity tokens as the assignment sets
+    them, and a derived-fact token by membership of its fact in the closure
+    of the assignment's polarities, the fact tokens numbered as
+    :class:`solver._Tables` numbers them."""
+    tab, n = engine.tables, engine.n
+    universe = ground([(t, p) for t in tab.triples for p in (INDEP, DEP)], n).facts
+    others = sorted(
+        (f for f in universe if f[0] not in tab.triples), key=lambda f: (f[0], f[1] is DEP)
+    )
+    hard = [i.statement for i in inputs if i.weight.is_hard]
+    structures = list(enumerate_ancestral_structures(n))
+    out = []
+    for pols in itertools.product((INDEP, DEP), repeat=len(tab.triples)):
+        ci = CiAssignment(dict(zip(tab.triples, pols)))
+        if not all(ci.truth[st.triple] is st.polarity for st in hard if isinstance(st, CiStatement)):
+            continue
+        closure = ground(ci.facts(), n).facts
+        for structure in consistent_structures(n, ci, structures):
+            if not all(
+                structure.reach(st.cause, st.effect) == (st.polarity is Ancestry.CAUSES)
+                for st in hard
+                if isinstance(st, AncStatement)
+            ) or not all(
+                structure.reach(f.cause, f.effect) == ((f.polarity is Ancestry.CAUSES) == hold)
+                for f, hold in forced
+            ):
+                continue
+            value = bytearray(2 * len(engine.level))
+            for x in range(n):
+                for y in range(n):
+                    value[2 * (x * n + y) + (not structure.reach(x, y))] = 1
+            for i, pol in enumerate(pols):
+                value[tab.pol_base + 2 * i + (pol is DEP)] = 1
+            for i, fact in enumerate(others):
+                value[tab.fact_base + 2 * i + (fact not in closure)] = 1
+            out.append(value)
+    return out
+
+
+def test_logical_learned_clauses_hold_on_every_consistent_assignment():
+    """Every logical learned clause, checked after the base query, each
+    forced query and the lex witness on instances at n = 3-4 with hard and
+    soft inputs and forced features, holds on every joint assignment that
+    the consistency rule accepts and that meets the hard inputs and the
+    forced features, a derived-fact token read as membership of its fact
+    in the assignment's closure. Logical clauses outlive their query, so a
+    clause that holds only under one query's bound must be query-local.
+    Some checked clauses hold fact tokens."""
+    rng = random.Random(41)
+    checked, with_facts = set(), set()
+    for case in range(12):
+        n = 4 - (case % 4 == 0)
+        inputs = random_instance(rng, n, max_inputs=6 * n, max_weight=50, anc_share=0.25)
+        inputs = with_hard_ci(rng, inputs, 0.2 if case % 3 else 0.0)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        if case % 2:
+            x, y = rng.choice(pairs)
+            inputs.append((causes if rng.random() < 0.5 else not_causes)(x, y))
+        forced = ()
+        if case % 4 == 3:
+            x, y = rng.choice(pairs)
+            forced = ((AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5),)
+        engine = Engine(inputs, n, SolveOptions(forced_features=forced))
+        values = consistent_token_values(engine, inputs, forced)
+
+        def check():
+            for clause in engine.learned:
+                if type(clause) is list:
+                    assert all(any(v[t] for t in clause) for v in values), (case, clause)
+                    key = (case, frozenset(clause))
+                    checked.add(key)
+                    if max(clause) >= engine.fact_base:
+                        with_facts.add(key)
+
+        best, snap = engine.query()
+        check()
+        for x, y in pairs:
+            for hold in (True, False):
+                engine.query([engine.pin(AncStatement(x, y, Ancestry.CAUSES), hold)])
+                check()
+        if best is not None:
+            engine.witness(best, snap)
+            check()
+    assert checked and with_facts, (len(checked), len(with_facts))
 
 
 # -- invariants -------------------------------------------------------------------
@@ -1564,7 +1692,7 @@ def test_search_trajectory_is_pinned():
         if best is not None:
             engine.witness(best, snap)
         witness += engine.nodes
-    assert (oracle, base, witness - base) == (389, 2161, 457)
+    assert (oracle, base, witness - base) == (389, 2233, 443)
 
 
 # -- options and errors --------------------------------------------------------------

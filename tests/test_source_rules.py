@@ -1,11 +1,15 @@
 """Source rules of ``src/ancestral``, read off its syntax trees: no
 ``assert``, no module reaching into another module's private names, and no
-module but ``__init__.py`` importing ``ancestral.oracle``."""
+module but ``__init__.py`` importing ``ancestral.oracle``; and every row of
+the mutant suite ``tests/mutants.py`` still applies to the source."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+from mutants import MUTANTS, ROOT
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ancestral"
 ORACLE = "ancestral.oracle"
@@ -87,4 +91,27 @@ def test_only_the_package_init_imports_the_oracle():
                 continue
             if any(name == ORACLE or name.startswith(ORACLE + ".") for name in names):
                 found.append(f"{path}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, "\n".join(found)
+
+
+def test_mutant_rows_match_the_source():
+    """Every row of ``tests/mutants.py`` still applies: its fragment occurs
+    exactly once in its file, its name is its own, and the test it names is
+    a function of the test file it names. A fragment that code moved would
+    otherwise show only when the mutant suite runs."""
+    rows = Counter(m.name for m in MUTANTS)
+    found = [f"{name}: names {count} rows" for name, count in rows.items() if count > 1]
+    for m in MUTANTS:
+        count = (ROOT / m.file).read_text(encoding="utf-8").count(m.fragment)
+        if count != 1:
+            found.append(f"{m.name}: fragment occurs {count} times in {m.file}")
+        path, _, test = m.test.partition("::")
+        func = test.split("[")[0]
+        defined = {
+            node.name
+            for node in parse(ROOT / path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        if func not in defined:
+            found.append(f"{m.name}: no test {func} in {path}")
     assert not found, "\n".join(found)
