@@ -61,7 +61,12 @@ by every input list over that set, as when many models are scored at one
 incremental engine. A hard input forbids one value of its variable: the
 engine asserts the other value at level 0 and propagates it once there, so
 two contradicting hard inputs conflict like any two assignments, and the
-forbidden value, never taken, costs 0.
+forbidden value, never taken, costs 0. The hard tokens lead the level-0
+trail in ascending order, so a gate set can fire only from the last of its
+tokens there, and each hard token wakes only the entries it closes, a
+per-token subset of the index built with it; a token that propagation adds
+wakes its full list, so the level-0 trail is the one the full index gives.
+A query pin whose negation level 0 holds is answered infeasible at once.
 
 One engine answers every query of an instance: the base solve, each
 forced solve of the scores and the witness. A query backjumps to level 0
@@ -233,7 +238,14 @@ class _Tables:
     ``h`` the clause's gate tokens (equal when it has one), shared by all
     its literals. Raises ``ValueError`` when a clause has no gate token or
     more than the index handles: three, or two for a clause of two or more
-    literals."""
+    literals.
+
+    ``closes[tok]`` keeps the entries of ``wakes[tok]``, in their order,
+    whose ``h`` and ``k`` are at most ``tok``: those that ``tok`` closes,
+    being the largest token they need true. While a prefix of the trail
+    holds distinct tokens in ascending order, as the hard inputs' tokens
+    at level 0 do, an entry of one of them can fire only if it closes it;
+    every other entry fires later, from its largest token."""
 
     def __init__(self, n: int, triples: tuple[Triple, ...]):
         self.triples = triples
@@ -301,6 +313,9 @@ class _Tables:
                 h, k = [t for t in toks if t != tok] + [tok] * (3 - len(toks))
                 wakes[tok].append((h, k, cs))
         self.wakes = tuple(map(tuple, wakes))
+        self.closes = tuple(
+            tuple(e for e in ws if e[0] <= tok and e[1] <= tok) for tok, ws in enumerate(self.wakes)
+        )
         self.lex_vars = tuple(x * n + y for x in range(n) for y in range(n) if x != y)
 
 
@@ -346,8 +361,9 @@ class Engine:
     Compile looks up the shared grounding of the instance's (n, triple set),
     adds the reduced input costs, their ``offset`` and the decision order,
     and asserts the value each hard input requires at level 0, in token
-    order, and propagates them once there; ``infeasible`` is set when they
-    contradict there. Level 0 never changes after that. Each
+    order, and propagates them once there, each of those tokens waking
+    only its ``closes`` entries of the tables; ``infeasible`` is set when
+    they contradict there. Level 0 never changes after that. Each
     :meth:`query` backjumps to it and asserts the options' forced features
     and its own pins at level 1, the assumption level ``root``, which the
     search never backjumps below; :meth:`witness` raises ``root`` to 2
@@ -462,7 +478,12 @@ class Engine:
         self.excess = 0
         self.root = 1
         required = [tok ^ 1 for tok, c in enumerate(full) if c is None]
-        self.infeasible = not (all(self._assign(tok, ()) for tok in required) and self._flush())
+        # the required tokens lead the trail in ascending order, so each
+        # fires only the entries it closes (see _Tables)
+        wakes = list(tab.wakes)
+        for tok in required:
+            wakes[tok] = tab.closes[tok]
+        self.infeasible = not (all(self._assign(tok, ()) for tok in required) and self._flush(wakes))
         # level 0 never changes, so a variable it assigns is never decided
         decided = (*tab.lex_vars, *range(n2, n2 + len(triples)))
         self.order = [v for v in decided if not self.assigned[v]]
@@ -517,7 +538,7 @@ class Engine:
         self.cost += self.cost_of[tok]
         return True
 
-    def _flush(self) -> bool:
+    def _flush(self, wakes=None) -> bool:
         """Propagate the trail from ``qhead`` on, in trail order, as
         MiniSat does, every token the same way, making every implied
         assignment itself. The token at trail index ``p`` wakes the entries
@@ -531,12 +552,15 @@ class Engine:
         it, each moving that watch to an open token or asserting its other
         watch. Every reason and conflict keeps its clause's kind: a gate
         tuple, a logical list or a query-local :class:`_Local`. False on a
-        conflict, with ``qhead`` past the token that met it."""
+        conflict, with ``qhead`` past the token that met it. ``wakes`` is
+        the tables' index unless given: compile's level-0 flush gives a
+        copy in which each hard token's list is its ``closes``."""
         trail, value, at, cost_of = self.trail, self.value, self.at, self.cost_of
         level, reason = self.level, self.reason
         watches, learned = self.watches, self.learned
         tab = self.tables
-        wakes, cl_lits, cl_gate_toks = tab.wakes, tab.cl_lits, tab.cl_gate_toks
+        wakes = tab.wakes if wakes is None else wakes
+        cl_lits, cl_gate_toks = tab.cl_lits, tab.cl_gate_toks
         lvl = len(self.frames)
         qhead, cost = self.qhead, self.cost
         while qhead < len(trail):
@@ -834,9 +858,13 @@ class Engine:
         """The exact minimum cost under the options' forced features and
         ``pins``, and one optimal snapshot; ``(None, None)`` when no
         completion satisfies them. A snapshot is the ``value`` bytes of the
-        reachability and polarity tokens. The first incumbent is the cheapest
-        pooled completion that satisfies ``pins``, ties to the smaller
-        snapshot: the first that does in the pool's order. When it costs
+        reachability and polarity tokens. A pin whose negation level 0
+        holds gets ``(None, None)`` at once, before the pool scan and the
+        backjump: every completion extends level 0, and the next query's
+        backjump and clause rebuild are those this one would have made, so
+        no later answer or node count moves. The first incumbent is the
+        cheapest pooled completion that satisfies ``pins``, ties to the
+        smaller snapshot: the first that does in the pool's order. When it costs
         ``floor`` the query returns it before it backjumps, else it is the
         incumbent of the query's one search. With no such completion, the
         query's incumbents are virtual: it searches in rounds under doubling
@@ -849,6 +877,9 @@ class Engine:
         """
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeoutError("search exceeded the time limit", None)
+        value, level = self.value, self.level
+        if any(value[p ^ 1] and level[p >> 1] == 0 for p in pins):
+            return None, None
         pooled = next((e for e in self.pool if all(e[1][p] for p in pins)), (None, None))
         if self.floor is not None and pooled[0] == self.floor:
             return pooled

@@ -202,6 +202,33 @@ MUTANTS = (
         "",
         "tests/test_solver.py::test_search_trajectory_is_pinned",
     ),
+    # the closing index drops the gate sets that a token closes alone or
+    # with earlier partners, so compile's level-0 flush misses them
+    Mutant(
+        "closing-filter-strict",
+        SOLVER,
+        "e for e in ws if e[0] <= tok and e[1] <= tok",
+        "e for e in ws if e[0] < tok and e[1] < tok",
+        "tests/test_solver.py::test_level0_flush_matches_the_full_index",
+    ),
+    # every token of the level-0 flush wakes its closing entries only, those
+    # that propagation adds behind the hard tokens included
+    Mutant(
+        "closing-index-past-hard-tokens",
+        SOLVER,
+        "wakes = list(tab.wakes)",
+        "wakes = list(tab.closes)",
+        "tests/test_solver.py::test_level0_flush_matches_the_full_index",
+    ),
+    # a pin whose negation only the previous query's trail holds is taken
+    # for one that level 0 refutes
+    Mutant(
+        "refuted-pin-at-any-level",
+        SOLVER,
+        "if any(value[p ^ 1] and level[p >> 1] == 0 for p in pins):",
+        "if any(value[p ^ 1] for p in pins):",
+        "tests/test_solver.py::test_refuted_pins_are_answered_at_once",
+    ),
     # the pool: completions are appended in the order found, so the first
     # pooled completion that fits a query's pins need not be its cheapest
     Mutant(

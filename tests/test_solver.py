@@ -394,6 +394,156 @@ def test_level0_state_is_restored_after_queries():
     assert checked > 0
 
 
+class FullWakeEngine(Engine):
+    """An engine whose level-0 flush wakes the full ``wakes`` index of the
+    tables for every token, the hard ones included: the reference for the
+    closing index."""
+
+    def _flush(self, wakes=None):
+        return super()._flush()
+
+
+def hard_input_instances(rng, count):
+    """``count`` seeded instances at n = 3-6 with hard inputs: the oracle
+    statements up to order 2 of a random DAG over n + 1 variables (one of
+    them latent), each flipped with probability 0.1 in every other
+    instance, made hard at a share of 0, 0.2, 0.5 or 1 and soft otherwise,
+    and up to three ancestral statements, hard or soft. Each comes with
+    forced features for its options. The flipped instances make some
+    engines infeasible."""
+    out = []
+    for case in range(count):
+        n = 3 + case % 4
+        share = (0.0, 0.2, 0.5, 1.0)[case // 4 % 4]
+        noise = 0.1 if case % 2 else 0.0
+        inputs = []
+        for item in dag_oracle_inputs(random_dag(n + 1, 0.35, rng), n, min(2, n - 2)):
+            stmt = item.statement
+            pol = stmt.polarity.flipped() if rng.random() < noise else stmt.polarity
+            w = Weight.hard() if rng.random() < share else W(rng.randint(1, 5000))
+            inputs.append(WeightedInput(CiStatement(stmt.x, stmt.y, stmt.cond, pol), w))
+        for _ in range(rng.randint(0, 3)):
+            x, y = rng.sample(range(n), 2)
+            w = Weight.hard() if rng.random() < 0.5 else W(rng.randint(1, 5000))
+            inputs.append((causes if rng.random() < 0.5 else not_causes)(x, y, w))
+        x, y = rng.sample(range(n), 2)
+        forced = ((AncStatement(x, y, Ancestry.CAUSES), rng.random() < 0.5),)
+        out.append((n, inputs, forced if case % 3 == 2 else ()))
+    return out
+
+
+def test_level0_flush_matches_the_full_index():
+    """Compile's level-0 flush, where each hard token wakes only the
+    entries of ``wakes`` it closes, leaves the state that the full index
+    gives: the same trail in order, ``at``, reasons, levels, running cost,
+    conflict and ``infeasible``, on feasible and infeasible instances with
+    hard CI and ancestral inputs and forced features; up to n = 5 the base
+    query then answers alike with the same nodes. The hard tokens skip
+    entries."""
+    rng = random.Random(43)
+    feasible = infeasible = skipped = 0
+    for n, inputs, forced in hard_input_instances(rng, 48):
+        options = SolveOptions(forced_features=forced)
+        got, want = Engine(inputs, n, options), FullWakeEngine(inputs, n, options)
+        assert got.trail == want.trail
+        assert got.at == want.at and got.value == want.value
+        assert got.reason == want.reason and got.level == want.level
+        assert (got.cost, got.qhead, got.conflict) == (want.cost, want.qhead, want.conflict)
+        assert got.infeasible == want.infeasible
+        if n <= 5:
+            assert got.query() == want.query() and got.nodes == want.nodes
+        infeasible += got.infeasible
+        feasible += not got.infeasible
+        tab = got.tables
+        hard = [tok for tok in got.trail if got.reason[tok >> 1] == ()]
+        skipped += sum(len(tab.wakes[tok]) - len(tab.closes[tok]) for tok in hard)
+    assert feasible > 0 and infeasible > 0 and skipped > 0
+
+
+def test_closing_index_keeps_the_entries_each_token_closes():
+    """``closes[tok]`` holds, in their order, exactly the entries of
+    ``wakes[tok]`` that need no token above ``tok`` true: the gate sets
+    whose largest token is ``tok``, and the multi-literal clauses whose
+    gate tokens all lie below ``tok``, read off the clause table."""
+    rng = random.Random(47)
+    checked = set()
+    for n, inputs, _ in hard_input_instances(rng, 8):
+        tab = Engine(inputs, n).tables
+        if id(tab) in checked:
+            continue
+        checked.add(id(tab))
+        assert len(tab.closes) == len(tab.wakes)
+        for tok, entries in enumerate(tab.wakes):
+            want = [e for e in entries if max({tok, *tab.cl_gate_toks[e[2][0]]}) == tok]
+            assert list(tab.closes[tok]) == want, tok
+    assert len(checked) >= 4
+
+
+def test_refuted_pins_are_answered_at_once():
+    """Query sequences on hard-input instances at n = 3-5 mix pins refuted
+    at level 0, pins that conflict only once level 1 propagates them, and
+    pins whose negation holds only on the previous query's trail. Every
+    answer is the brute-force minimum under the pin where brute force
+    reaches (n <= 4, at most 16 inputs), else a fresh engine's, and a
+    refuted pin is answered without a search. Dropping the level-0
+    refuted queries from a sequence leaves every other answer and the node
+    count after it unchanged."""
+    rng = random.Random(53)
+    kinds = Counter()
+    brute = 0
+    for n, inputs, _ in hard_input_instances(rng, 40):
+        if n > 5:
+            continue
+        engine = Engine(inputs, n)
+        if engine.infeasible:
+            continue
+
+        def reference(pin):
+            nonlocal brute
+            x, y = divmod(pin >> 1, n)
+            hard = (causes if pin & 1 == 0 else not_causes)(x, y)
+            if n > 4 or len(inputs) >= 16:
+                return Engine(inputs + [hard], n).query()[0]
+            brute += 1
+            r = brute_force_min_loss(inputs + [hard], n)
+            return None if r.min_loss.is_hard else r.min_loss.millis
+
+        pins = [2 * (x * n + y) + b for x in range(n) for y in range(n) if x != y for b in (0, 1)]
+        refuted = [p for p in pins if engine.value[p ^ 1]]
+        late = []
+        for p in pins:
+            fresh = Engine(inputs, n)
+            if not engine.value[p ^ 1] and not fresh._assume([p]):
+                late.append(p)
+        engine.query()
+        sequence = []
+        for _ in range(8):
+            kind = rng.choice(("refuted", "late", "previous", "any"))
+            if kind == "previous":
+                # the negation holds on the trail the previous query left
+                # above level 0
+                choice = [p for p in pins if engine.value[p ^ 1] and engine.level[p >> 1] > 0]
+            else:
+                choice = {"refuted": refuted, "late": late, "any": pins}[kind]
+            if not choice:
+                continue
+            pin = rng.choice(choice)
+            nodes = engine.nodes
+            answer = engine.query([pin])[0]
+            assert answer == reference(pin), (kind, pin)
+            if pin in refuted:
+                assert answer is None and engine.nodes == nodes
+            kinds[kind] += 1
+            sequence.append((pin, answer, engine.nodes))
+        again = Engine(inputs, n)
+        again.query()
+        for pin, answer, nodes in sequence:
+            if pin not in refuted:
+                assert (again.query([pin])[0], again.nodes) == (answer, nodes), pin
+    assert all(kinds[kind] > 0 for kind in ("refuted", "late", "previous")), kinds
+    assert brute > 0
+
+
 # -- snapshot readers ---------------------------------------------------------------
 
 def test_holds_agrees_with_joint_from_snap():
@@ -1361,19 +1511,22 @@ class TrailQueueCheckedEngine(Engine):
     end of the trail, ``qhead`` never passes the trail's end, and ``at``
     agrees with the trail, each trail token at its index and ``_NEVER``
     for every token not on it. Counts the checks per assumption level,
-    and the flushes that conflicted."""
+    the level-0 flushes of compile checked, and the flushes that
+    conflicted."""
 
     def __init__(self, *args):
         self.checks = {1: 0, 2: 0}
-        self.conflicts = 0
+        self.level0 = self.conflicts = 0
         super().__init__(*args)
 
-    def _flush(self):
-        ok = super()._flush()
+    def _flush(self, wakes=None):
+        ok = super()._flush(wakes)
         if ok:
             assert self.qhead == len(self.trail)
         else:
             self.conflicts += 1
+        if self.trail and not self.frames:
+            self.level0 += 1
         self._check_queue()
         return ok
 
@@ -1395,7 +1548,7 @@ def test_trail_queue_keeps_its_head_and_counters():
     also after conflicts and backjumps in queries and in witness probes."""
     rng = random.Random(13)
     checks = {1: 0, 2: 0}
-    conflicts = 0
+    level0 = conflicts = 0
     for case in range(12):
         n = 4 + case % 3
         inputs = random_instance(rng, n, max_inputs=6 * n, anc_share=0.3)
@@ -1415,8 +1568,10 @@ def test_trail_queue_keeps_its_head_and_counters():
             engine.witness(best, snap)
         for root in checks:
             checks[root] += engine.checks[root]
+        level0 += engine.level0
         conflicts += engine.conflicts
     assert checks[1] > 0 and checks[2] > 0 and conflicts > 0
+    assert level0 > 0
 
 
 class GatedClauseCheckedEngine(Engine):
@@ -1434,13 +1589,14 @@ class GatedClauseCheckedEngine(Engine):
     ``t``, of that clause's type, or empty, a learned unit's, at the
     assumption level or below. ``_flush`` makes these assignments itself,
     so the pass reads them off the trail. Counts the checked flushes per
-    assumption level, the active one-literal and multi-literal clauses
-    checked, and the gated and learned reasons checked."""
+    assumption level, the level-0 flushes of compile with hard inputs
+    among them, the active one-literal and multi-literal clauses checked,
+    and the gated and learned reasons checked."""
 
     def __init__(self, *args):
         self.checks = {1: 0, 2: 0}
         self.active = {1: 0, 2: 0}
-        self.reasons = self.learned_reasons = 0
+        self.level0 = self.reasons = self.learned_reasons = 0
         super().__init__(*args)
 
     @functools.cached_property
@@ -1453,8 +1609,8 @@ class GatedClauseCheckedEngine(Engine):
                 out.setdefault(t, set()).add(gate + tuple(u ^ 1 for u in lits if u != t))
         return out
 
-    def _flush(self):
-        ok = super()._flush()
+    def _flush(self, wakes=None):
+        ok = super()._flush(wakes)
         tab = self.tables
         kept = {(frozenset(c), type(c)) for c in self.learned}
         value, at = self.value, self.at
@@ -1479,6 +1635,8 @@ class GatedClauseCheckedEngine(Engine):
                     assert any(value[tok] for tok in lits) or len(unset) >= 2, (gate, lits)
                     self.active[min(len(lits), 2)] += 1
             self.checks[self.root] += 1
+            if self.trail and not self.frames:
+                self.level0 += 1
         return ok
 
 
@@ -1505,7 +1663,7 @@ def test_active_gated_clauses_are_propagated():
     rng = random.Random(17)
     checks = {1: 0, 2: 0}
     active = {1: 0, 2: 0}
-    reasons = learned_reasons = 0
+    level0 = reasons = learned_reasons = 0
     for case in range(12):
         n = 4 + case % 3
         inputs = random_instance(rng, n, max_inputs=6 * n, anc_share=0.3)
@@ -1527,9 +1685,10 @@ def test_active_gated_clauses_are_propagated():
         for key in checks:
             checks[key] += engine.checks[key]
             active[key] += engine.active[key]
+        level0 += engine.level0
         reasons += engine.reasons
         learned_reasons += engine.learned_reasons
-    assert checks[1] > 0 and checks[2] > 0, checks
+    assert checks[1] > 0 and checks[2] > 0 and level0 > 0, (checks, level0)
     assert active[1] > 0 and active[2] > 0, active
     assert reasons > 0 and learned_reasons > 0
 
