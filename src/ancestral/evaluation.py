@@ -138,6 +138,7 @@ class ModelRecord:
     time_seconds: float
     status: str                    # "ok" or "timeout"
     nodes: int                     # search nodes of the model's engine, up to a timeout
+    searches: int                  # searches of the model's engine, up to a timeout
     predictions: tuple
     truth: AncestralStructure
 
@@ -173,9 +174,10 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
     one (n, max_order) share, and it is built once per process: the first
     model timed pays for it and the later ones do not. Solver timeouts are
     recorded per model and never abort the batch. Each record counts the
-    search nodes of the model's :class:`PairScorer` engine, those before a
-    timeout included. Deterministic per seed apart from the times
-    themselves.
+    search nodes and the searches of the model's :class:`PairScorer`
+    engine, those before a timeout included: each progression round and
+    each search under a pooled incumbent is one search. Deterministic per
+    seed apart from the times themselves.
     """
     options = SolveOptions(time_limit=config.time_limit)
     records = []
@@ -213,6 +215,7 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
                 elapsed,
                 status,
                 scorer.engine.nodes,
+                scorer.engine.searches,
                 predictions,
                 truth,
             )
@@ -229,10 +232,11 @@ def write_pr_csv(points: Sequence[PrPoint], path) -> None:
 
 def write_bench_csv(report: BenchmarkReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model_id,n,c,time_seconds,status,nodes\n")
+        fh.write("model_id,n,c,time_seconds,status,nodes,searches\n")
         for r in report.records:
             fh.write(
-                f"{r.model_id},{r.n_obs},{r.max_order},{r.time_seconds:.6f},{r.status},{r.nodes}\n"
+                f"{r.model_id},{r.n_obs},{r.max_order},{r.time_seconds:.6f},{r.status},"
+                f"{r.nodes},{r.searches}\n"
             )
 
 

@@ -31,13 +31,18 @@ class Prediction:
 class PairScorer:
     """Scores features over one input list on one solver :class:`Engine`,
     ``engine``, which compiles the instance once and keeps what its
-    searches learn; its ``nodes`` counts the search nodes of every solve.
+    searches learn; its ``nodes`` counts the search nodes of every solve
+    and its ``searches`` their searches.
 
     The unconstrained optimum is solved first. Its minimum bounds every
     forced solve from below, so a forced solve stops when it reaches it,
     and a side whose minimum is the base minimum needs no proof of
-    optimality; every forced solve's decisions take the values of its
-    optimum. Every forced solve starts from the cheapest
+    optimality. Every forced solve's decisions take the values of the
+    unconstrained optimum, except on an instance without a cost-bearing
+    input, such as one of hard inputs only: there every completion is
+    optimal, so they take the values that no completion of an earlier
+    solve has, and each forced solve's completion can answer more of the
+    later ones. Every forced solve starts from the cheapest
     completion that an earlier solve of the engine accepted and that
     satisfies its pin, and is answered by it without search when it costs
     the base minimum. A forced solve that no such completion serves, like

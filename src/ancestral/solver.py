@@ -108,8 +108,12 @@ Branching is VSIDS (Moskewicz et al. 2001): each decision takes the open
 reachability or polarity variable of highest conflict activity, ties to
 the lowest index, popped from a binary heap as in MiniSat, so every
 completion assigns every such variable. Its value is the pinless
-optimum's once there is one, else the cheaper one, ties to false. The
-search never restarts.
+optimum's once there is one, else the cheaper one, ties to false. On an
+instance without a cost-bearing token, every completion is optimal and a
+pinned search ends at its first, so a decision there takes the value that
+no pooled completion has, and the pinless optimum's only once both values
+are pooled: each search then tends to end at a completion unlike those
+pooled, which answers more of the later pins. The search never restarts.
 
 Determinism: decision activities, value preferences and all tie-breaks are
 deterministic, so identical inputs and an identical sequence of queries
@@ -400,10 +404,15 @@ class Engine:
     ``scanned``, so a pass of :meth:`_harden` scans only the tokens that
     the slack newly reaches.
     ``pool`` holds the ``(cost, snapshot)`` of every completion that a
-    search accepted, in ascending order, ``floor`` and ``floor_snap`` the
-    pinless query's minimum and optimum, whose values every later decision
-    takes, and ``excess`` the largest ``minimum - floor`` of the pinned
-    queries finished so far, a query's first threshold gap unless it is 0.
+    search accepted, in ascending order, and ``covered`` their union as
+    one int, bit ``8 * tok`` set when a pooled completion holds token
+    ``tok``. ``floor`` and ``floor_snap`` are the pinless query's minimum
+    and optimum, whose values later decisions take (see
+    :meth:`_preferred`), and ``excess`` the largest ``minimum - floor`` of
+    the pinned queries finished so far, a query's first threshold gap
+    unless it is 0. ``nodes`` counts the search nodes and ``searches`` the
+    calls of :meth:`_search`: progression rounds, searches under a pooled
+    incumbent and witness probes.
     ``ceiling`` is the largest completion cost: ``offset`` plus each
     variable's costlier reduced value.
 
@@ -465,6 +474,7 @@ class Engine:
         self.frames: list[tuple] = []
         self.cost = self.offset
         self.nodes = 0
+        self.searches = 0
         self.conflict = None
         self.learned: list[list[int]] = []
         self.watches: dict[int, list[int]] = {}
@@ -473,6 +483,7 @@ class Engine:
         self.best_cost: Optional[int] = None
         self.best_snap = None
         self.pool: list[tuple[int, bytes]] = []
+        self.covered = 0
         self.floor: Optional[int] = None
         self.floor_snap = None
         self.excess = 0
@@ -847,12 +858,18 @@ class Engine:
 
     def _preferred(self, var: int) -> int:
         """The value in the pinless optimum ``floor_snap``, else the cheaper
-        value, ties to false. Level 0 has assigned every variable with a
-        forbidden value, so both values are allowed."""
+        value, ties to false. On an instance without a cost-bearing token,
+        where every completion is optimal, the value that no pooled
+        completion has comes first: the floor optimum's only when both
+        are pooled. Level 0 has assigned every variable with a forbidden
+        value, so both values are allowed."""
         tok = var * 2
-        if self.floor_snap is not None:
-            return tok if self.floor_snap[tok] else tok + 1
-        return tok if self.cost_of[tok] < self.cost_of[tok + 1] else tok + 1
+        if self.floor_snap is None:
+            return tok if self.cost_of[tok] < self.cost_of[tok + 1] else tok + 1
+        kept = tok if self.floor_snap[tok] else tok + 1
+        if not self.costly and not self.covered >> 8 * (kept ^ 1) & 1:
+            return kept ^ 1
+        return kept
 
     def query(self, pins: Sequence[int] = ()):
         """The exact minimum cost under the options' forced features and
@@ -885,9 +902,11 @@ class Engine:
             return pooled
         if self._assume(pins):
             # The pooled incumbent seeds the bound only; the decisions follow
-            # the floor optimum. Following the seeded or each new incumbent's
-            # values took (6,1) models 0-5 from 55k to 81-93k nodes and from
-            # 2.9 to 5.3-5.6 s of scoring on a 2-core x86-64 host.
+            # the floor optimum (or, without cost-bearing tokens, the pool's
+            # gaps: see _preferred). Following the seeded or each new
+            # incumbent's values took (6,1) models 0-5 from 55k to 81-93k
+            # nodes and from 2.9 to 5.3-5.6 s of scoring on a 2-core x86-64
+            # host.
             self.best_cost, self.best_snap = pooled
             base = lo = self.offset if self.floor is None else self.floor
             gap = self.excess or (self.cost_of[self.costly[-1]] if self.costly else 0)
@@ -983,6 +1002,7 @@ class Engine:
         reaches the incumbent's, as does each other completion, the new
         incumbent. Every conflict learns an asserting clause, and no clause
         is deleted within one search, so it terminates."""
+        self.searches += 1
         while True:
             self._check_time()
             if self._harden() and self.cost < self.best_cost:
@@ -991,6 +1011,7 @@ class Engine:
                     self.best_cost = self.cost
                     self.best_snap = bytes(self.value[: self.fact_base])
                     bisect.insort(self.pool, (self.best_cost, self.best_snap))
+                    self.covered |= int.from_bytes(self.best_snap, "little")
                     if self.best_cost == lo:
                         return
                 else:

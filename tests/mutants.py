@@ -238,6 +238,31 @@ MUTANTS = (
         "self.pool.append((self.best_cost, self.best_snap))",
         "tests/test_solver.py::test_pool_stays_sorted_and_serves_its_cheapest_fit",
     ),
+    # the pool's phase on hard-only instances: applied where tokens bear
+    # costs, it moves the trajectory that floor-following keeps there
+    Mutant(
+        "pool-phase-on-costed-instances",
+        SOLVER,
+        "if not self.costly and not self.covered",
+        "if not self.covered",
+        "tests/test_solver.py::test_costed_decisions_take_the_floor_values_whatever_the_pool_holds",
+    ),
+    # a decision takes the other value only once a pooled completion has it
+    Mutant(
+        "pool-phase-takes-pooled-value",
+        SOLVER,
+        "and not self.covered >>",
+        "and self.covered >>",
+        "tests/test_solver.py::test_hard_only_decisions_take_the_values_no_pooled_completion_has",
+    ),
+    # the coverage stays empty, so a decision never returns to the floor's value
+    Mutant(
+        "pool-coverage-not-updated",
+        SOLVER,
+        '                    self.covered |= int.from_bytes(self.best_snap, "little")\n',
+        "",
+        "tests/test_solver.py::test_hard_only_decisions_take_the_values_no_pooled_completion_has",
+    ),
     # the partial-order axioms: without antisymmetry a completion can hold a
     # two-cycle
     Mutant(

@@ -133,9 +133,10 @@ def test_benchmark_smoke_and_determinism(tmp_path):
     assert [r.truth for r in a.records] == [r.truth for r in b.records]
     write_bench_csv(a, tmp_path / "bench.csv")
     rows = (tmp_path / "bench.csv").read_text().splitlines()
-    assert rows[0] == "model_id,n,c,time_seconds,status,nodes"
+    assert rows[0] == "model_id,n,c,time_seconds,status,nodes,searches"
     assert len(rows) == 3
     assert [int(row.split(",")[5]) for row in rows[1:]] == [r.nodes for r in a.records]
+    assert [int(row.split(",")[6]) for row in rows[1:]] == [r.searches for r in a.records]
     points = pooled_pr_curve(a.ok_results(), PrTask.ANCESTRAL)
     write_pr_csv(points, tmp_path / "pr.csv")
     assert (tmp_path / "pr.csv").read_text().startswith("threshold,precision,recall")
@@ -145,17 +146,18 @@ def test_benchmark_smoke_and_determinism(tmp_path):
 
 
 def test_benchmark_node_counts_repeat_exactly():
-    """Two runs of one seed record the same search nodes per model, and
-    every model searches. A model that times out is recorded with the
-    nodes searched before its deadline, none when the deadline has passed
-    before the first query."""
+    """Two runs of one seed record the same search nodes and searches per
+    model, and every model searches; each search takes at least one node.
+    A model that times out is recorded with the nodes and searches before
+    its deadline, none when the deadline has passed before the first
+    query."""
     cfg = BenchConfig(n_obs=5, models=3, samples=300, max_order=1, seed=2)
     a, b = run_benchmark(cfg), run_benchmark(cfg)
-    nodes = [r.nodes for r in a.records]
-    assert nodes == [r.nodes for r in b.records]
-    assert all(count > 0 for count in nodes)
+    counts = [(r.nodes, r.searches) for r in a.records]
+    assert counts == [(r.nodes, r.searches) for r in b.records]
+    assert all(0 < searches <= nodes for nodes, searches in counts)
     timed = run_benchmark(dataclasses.replace(cfg, time_limit=1e-9))
-    assert [(r.status, r.nodes) for r in timed.records] == [("timeout", 0)] * 3
+    assert [(r.status, r.nodes, r.searches) for r in timed.records] == [("timeout", 0, 0)] * 3
 
 
 def test_oracle_benchmark_infinite_scores_are_correct():

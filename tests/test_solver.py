@@ -25,7 +25,7 @@ from ancestral.core import (
     is_ancestral_structure,
     not_causes,
 )
-from ancestral.oracle import brute_force_min_loss
+from ancestral.oracle import Identifiability, brute_force_min_loss, identifiability_oracle
 from ancestral.rules import (
     DEP,
     INDEP,
@@ -37,8 +37,13 @@ from ancestral.rules import (
     ground,
     loss,
 )
-from ancestral.scoring import BothInfeasibleError, PairScorer, score_all_pairs
-from ancestral.simulate import oracle_inputs, random_linear_model, sample_data
+from ancestral.scoring import BothInfeasibleError, PairScorer, pair_features, score_all_pairs
+from ancestral.simulate import (
+    oracle_inputs,
+    random_linear_model,
+    sample_data,
+    true_ancestral_structure,
+)
 from ancestral.solver import (
     Engine,
     SolveOptions,
@@ -692,6 +697,104 @@ def test_forced_queries_stop_at_the_base_minimum():
     assert nodes[True] < nodes[False]
 
 
+class PhaseLoggingEngine(Engine):
+    """An engine that logs each decision taken once the floor optimum is
+    known as ``(took_floor_value, other_value_pooled)``: whether the
+    decision took the floor optimum's value, and whether a pooled
+    completion then held the other value."""
+
+    def __init__(self, *args):
+        self.phase_log = []
+        super().__init__(*args)
+
+    def _preferred(self, var):
+        tok = super()._preferred(var)
+        if self.floor_snap is not None:
+            kept = 2 * var if self.floor_snap[2 * var] else 2 * var + 1
+            self.phase_log.append((tok == kept, any(s[kept ^ 1] for _, s in self.pool)))
+        return tok
+
+
+def pose_every_pin(engine, n):
+    """The base query, then both sides of every ordered pair in row-major
+    order."""
+    engine.query()
+    for x, y, hold in all_forced(n):
+        engine.query([engine.pin(AncStatement(x, y, Ancestry.CAUSES), hold)])
+
+
+def test_hard_only_decisions_take_the_values_no_pooled_completion_has():
+    """On oracle inputs, where no token bears a cost and every completion
+    is optimal, each decision after the base query takes the value that
+    the floor optimum lacks while no pooled completion has it, and the
+    floor optimum's value once one does; both cases occur."""
+    log = []
+    for n, order, m in [(4, 1, 2), (5, 1, 1), (5, 2, 2), (6, 1, 2)]:
+        scm = random_linear_model(n, 1, 0.3, seed=[1, m, 0])
+        engine = PhaseLoggingEngine(oracle_inputs(scm, order), n)
+        assert not engine.costly
+        pose_every_pin(engine, n)
+        log += engine.phase_log
+    assert all(took_floor == pooled for took_floor, pooled in log)
+    assert {(True, True), (False, False)} <= set(log)
+
+
+def test_costed_decisions_take_the_floor_values_whatever_the_pool_holds():
+    """On instances with a cost-bearing token every decision after the base
+    query takes the floor optimum's value, also where no pooled completion
+    has the other value."""
+    rng = random.Random(41)
+    log = []
+    for case in range(6):
+        n = 4 + case % 2
+        engine = PhaseLoggingEngine(random_instance(rng, n, max_inputs=4 * n, anc_share=0.3), n)
+        if not engine.costly:
+            continue
+        pose_every_pin(engine, n)
+        log += engine.phase_log
+    assert all(took_floor for took_floor, _ in log)
+    assert (True, False) in log
+
+
+def test_hard_only_scores_do_not_depend_on_the_pair_order():
+    """Decisions on hard-only instances follow the pool's history, so one
+    engine's searches depend on the order in which the pairs are posed,
+    but the scores do not: on oracle inputs at n = 4-6, orders 0-2, the
+    pairs scored in row-major and in reverse order get identical scores,
+    although the two orders take different search nodes on some of them,
+    and at n <= 5 each is inf, -inf or 0 exactly as the identifiability
+    oracle finds the feature true, false or unknown in every consistent
+    model; at n = 6 each infinite score agrees with the true structure."""
+    verdicts = {
+        math.inf: Identifiability.TRUE,
+        -math.inf: Identifiability.FALSE,
+        0: Identifiability.UNKNOWN,
+    }
+
+    def scores(inputs, n, posed):
+        scorer = PairScorer(inputs, n)
+        return {f: scorer.confidence(f) for f in posed}, scorer.engine.nodes
+
+    moved = 0
+    for n in (4, 5, 6):
+        features = pair_features(n)
+        for order in range(3):
+            for m in range(2):
+                scm = random_linear_model(n, 1, 0.3, seed=[2, m, 0])
+                inputs = oracle_inputs(scm, order)
+                forward, nodes = scores(inputs, n, features)
+                backward, reversed_nodes = scores(inputs, n, features[::-1])
+                assert backward == forward
+                moved += nodes != reversed_nodes
+                truth = true_ancestral_structure(scm)
+                for f, score in forward.items():
+                    if n <= 5:
+                        assert verdicts[score] is identifiability_oracle(inputs, n, f)
+                    elif score != 0:
+                        assert truth.reach(f.cause, f.effect) == (score == math.inf)
+    assert moved > 0
+
+
 # -- progression thresholds ---------------------------------------------------------
 
 class RoundLoggingEngine(Engine):
@@ -706,7 +809,7 @@ class RoundLoggingEngine(Engine):
     ``completed_at`` is the node count at the last completion reached."""
 
     def __init__(self, *args):
-        self.searches = []
+        self.search_log = []
         self.max_searches = math.inf
         self.completed_at = None
         super().__init__(*args)
@@ -719,11 +822,11 @@ class RoundLoggingEngine(Engine):
 
     def _search(self, lo):
         assert self.best_cost is not None
-        assert len(self.searches) < self.max_searches
+        assert len(self.search_log) < self.max_searches
         threshold = self.best_cost if self.best_snap is None else None
         nodes = self.nodes
         super()._search(lo)
-        self.searches.append((threshold, lo, self.best_snap is not None, self.nodes - nodes))
+        self.search_log.append((threshold, lo, self.best_snap is not None, self.nodes - nodes))
 
 
 def assert_forced_minimum(engine, inputs, n, forced, best, snap):
@@ -855,10 +958,10 @@ def test_guessed_thresholds_hold_and_fail():
         for feature in forced:
             pins = forced_pins(engine, [feature])
             fits = any(all(engine.holds(s, p) for p in pins) for _, s in engine.pool)
-            excess, start = engine.excess, len(engine.searches)
+            excess, start = engine.excess, len(engine.search_log)
             best, snap = engine.query(pins)
             assert_forced_minimum(engine, inputs, 4, [feature], best, snap)
-            rounds = engine.searches[start:]
+            rounds = engine.search_log[start:]
             if not fits:
                 assert rounds or best is None
                 assert all(threshold is not None for threshold, *_ in rounds)
@@ -876,11 +979,11 @@ def check_rounds(engine, pins, largest):
     fits = any(all(engine.holds(s, p) for p in pins) for _, s in engine.pool)
     base = engine.offset if engine.floor is None else engine.floor
     gap = engine.excess or min(c for c in engine.cost_of if c)
-    start = len(engine.searches)
+    start = len(engine.search_log)
     engine.max_searches = start + math.log2(largest / gap) + 2
     best, snap = engine.query(pins)
     engine.max_searches = math.inf
-    rounds = engine.searches[start:]
+    rounds = engine.search_log[start:]
     if fits:
         assert all(threshold is None for threshold, *_ in rounds)
         return (best, snap), 0
@@ -911,7 +1014,8 @@ def test_progression_rounds_keep_their_invariants():
     the first gap ``excess``, or the smallest positive reduced cost while
     ``excess`` is 0. A query that a pooled completion serves runs no round.
     At n = 4 every minimum is brute force's. Every witness probe is one
-    search under ``best + 1`` that ends at ``best``. Half the instances
+    search under ``best + 1`` that ends at ``best``. ``Engine.searches``
+    counts every logged search, rounds and probes. Half the instances
     have weights below 10, so that a minimum often meets a threshold."""
     rng = random.Random(29)
     rounds = {"base": 0, "forced": 0, "excess": 0, "several": 0, "probes": 0}
@@ -946,11 +1050,12 @@ def test_progression_rounds_keep_their_invariants():
             if n == 4:
                 assert_forced_minimum(engine, inputs, n, always + forced, best, snap)
             if i == 0 and best is not None:
-                start = len(engine.searches)
+                start = len(engine.search_log)
                 engine.witness(best, snap)
-                probes = engine.searches[start:]
+                probes = engine.search_log[start:]
                 assert all((threshold, lo) == (best + 1, best) for threshold, lo, *_ in probes)
                 rounds["probes"] += len(probes)
+        assert engine.searches == len(engine.search_log)
     assert all(rounds.values()), rounds
 
 
@@ -979,11 +1084,11 @@ def test_progression_rounds_stop_where_their_proofs_end():
             pins = forced_pins(engine, forced)
             base = engine.offset if engine.floor is None else engine.floor
             gap = engine.excess or min(c for c in engine.cost_of if c)
-            start = len(engine.searches)
+            start = len(engine.search_log)
             engine.max_searches = start + math.log2(largest / gap) + 2
             best, snap = engine.query(pins)
             assert_forced_minimum(engine, inputs, 4, forced, best, snap)
-            thresholds = [threshold for threshold, *_ in engine.searches[start:]]
+            thresholds = [threshold for threshold, *_ in engine.search_log[start:]]
             if None in thresholds or not thresholds:
                 continue
             assert thresholds == [base + 2 ** (k + 1) * gap + 1 for k in range(len(thresholds))]
@@ -1024,7 +1129,7 @@ def test_timeout_under_a_guess_reports_only_found_completions(monkeypatch):
         want_base = reference.query()
         if want_base[0] is None:
             continue
-        at, starts = stops(reference.searches)
+        at, starts = stops(reference.search_log)
         for stop in at:
             engine = Engine(inputs, n)
             # one clock reading at the query's start, then one per node:
@@ -1044,9 +1149,9 @@ def test_timeout_under_a_guess_reports_only_found_completions(monkeypatch):
             assert engine.query() == want_base
         pins = forced_pins(reference, rng.sample(all_forced(n), 12))
         for i, pin in enumerate(pins):
-            start = len(reference.searches)
+            start = len(reference.search_log)
             want = reference.query([pin])
-            searches = reference.searches[start:]
+            searches = reference.search_log[start:]
             if not searches or searches[0][0] is None:
                 continue
             at, starts = stops(searches)
@@ -1100,7 +1205,7 @@ def test_progression_ends_on_infeasible_and_all_hard_instances():
         engine.max_searches = math.log2(largest / min(c for c in engine.cost_of if c)) + 2
         assert engine.query() == (None, None)
         assert solve_min_loss(inputs, 4).min_loss == Weight.hard()
-        thresholds = [threshold for threshold, *_ in engine.searches]
+        thresholds = [threshold for threshold, *_ in engine.search_log]
         assert None not in thresholds
         assert all(t <= engine.ceiling for t in thresholds[:-1]) and thresholds[-1] > engine.ceiling
         assert engine.floor is None and engine.pool == []
@@ -1114,14 +1219,14 @@ def test_progression_ends_on_infeasible_and_all_hard_instances():
         engine = RoundLoggingEngine(inputs, n)
         assert not engine.costly and engine.offset == engine.ceiling == 0
         for pins in [[]] + [forced_pins(engine, [f]) for f in rng.sample(all_forced(n), 6)]:
-            start = len(engine.searches)
+            start = len(engine.search_log)
             engine.max_searches = start + 1
             best, _ = engine.query(pins)
             assert best in (None, engine.offset)
             want = (engine.offset + 1, engine.offset, best is not None)
-            assert all(search[:3] == want for search in engine.searches[start:])
-        assert engine.searches[0][2]  # the base query's one round
-        forced_rounds += len(engine.searches) - 1
+            assert all(search[:3] == want for search in engine.search_log[start:])
+        assert engine.search_log[0][2]  # the base query's one round
+        forced_rounds += len(engine.search_log) - 1
     assert forced_rounds > 0
 
 
@@ -1827,8 +1932,9 @@ def test_determinism_across_runs():
 def test_search_trajectory_is_pinned():
     """The summed search nodes of two float-free workloads, pinned exactly:
     scoring every pair of the eight models of the oracle-n7c2 benchmark
-    pool (hard d-separation statements up to order 2 at n = 7), and the
-    base query and lex witness of 40 random soft instances at n = 5-6.
+    pool (hard d-separation statements up to order 2 at n = 7), with its
+    summed searches, and the base query and lex witness of 40 random soft
+    instances at n = 5-6.
     No weight comes from floating-point arithmetic: the oracle statements
     are the hard d-separation facts of the seeded models' graphs, and the
     random instances draw integer weights from ``random.Random``, so no
@@ -1836,11 +1942,12 @@ def test_search_trajectory_is_pinned():
     propagation, analysis or branching that keeps the search moves none
     of them. A change that moves the trajectory on purpose updates these
     numbers and says so in CHANGES.md."""
-    oracle = 0
+    oracle = searches = 0
     for m in range(8):
         scorer = PairScorer(oracle_inputs(random_linear_model(7, 1, 0.3, seed=[0, m, 0]), 2), 7)
         scorer.all_pairs()
         oracle += scorer.engine.nodes
+        searches += scorer.engine.searches
     rng = random.Random(29)
     base = witness = 0
     for i in range(40):
@@ -1851,7 +1958,7 @@ def test_search_trajectory_is_pinned():
         if best is not None:
             engine.witness(best, snap)
         witness += engine.nodes
-    assert (oracle, base, witness - base) == (389, 2233, 443)
+    assert (oracle, searches, base, witness - base) == (162, 33, 2233, 443)
 
 
 # -- options and errors --------------------------------------------------------------
