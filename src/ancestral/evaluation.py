@@ -169,8 +169,12 @@ def run_benchmark(config: BenchConfig) -> BenchmarkReport:
     """Simulate, test and score ``config.models`` random models.
 
     The recorded wall time covers statement construction, solving and
-    scoring only (simulation and I/O excluded). The solver's grounding
-    depends only on n and the set of tested triples, which the models of
+    scoring only (simulation and I/O excluded). Statement construction is
+    the CI tests on the model's sample or, with ``use_oracle``, the
+    d-separation oracle ``simulate.oracle_inputs``: one bitmask
+    reachability pass per source and conditioning set, about 1-3 ms per
+    model at n = 7-9 (README gives the bench medians). The solver's
+    grounding depends only on n and the set of tested triples, which the models of
     one (n, max_order) share, and it is built once per process: the first
     model timed pays for it and the later ones do not. Solver timeouts are
     recorded per model and never abort the batch. Each record counts the

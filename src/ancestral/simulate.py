@@ -5,6 +5,13 @@ oracle input construction.
 Observed variables are indices 0..n_obs-1, latents follow; the topological
 order is a random permutation over all nodes, so observed variables sit
 anywhere in the causal order.
+
+The d-separation oracle works on integer bitmasks (bit v is node v). The
+graph's parent and child masks are built once; then one Bayes-ball pass
+from a source x under a conditioning mask Z yields every node d-connected
+to x given Z. ``oracle_inputs`` makes one such pass per (x, Z) and reads
+every y of that source off its mask; ``d_separated`` answers one triple
+with the same kernel.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from ancestral.core import (
     Weight,
     WeightedInput,
     canonicalize,
-    condset_members,
     condsets_up_to,
+    iter_bits,
     Polarity,
 )
 from ancestral.stats import Dataset
@@ -97,47 +104,77 @@ def sample_data(scm: Scm, n_samples: int, seed: Seed = 0) -> Dataset:
     return Dataset(names, values[:, : scm.n_obs])
 
 
+def _graph_masks(adj: np.ndarray) -> tuple[list[int], list[int]]:
+    """Parent and child masks of every node of a DAG adjacency matrix: bit
+    u of ``parents[v]`` is set iff u -> v."""
+    total = adj.shape[0]
+    parents = [0] * total
+    children = [0] * total
+    srcs, dsts = np.nonzero(adj)
+    for src, dst in zip(srcs.tolist(), dsts.tolist()):
+        parents[dst] |= 1 << src
+        children[src] |= 1 << dst
+    return parents, children
+
+
+def _d_connected(parents: list[int], children: list[int], x: int, cond: int) -> int:
+    """Mask of every node outside ``cond`` and x that is d-connected to x
+    given the conditioning mask ``cond``: one Bayes-ball pass (Shachter
+    1998) over the trail states (node, arrived from a child or a parent)."""
+    # the ancestors of cond, cond included: a collider passes a trail iff it
+    # is one of them
+    anc = frontier = cond
+    while frontier:
+        step = 0
+        for v in iter_bits(frontier):
+            step |= parents[v]
+        frontier = step & ~anc
+        anc |= frontier
+    # up: arrived from a child (the source counts as one), down: from a parent
+    up, down = 1 << x, 0
+    new_up, new_down = up, 0
+    while new_up or new_down:
+        to_up = to_down = 0
+        # a non-collider passes a trail iff it is not conditioned on
+        for v in iter_bits(new_up & ~cond):
+            to_up |= parents[v]
+            to_down |= children[v]
+        for v in iter_bits(new_down & ~cond):
+            to_down |= children[v]
+        for v in iter_bits(new_down & anc):
+            to_up |= parents[v]
+        new_up = to_up & ~up
+        new_down = to_down & ~down
+        up |= new_up
+        down |= new_down
+    return (up | down) & ~(cond | 1 << x)
+
+
 def d_separated(adj: np.ndarray, x: int, y: int, cond: Union[int, Iterable[int]]) -> bool:
     """Standard d-separation on a DAG adjacency matrix: true iff every path
-    between x and y is blocked by the conditioning set."""
-    cond_set = set(condset_members(cond)) if isinstance(cond, int) else set(cond)
+    between x and y is blocked by the conditioning set, given as a bitmask
+    or as an iterable of nodes. Raises ``ValueError`` for a node outside
+    ``0..adj.shape[0]-1``, for x == y and for a conditioned endpoint."""
+    total = adj.shape[0]
+    if isinstance(cond, int):
+        if cond < 0 or cond >> total:
+            raise ValueError(f"conditioning mask {cond:#b} names a node outside 0..{total - 1}")
+        mask = cond
+    else:
+        mask = 0
+        for v in cond:
+            if not 0 <= v < total:
+                raise ValueError(f"conditioning node {v} lies outside 0..{total - 1}")
+            mask |= 1 << v
+    for v in (x, y):
+        if not 0 <= v < total:
+            raise ValueError(f"node {v} lies outside 0..{total - 1}")
     if x == y:
         raise ValueError("x and y must differ")
-    if x in cond_set or y in cond_set:
+    if (mask >> x | mask >> y) & 1:
         raise ValueError("endpoints may not be conditioned on")
-    total = adj.shape[0]
-    parents = [list(np.flatnonzero(adj[:, v])) for v in range(total)]
-    children = [list(np.flatnonzero(adj[v, :])) for v in range(total)]
-
-    ancestors = set()
-    frontier = list(cond_set)
-    while frontier:
-        v = frontier.pop()
-        if v in ancestors:
-            continue
-        ancestors.add(v)
-        frontier.extend(parents[v])
-
-    # walk (node, direction) states; 'up' means the trail arrived from a child
-    visited = set()
-    frontier = [(x, True)]
-    while frontier:
-        node, up = frontier.pop()
-        if (node, up) in visited:
-            continue
-        visited.add((node, up))
-        if node == y:
-            return False
-        if up:
-            if node not in cond_set:
-                frontier.extend((p, True) for p in parents[node])
-                frontier.extend((c, False) for c in children[node])
-        else:
-            if node not in cond_set:
-                frontier.extend((c, False) for c in children[node])
-            if node in ancestors:
-                frontier.extend((p, True) for p in parents[node])
-    return True
+    parents, children = _graph_masks(adj)
+    return not _d_connected(parents, children, x, mask) >> y & 1
 
 
 def true_ancestral_structure(scm: Scm) -> AncestralStructure:
@@ -167,15 +204,18 @@ def oracle_inputs(scm: Scm, max_order: int) -> list[WeightedInput]:
         raise ValueError("max_order must be nonnegative")
     if max_order > n - 2:
         raise ValueError("max_order may not exceed n_obs - 2")
+    parents, children = _graph_masks(scm.adj)
+    reach = {}  # (x, cond) -> the nodes d-connected to x given cond
     out = []
     for x in range(n):
         for y in range(x + 1, n):
             others = [v for v in range(n) if v != x and v != y]
             for cond in condsets_up_to(others, max_order):
+                key = (x, cond)
+                if key not in reach:
+                    reach[key] = _d_connected(parents, children, x, cond)
                 polarity = (
-                    Polarity.INDEPENDENT
-                    if d_separated(scm.adj, x, y, cond)
-                    else Polarity.DEPENDENT
+                    Polarity.DEPENDENT if reach[key] >> y & 1 else Polarity.INDEPENDENT
                 )
                 out.append(
                     WeightedInput(canonicalize(x, y, cond, polarity), Weight.hard())

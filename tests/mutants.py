@@ -1,5 +1,6 @@
-"""Standing mutant suite for the soundness arguments of the solver and of
-the exhaustive references that check it.
+"""Standing mutant suite for the soundness arguments of the solver, of
+the exhaustive references that check it and of the d-separation oracle
+that builds hard inputs.
 
 Each row of ``MUTANTS`` plants one fault by plain text replacement: an
 exact source fragment of a file under ``src/`` and its replacement, with
@@ -40,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/ancestral/solver.py"
 RULES = "src/ancestral/rules.py"
 ORACLE = "src/ancestral/oracle.py"
+SIMULATE = "src/ancestral/simulate.py"
 
 
 class Mutant(NamedTuple):
@@ -312,6 +314,39 @@ MUTANTS = (
         "if best is not None and flip > best[0]:",
         "if best is not None and flip >= best[0]:",
         "tests/test_oracle.py::test_an_assignment_that_ties_the_best_loss_can_hold_the_lex_witness",
+    ),
+    # the d-separation oracle: a collider passes a trail without being an
+    # ancestor of the conditioning set
+    Mutant(
+        "collider-opens-off-ancestors",
+        SIMULATE,
+        "for v in iter_bits(new_down & anc):",
+        "for v in iter_bits(new_down):",
+        "tests/test_simulate.py::test_oracle_inputs_match_path_enumeration",
+    ),
+    # a conditioned node passes a trail that arrives from its parent
+    Mutant(
+        "conditioned-node-passes-from-parent",
+        SIMULATE,
+        "for v in iter_bits(new_down & ~cond):",
+        "for v in iter_bits(new_down):",
+        "tests/test_simulate.py::test_oracle_inputs_match_path_enumeration",
+    ),
+    # a conditioned node passes a trail that arrives from its child
+    Mutant(
+        "conditioned-node-passes-from-child",
+        SIMULATE,
+        "for v in iter_bits(new_up & ~cond):",
+        "for v in iter_bits(new_up):",
+        "tests/test_simulate.py::test_oracle_inputs_match_path_enumeration",
+    ),
+    # oracle_inputs reuses one source's reach for every conditioning set
+    Mutant(
+        "oracle-memo-key-drops-cond",
+        SIMULATE,
+        "key = (x, cond)",
+        "key = x",
+        "tests/test_simulate.py::test_oracle_inputs_match_path_enumeration",
     ),
 )
 

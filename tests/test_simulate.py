@@ -5,7 +5,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ancestral.core import AncestralStructure, Polarity, is_ancestral_structure
+from ancestral.core import (
+    AncestralStructure,
+    Polarity,
+    condset_members,
+    condsets_up_to,
+    is_ancestral_structure,
+)
 from ancestral.simulate import (
     Scm,
     d_separated,
@@ -152,6 +158,19 @@ def test_guards():
         d_separated(adj, 0, 0, set())
     with pytest.raises(ValueError):
         d_separated(adj, 0, 2, {0})
+    with pytest.raises(ValueError):
+        d_separated(adj, 0, 2, 0b1)
+    # nodes outside 0..2, as an endpoint, a conditioning member or a mask bit
+    with pytest.raises(ValueError, match="outside"):
+        d_separated(adj, -1, 0, set())
+    with pytest.raises(ValueError, match="outside"):
+        d_separated(adj, 0, 5, set())
+    with pytest.raises(ValueError, match="outside"):
+        d_separated(adj, 0, 2, {-2})
+    with pytest.raises(ValueError, match="outside"):
+        d_separated(adj, 0, 2, 0b1000)
+    with pytest.raises(ValueError, match="outside"):
+        d_separated(adj, 0, 2, -1)
 
 
 # -- ground truth --------------------------------------------------------------------
@@ -228,6 +247,35 @@ def test_oracle_instances_solve_to_zero():
         inputs = oracle_inputs(scm, 2)
         r = solve_min_loss(inputs, 4, build_witness=False)
         assert r.min_loss.millis == 0
+
+
+def test_oracle_inputs_match_path_enumeration():
+    """Differential check of the oracle on latent models: every statement
+    matches textbook d-separation by path enumeration over the full graph,
+    the statements come in (x, y, ``condsets_up_to``) order, and
+    ``d_separated`` answers a conditioning set and its mask alike."""
+    rng = random.Random(17)
+    for seed in range(24):
+        n = rng.randint(3, 6)
+        scm = random_linear_model(n, rng.randint(1, 2), rng.uniform(0.3, 0.6), seed=[seed, 17])
+        max_order = rng.randint(0, n - 2)
+        inputs = oracle_inputs(scm, max_order)
+        order = [
+            (x, y, cond)
+            for x in range(n)
+            for y in range(x + 1, n)
+            for cond in condsets_up_to([v for v in range(n) if v not in (x, y)], max_order)
+        ]
+        assert [(w.statement.x, w.statement.y, w.statement.cond) for w in inputs] == order
+        for w in inputs:
+            x, y, cond = w.statement.x, w.statement.y, w.statement.cond
+            members = set(condset_members(cond))
+            separated = path_d_separated(scm.adj, x, y, members)
+            expected = Polarity.INDEPENDENT if separated else Polarity.DEPENDENT
+            assert w.statement.polarity is expected, (seed, x, y, cond)
+            assert w.weight.is_hard
+            assert d_separated(scm.adj, x, y, cond) == separated, (seed, x, y, cond)
+            assert d_separated(scm.adj, y, x, members) == separated, (seed, x, y, cond)
 
 
 def test_oracle_order_guard():
